@@ -16,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 GEOM_TOL = 1e-9
 
 
@@ -95,8 +97,6 @@ IDENTITY = Isometry(1.0 + 0.0j, 0.0j, False)
 
 def apply(iso: Isometry, p):
     """Apply an isometry; accepts DiskPoint/complex (returns same kind) or ndarray."""
-    import numpy as np
-
     if isinstance(p, np.ndarray):
         w = np.conjugate(p) if iso.reverses else p
         return (iso.a * w + iso.b) / (np.conjugate(iso.b) * w + np.conjugate(iso.a))
@@ -288,20 +288,21 @@ def arc_parameter(p, q, x) -> float:
     return 2.0 * math.atanh(t)
 
 
-def foot_parameter(p, q, x) -> float:
+def foot_parameter(p, q, x):
     """Arclength parameter of the orthogonal projection of x onto the geodesic p -> q.
 
-    Intrinsic (isometry-equivariant), so symmetric meshes stay symmetric
-    when boundary nodes are retracted with it.
+    x is one point (returns a float) or an ndarray of points (returns an
+    array).  Intrinsic (isometry-equivariant), so symmetric meshes stay
+    symmetric when boundary nodes are retracted with it.
     """
-    w = apply(axis_map(p, q), _z(x))
+    many = isinstance(x, np.ndarray)
+    w = np.asarray(apply(axis_map(p, q), x if many else _z(x)))
     u = w.real
-    if abs(u) < 1e-15:
-        return 0.0
-    c = (1.0 + abs(w) ** 2) / (2.0 * u)
-    t = c - math.copysign(math.sqrt(c * c - 1.0), c)
-    t = max(-1.0 + 1e-15, min(1.0 - 1e-15, t))
-    return 2.0 * math.atanh(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (1.0 + np.abs(w) ** 2) / (2.0 * u)
+        t = np.clip(c - np.copysign(np.sqrt(c * c - 1.0), c), -1.0 + 1e-15, 1.0 - 1e-15)
+        s = np.where(np.abs(u) < 1e-15, 0.0, 2.0 * np.arctanh(t))
+    return s if many else float(s)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ The mesh is built in three stages: a macro fan from an interior hub to
 arclength-uniform boundary subdivisions, uniform 1:4 refinement until every
 edge is hyperbolically shorter than the target, and Jacobi smoothing with
 boundary nodes retracted onto their geodesic side by orthogonal projection.
+All stages are array operations: the unique edges are computed once per
+refinement level and shared by the edge-length check and the smoother, and
+boundary nodes are projected side by side, one array per side and sweep.
 
 All operations are equivariant under disk isometries that map the polygon
 to itself, so symmetric polygons get symmetric meshes.  That exactness is
@@ -23,6 +26,7 @@ from .hypgeo import (
     Side,
     apply,
     axis_map,
+    foot_parameter,
     inverse,
 )
 
@@ -43,29 +47,20 @@ class MeshConfig:
 class _SideProjector:
     """Fast arclength parametrization of one polygon side.
 
-    Caches the axis map so projecting thousands of smoothing iterates does
-    not recompose isometries every call.
+    Caches the inverse axis map so placing boundary nodes does not
+    recompose isometries every call.
     """
 
     def __init__(self, side: Side):
         self.side = side
         self.length = side.length
-        self.A = axis_map(side.start, side.end)
-        self.Ainv = inverse(self.A)
+        self.Ainv = inverse(axis_map(side.start, side.end))
 
-    def at(self, s: float) -> complex:
+    def at(self, s):
+        """Point at arclength s (a float, or an ndarray of them) from the side's start."""
+        if isinstance(s, np.ndarray):
+            return apply(self.Ainv, np.tanh(s / 2.0).astype(np.complex128))
         return apply(self.Ainv, complex(math.tanh(s / 2.0)))
-
-    def foot(self, z: complex) -> float:
-        """Arclength parameter of the orthogonal projection of z onto the side's geodesic."""
-        w = apply(self.A, z)
-        u = w.real
-        if abs(u) < 1e-15:
-            return 0.0
-        c = (1.0 + abs(w) ** 2) / (2.0 * u)
-        t = c - math.copysign(math.sqrt(c * c - 1.0), c)
-        t = max(-1.0 + 1e-15, min(1.0 - 1e-15, t))
-        return 2.0 * math.atanh(t)
 
 
 @dataclass
@@ -123,9 +118,18 @@ def _hyp_len(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
 
 
 def _unique_edges(tris: np.ndarray) -> np.ndarray:
-    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    """Unique edges (lo, hi) of a triangle array in lexicographic order.
+
+    Deduplicates the integer codes lo * n + hi, which sort in the same
+    order as the pairs (sort and mask: np.unique hashes integer input and
+    is many times slower on these arrays).
+    """
+    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]).astype(np.int64)
     e.sort(axis=1)
-    return np.unique(e, axis=0)
+    n = int(e.max()) + 1 if len(e) else 1
+    codes = np.sort(e[:, 0] * n + e[:, 1])
+    codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
+    return np.stack([codes // n, codes % n], axis=1)
 
 
 def min_angle_degrees(mesh: Mesh) -> float:
@@ -224,36 +228,37 @@ def mesh_polygon(poly: HyperbolicPolygon, config: MeshConfig = None) -> Mesh:
         )
         return z, tris
 
-    def smooth(z, tris):
-        """Jacobi sweeps: interior nodes to neighbor mean, boundary nodes to
-        the orthogonal projection of the mean onto their side, corners pinned."""
-        e = _unique_edges(tris)
+    def smooth(z, e):
+        """Jacobi sweeps over the level's unique edges e: interior nodes to
+        the neighbor mean, boundary nodes to the orthogonal projection of
+        the mean onto their side (one array per side), corners pinned."""
+        n = len(z)
         ei, ej = e[:, 0], e[:, 1]
-        interior = np.ones(len(z), dtype=bool)
+        cnt = np.maximum(np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n), 1.0)
+        interior = np.ones(n, dtype=bool)
         interior[corners] = False
         bnd = np.array(sorted(node_side), dtype=np.int64)
         interior[bnd] = False
+        side_of = np.array([node_side[m][0] for m in bnd], dtype=np.int64)
+        on_side = [bnd[side_of == i] for i in range(poly.n)]
+        params = [np.array([node_side[m][1] for m in idx], dtype=np.float64) for idx in on_side]
         for _ in range(cfg.smooth_sweeps):
-            acc = np.zeros(len(z), dtype=np.complex128)
-            cnt = np.zeros(len(z), dtype=np.float64)
+            acc = np.zeros(n, dtype=np.complex128)
             np.add.at(acc, ei, z[ej])
             np.add.at(acc, ej, z[ei])
-            np.add.at(cnt, ei, 1.0)
-            np.add.at(cnt, ej, 1.0)
-            mean = acc / np.maximum(cnt, 1.0)
-            znew = z.copy()
-            znew[interior] = mean[interior]
-            for m in bnd:
-                side_i = node_side[m][0]
-                pr = projs[side_i]
-                s = min(max(pr.foot(complex(mean[m])), 0.0), pr.length)
-                node_side[m] = (side_i, s)
-                znew[m] = pr.at(s)
+            mean = acc / cnt
+            znew = np.where(interior, mean, z)
+            for i, (idx, pr) in enumerate(zip(on_side, projs)):
+                params[i] = np.clip(foot_parameter(pr.side.start, pr.side.end, mean[idx]), 0.0, pr.length)
+                znew[idx] = pr.at(params[i])
             z = znew
+        for i, (idx, par) in enumerate(zip(on_side, params)):
+            for m, s in zip(idx.tolist(), par.tolist()):
+                node_side[m] = (i, s)
         return z
 
-    def max_edge(z, tris):
-        e = _unique_edges(tris)
+    def max_edge(z, e):
+        """Longest hyperbolic edge; e is the level's unique edge list, computed once per level."""
         return _hyp_len(z[e[:, 0]], z[e[:, 1]]).max()
 
     def param_of(m, side_i):
@@ -272,12 +277,14 @@ def mesh_polygon(poly: HyperbolicPolygon, config: MeshConfig = None) -> Mesh:
 
     # refine + smooth until the smoothed mesh meets the edge criterion
     # (smoothing can stretch edges, so the check runs on the final positions)
+    e = _unique_edges(tris)
     for _ in range(cfg.max_refinements):
-        while max_edge(z, tris) > cfg.h_target:
+        while max_edge(z, e) > cfg.h_target:
             z, tris = refine(z, tris)
-        z = smooth(z, tris)
+            e = _unique_edges(tris)
+        z = smooth(z, e)
         refresh_bdict()
-        if max_edge(z, tris) <= cfg.h_target:
+        if max_edge(z, e) <= cfg.h_target:
             break
 
     side_nodes, side_params = [], []

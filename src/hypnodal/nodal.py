@@ -1,13 +1,15 @@
 """Zero level sets of piecewise linear functions on disk meshes.
 
-extract_nodal walks the triangles of a mesh, collects the zero segments of
-the linear interpolant, and chains them into polylines.  Chains split at
-vertices where more than two segments meet; those vertices are reported as
-crossing points with a transversality angle, and chains that continue
-straight through a crossing are re-joined so every maximal collinear piece
-appears as one component.  geodesic_deviation measures the hyperbolic
-distance from a polyline to a target geodesic, and self_intersections
-scans a nodal set for the points where it crosses itself.
+extract_nodal walks the triangles of a mesh that the zero set meets (an
+array mask picks those with a zero vertex or a sign change), collects the
+zero segments of the linear interpolant, and chains them into polylines.
+Chains split at vertices where more than two segments meet; those vertices
+are reported as crossing points with a transversality angle, and chains
+that continue straight through a crossing are re-joined so every maximal
+collinear piece appears as one component.  geodesic_deviation measures the
+hyperbolic distance from a polyline to a target geodesic, and
+self_intersections scans a nodal set for the points where it crosses
+itself.
 """
 
 from __future__ import annotations
@@ -131,7 +133,11 @@ def extract_nodal(mesh, u, zero_tol: float = 1e-9, chart: int = 0) -> NodalSet:
             pts[k] = complex(nodes[lo] + t * (nodes[hi] - nodes[lo]))
         return k
 
-    for tri in np.asarray(mesh.triangles, dtype=np.int64):
+    # only triangles with a zero vertex or a sign change contribute
+    tris = np.asarray(mesh.triangles, dtype=np.int64)
+    ts = sgn[tris]
+    live = zero[tris].any(axis=1) | ((ts.min(axis=1) < 0) & (ts.max(axis=1) > 0))
+    for tri in tris[live]:
         a, b, c = (int(x) for x in tri)
         ents = [vkey(i) for i in (a, b, c) if zero[i]]
         for i, j in ((a, b), (b, c), (c, a)):
@@ -144,7 +150,11 @@ def extract_nodal(mesh, u, zero_tol: float = 1e-9, chart: int = 0) -> NodalSet:
             for p in range(3):
                 for q in range(p + 1, 3):
                     segs.add(tuple(sorted((ents[p], ents[q]))))
+    return _nodal_set(pts, segs, chart)
 
+
+def _nodal_set(pts: dict, segs: set, chart: int) -> NodalSet:
+    """Chain zero segments (pairs of keys into pts) into the components and crossings of a NodalSet."""
     adj = {}
     for k1, k2 in segs:
         adj.setdefault(k1, set()).add(k2)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import hypfem
@@ -394,21 +395,7 @@ def assemble_glued(surface: Surface, base_mesh: Mesh) -> GluedSystem:
     """
     N = base_mesh.n_nodes
     C = surface.n_charts
-    parent = np.arange(C * N, dtype=np.int64)
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    slots_a, slots_b = [], []
     odd_slots = []
     for p in surface.pairings:
         mu = surface.base_correspondence(p)
@@ -425,15 +412,19 @@ def assemble_glued(surface: Surface, base_mesh: Mesh) -> GluedSystem:
             )
         if len(np.unique(j)) != len(nb):
             raise GlueError("pairing side-node matching is not one-to-one")
-        for a_node, b_node in zip(na, nb[j]):
-            union(p.chart_a * N + a_node, p.chart_b * N + b_node)
+        slots_a.append(p.chart_a * N + na)
+        slots_b.append(p.chart_b * N + nb[j])
         if p.parity == -1:
             odd_slots.extend(p.chart_a * N + na)
             odd_slots.extend(p.chart_b * N + nb)
 
-    roots = np.array([find(i) for i in range(C * N)], dtype=np.int64)
-    uniq, glue_index = np.unique(roots, return_inverse=True)
-    G = len(uniq)
+    # glued dofs are the connected components of the matched slot pairs,
+    # numbered in the order of each class's smallest slot
+    a = np.concatenate([np.zeros(0, dtype=np.int64), *slots_a])
+    b = np.concatenate([np.zeros(0, dtype=np.int64), *slots_b])
+    pairs = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(C * N, C * N))
+    G, labels = connected_components(pairs, directed=False)
+    glue_index = labels.astype(np.int64)
 
     K0, M0 = hypfem.assemble(base_mesh.nodes, base_mesh.triangles)
     K0, M0 = K0.tocoo(), M0.tocoo()

@@ -213,6 +213,18 @@ class TestArcParameters:
         s2 = hg.foot_parameter(hg.apply(F, p), hg.apply(F, q), hg.apply(F, x))
         assert s1 == pytest.approx(s2, abs=1e-12)
 
+    @given(disk_points(), disk_points(), st.lists(disk_points(), min_size=1, max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_foot_parameter_array_matches_scalar(self, p, q, xs):
+        if hg.hyp_distance(p, q) < 1e-3:
+            return
+        s = hg.foot_parameter(p, q, np.array(xs, dtype=np.complex128))
+        assert isinstance(s, np.ndarray) and s.shape == (len(xs),)
+        for x, sx in zip(xs, s):
+            scalar = hg.foot_parameter(p, q, x)
+            assert isinstance(scalar, float)
+            assert sx == pytest.approx(scalar, abs=1e-12)
+
 
 class TestRegularPolygon:
     def test_octagon_circumradius_closed_form(self):

@@ -8,6 +8,7 @@ import pytest
 
 from hypnodal import hypgeo as hg
 from hypnodal import hypmesh as hm
+from hypnodal import surfglue
 
 
 def quarter_octagon():
@@ -142,3 +143,149 @@ class TestHexagonMesh:
         assert m.hyp_edge_lengths().max() <= 0.2 + 1e-12
         assert hm.min_angle_degrees(m) >= 20.0
         assert len(m.side_nodes) == 6
+
+
+def reference_unique_edges(tris):
+    """Edge deduplication by row-wise unique: the reference for _unique_edges."""
+    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    return np.unique(np.sort(e, axis=1), axis=0)
+
+
+def reference_mesh(poly, cfg):
+    """The mesher with per-call edge recomputation and a per-node scalar
+    boundary projection loop: the reference for the array mesher."""
+    projs = [hm._SideProjector(s) for s in poly.sides]
+    lengths = [s.length for s in poly.sides]
+    lmin = min(lengths)
+    nodes = list(poly.vertices)
+    corners = np.arange(poly.n, dtype=np.int64)
+    node_side = {}
+    chains = []
+    for i, (pr, L) in enumerate(zip(projs, lengths)):
+        cnt = max(1, round(L / lmin))
+        chain, params = [corners[i]], [0.0]
+        for j in range(1, cnt):
+            s = L * j / cnt
+            node_side[len(nodes)] = (i, s)
+            chain.append(len(nodes))
+            params.append(s)
+            nodes.append(pr.at(s))
+        chain.append(corners[(i + 1) % poly.n])
+        params.append(L)
+        chains.append((chain, params))
+    hub = len(nodes)
+    nodes.append(sum(poly.vertices) / poly.n)
+    tris, bdict = [], {}
+    for i, (chain, params) in enumerate(chains):
+        for k in range(len(chain) - 1):
+            a, b = chain[k], chain[k + 1]
+            tris.append((a, b, hub))
+            sa, sb = params[k], params[k + 1]
+            bdict[(min(a, b), max(a, b))] = (i, sa, sb) if a < b else (i, sb, sa)
+    z = np.array(nodes, dtype=np.complex128)
+    tris = np.array(tris, dtype=np.int64)
+
+    def refine(z, tris):
+        n = len(z)
+        raw = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+        ucodes, inv = np.unique(raw[:, 0] * n + raw[:, 1], return_inverse=True)
+        mids = 0.5 * (z[ucodes // n] + z[ucodes % n])
+        code_pos = {c: k for k, c in enumerate(ucodes.tolist())}
+        new_bdict = {}
+        for (a, b), (side_i, sa, sb) in bdict.items():
+            k = code_pos[a * n + b]
+            sm = 0.5 * (sa + sb)
+            mids[k] = projs[side_i].at(sm)
+            m = n + k
+            node_side[m] = (side_i, sm)
+            new_bdict[(min(a, m), max(a, m))] = (side_i, sa, sm) if a < m else (side_i, sm, sa)
+            new_bdict[(min(m, b), max(m, b))] = (side_i, sm, sb) if m < b else (side_i, sb, sm)
+        bdict.clear()
+        bdict.update(new_bdict)
+        m01, m12, m20 = (n + inv).reshape(3, -1)
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        tris = np.concatenate(
+            [np.stack(t, axis=1) for t in ([a, m01, m20], [b, m12, m01], [c, m20, m12], [m01, m12, m20])]
+        )
+        return np.concatenate([z, mids]), tris
+
+    def smooth(z, tris):
+        e = reference_unique_edges(tris)
+        ei, ej = e[:, 0], e[:, 1]
+        interior = np.ones(len(z), dtype=bool)
+        interior[corners] = False
+        bnd = np.array(sorted(node_side), dtype=np.int64)
+        interior[bnd] = False
+        for _ in range(cfg.smooth_sweeps):
+            acc = np.zeros(len(z), dtype=np.complex128)
+            cnt = np.zeros(len(z), dtype=np.float64)
+            np.add.at(acc, ei, z[ej])
+            np.add.at(acc, ej, z[ei])
+            np.add.at(cnt, ei, 1.0)
+            np.add.at(cnt, ej, 1.0)
+            mean = acc / np.maximum(cnt, 1.0)
+            znew = z.copy()
+            znew[interior] = mean[interior]
+            for m in bnd:
+                side_i = node_side[m][0]
+                pr = projs[side_i]
+                s = min(max(hg.foot_parameter(pr.side.start, pr.side.end, complex(mean[m])), 0.0), pr.length)
+                node_side[m] = (side_i, s)
+                znew[m] = pr.at(s)
+            z = znew
+        return z
+
+    def max_edge(z, tris):
+        e = reference_unique_edges(tris)
+        return hm._hyp_len(z[e[:, 0]], z[e[:, 1]]).max()
+
+    def param_of(m, side_i):
+        if m == corners[side_i]:
+            return 0.0
+        if m == corners[(side_i + 1) % poly.n]:
+            return lengths[side_i]
+        return node_side[m][1]
+
+    for _ in range(cfg.max_refinements):
+        while max_edge(z, tris) > cfg.h_target:
+            z, tris = refine(z, tris)
+        z = smooth(z, tris)
+        for key in list(bdict):
+            side_i = bdict[key][0]
+            bdict[key] = (side_i, param_of(key[0], side_i), param_of(key[1], side_i))
+        if max_edge(z, tris) <= cfg.h_target:
+            break
+    side_nodes = []
+    for i in range(poly.n):
+        own = sorted((s, m) for m, (si, s) in node_side.items() if si == i)
+        side_nodes.append(np.array([corners[i]] + [m for _, m in own] + [corners[(i + 1) % poly.n]]))
+    return z, tris, corners, side_nodes
+
+
+class TestArrayKernels:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unique_edges_matches_rowwise_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 200))
+        tris = rng.integers(0, n, size=(int(rng.integers(1, 400)), 3))
+        assert np.array_equal(hm._unique_edges(tris), reference_unique_edges(tris))
+
+    def test_unique_edges_of_a_mesh(self, pent_mesh):
+        tris = pent_mesh.triangles
+        assert np.array_equal(hm._unique_edges(tris), reference_unique_edges(tris))
+
+    @pytest.mark.parametrize(
+        "poly, h",
+        [(surfglue.pants_decagon(2.0, 2.0, 2.0), 0.24), (quarter_octagon(), 0.16)],
+        ids=["pants-decagon", "quarter-octagon"],
+    )
+    def test_matches_scalar_boundary_loop(self, poly, h):
+        cfg = hm.MeshConfig(h_target=h)
+        z, tris, corners, side_nodes = reference_mesh(poly, cfg)
+        mesh = hm.mesh_polygon(poly, cfg)
+        assert np.array_equal(mesh.triangles, tris)
+        assert np.array_equal(mesh.corners, corners)
+        assert len(mesh.side_nodes) == len(side_nodes)
+        for got, want in zip(mesh.side_nodes, side_nodes):
+            assert np.array_equal(got, want)
+        assert np.max(np.abs(mesh.nodes - z)) <= 1e-12

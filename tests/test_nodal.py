@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hypnodal import hypfem, nodal, surfglue
+from hypnodal import hypfem, hypmesh, nodal, surfglue
 from hypnodal.hypgeo import Geodesic, apply, geodesic_between, translation
 
 
@@ -66,6 +66,72 @@ class TestExtractSingleTriangles:
         ns = nodal.extract_nodal(m, u)
         assert len(ns.components) == 1
         assert len(ns.components[0].points) == 2
+
+
+def reference_extract(mesh, u, zero_tol=1e-9, chart=0):
+    """Zero segments collected over every triangle, chained like extract_nodal:
+    the reference for its crossed-triangle prefilter."""
+    u = np.asarray(u, dtype=float)
+    nodes = np.asarray(mesh.nodes, dtype=np.complex128)
+    zero = np.abs(u) <= zero_tol * float(np.max(np.abs(u)))
+    sgn = np.where(zero, 0.0, np.sign(u))
+    pts, segs = {}, set()
+
+    def vkey(i):
+        pts.setdefault(("v", i), complex(nodes[i]))
+        return ("v", i)
+
+    def ekey(i, j):
+        lo, hi = min(i, j), max(i, j)
+        t = u[lo] / (u[lo] - u[hi])
+        pts.setdefault(("e", lo, hi), complex(nodes[lo] + t * (nodes[hi] - nodes[lo])))
+        return ("e", lo, hi)
+
+    for a, b, c in np.asarray(mesh.triangles, dtype=np.int64).tolist():
+        ents = [vkey(i) for i in (a, b, c) if zero[i]]
+        ents += [ekey(i, j) for i, j in ((a, b), (b, c), (c, a)) if sgn[i] * sgn[j] < 0]
+        if len(ents) == 2:
+            segs.add(tuple(sorted(ents)))
+        elif len(ents) == 3:
+            segs.update(tuple(sorted(pair)) for pair in ((ents[0], ents[1]), (ents[0], ents[2]), (ents[1], ents[2])))
+    return nodal._nodal_set(pts, segs, chart)
+
+
+def assert_same_nodal_set(got, want):
+    assert len(got.components) == len(want.components)
+    for c, d in zip(got.components, want.components):
+        assert np.array_equal(c.points, d.points)
+        assert (c.closed, c.chart) == (d.closed, d.chart)
+    assert got.crossing_points == want.crossing_points
+
+
+class TestCrossedTrianglePrefilter:
+    # fan of six triangles around node 0 on a unit hexagon ring
+    FAN = soup([0.0] + [np.exp(1j * k * math.pi / 3) for k in range(6)], [(0, k, k % 6 + 1) for k in range(1, 7)])
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            [0.0, 1.0, -1.0, 0.0, 1.0, 1.0, -1.0],  # exact zero nodes
+            [0.0, 0.0, 0.0, 1.0, 2.0, 1.0, 3.0],  # an all-zero triangle (0, 1, 2)
+            [0.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0],  # zero set touches the fan only at its hub
+            [1.0, 1.0, 2.0, -1.0, 2.0, 1.0, 2.0],  # one vertex has the opposite sign
+        ],
+        ids=["zero-nodes", "all-zero-triangle", "touch-one-vertex", "one-vertex-sign-change"],
+    )
+    def test_equals_full_loop_on_fan(self, u):
+        u = np.array(u)
+        assert_same_nodal_set(nodal.extract_nodal(self.FAN, u), reference_extract(self.FAN, u))
+
+    def test_equals_full_loop_on_mesh(self):
+        mesh = hypmesh.mesh_polygon(surfglue.quarter_octagon(), hypmesh.MeshConfig(h_target=0.16))
+        z = mesh.nodes
+        u = np.round(8.0 * (z.real - 0.3) * (z.imag - 0.2), 1)  # rounding leaves exact zero nodes
+        assert (u == 0.0).any()
+        for tol in (1e-9, 0.05):
+            got = nodal.extract_nodal(mesh, u, zero_tol=tol, chart=2)
+            assert got.components
+            assert_same_nodal_set(got, reference_extract(mesh, u, zero_tol=tol, chart=2))
 
 
 def pinwheel():

@@ -173,6 +173,47 @@ class TestGluedAssembly:
             surfglue.transport(system, np.ones(system.base_mesh.n_nodes))
 
 
+def reference_glue_index(surface, mesh):
+    """Dof numbering by a minimal union-find over the 1e-9 side-node matches,
+    classes numbered by their smallest slot: the reference for assemble_glued."""
+    N = mesh.n_nodes
+    parent = list(range(surface.n_charts * N))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p in surface.pairings:
+        na, nb = mesh.side_nodes[p.side_a], mesh.side_nodes[p.side_b]
+        za, zb = apply(surface.base_correspondence(p), mesh.nodes[na]), mesh.nodes[nb]
+        dist, j = cKDTree(np.column_stack([zb.real, zb.imag])).query(np.column_stack([za.real, za.imag]))
+        assert dist.max() <= 1e-9
+        for a, b in zip((p.chart_a * N + na).tolist(), (p.chart_b * N + nb[j]).tolist()):
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)
+    uniq, index = np.unique([find(i) for i in range(len(parent))], return_inverse=True)
+    return index, len(uniq)
+
+
+class TestGlueIndexReference:
+    def test_genus2(self, octagon_modes):
+        surf = surfglue.genus2_surface()
+        system = surfglue.assemble_glued(surf, octagon_modes.mesh)
+        index, n_dofs = reference_glue_index(surf, octagon_modes.mesh)
+        assert system.n_dofs == n_dofs
+        assert np.array_equal(system.glue_index, index)
+
+    def test_genus3_coarsest(self):
+        surf = surfglue.genus3_surface(2.0)
+        mesh = mesh_polygon(surf.base, MeshConfig(h_target=0.25))
+        system = surfglue.assemble_glued(surf, mesh)
+        index, n_dofs = reference_glue_index(surf, mesh)
+        assert system.n_dofs == n_dofs
+        assert np.array_equal(system.glue_index, index)
+
+
 class TestSchwarzExtend:
     def test_two_odd_extensions_tile_the_octagon(self, tiling_ext):
         surf = tiling_ext.surface
