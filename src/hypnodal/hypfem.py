@@ -7,8 +7,8 @@ w(z) = 4 / (1 - |z|^2)^2 enters only the mass matrix, integrated by the
 edge-midpoint rule, which is exact for quadratics against a constant weight
 and second-order accurate here.
 
-Eigenpairs of K u = lambda M u are computed densely for small systems and
-by shift-invert Lanczos otherwise; both paths are deterministic.
+Eigenpairs of K u = lambda M u are computed by shift-invert Lanczos with a
+fixed start vector, so repeated solves are deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
@@ -29,9 +28,8 @@ _PHI_MID = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Eigensolver knobs; dense_cutoff switches the full to the sparse path."""
+    """Shift-invert Lanczos settings."""
 
-    dense_cutoff: int = 2500
     sigma: float = -1.0  # shift for shift-invert; negative keeps K - sigma M positive definite
 
 
@@ -92,21 +90,18 @@ def expand_vector(u: np.ndarray, free: np.ndarray, n: int) -> np.ndarray:
 def solve_lowest(K, M, k: int, config: SolverConfig = None) -> tuple:
     """Lowest k eigenpairs of K u = lambda M u, M-normalized, deterministic.
 
-    The sign convention makes the largest-magnitude component positive, so
-    repeated runs and both solver paths return identical vectors (up to
+    Shift-invert Lanczos about config.sigma; at most n - 1 pairs of an
+    n-dof system.  The sign convention makes the largest-magnitude
+    component positive, so repeated runs return identical vectors (up to
     degeneracies).
     """
     cfg = config or SolverConfig()
     n = K.shape[0]
-    k = min(k, n - 1) if n > 1 else 1
-    if n <= cfg.dense_cutoff:
-        vals, vecs = scipy.linalg.eigh(
-            K.toarray(), M.toarray(), subset_by_index=[0, k - 1]
-        )
-    else:
-        vals, vecs = eigsh(K, k=k, M=M, sigma=cfg.sigma, v0=np.ones(n))
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    if n < 2:
+        raise ValueError(f"solve_lowest needs at least 2 dofs, got {n}")
+    vals, vecs = eigsh(K, k=min(k, n - 1), M=M, sigma=cfg.sigma, v0=np.ones(n))
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
     for j in range(vecs.shape[1]):
         v = vecs[:, j]
         nrm = math.sqrt(abs(v @ (M @ v)))
@@ -117,13 +112,15 @@ def solve_lowest(K, M, k: int, config: SolverConfig = None) -> tuple:
 
 
 def eigen_residuals(K, M, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Relative residuals ||K v - lambda M v|| / (||K v|| + |lambda| ||M v||)."""
+    """Normwise backward errors ||K v - lambda M v|| / ((||K||_1 + |lambda| ||M||_1) ||v||).
+
+    The scale does not vanish for the Neumann zero mode, where K v does.
+    """
+    k1, m1 = sp.linalg.norm(K, 1), sp.linalg.norm(M, 1)
     out = []
     for lam, v in zip(vals, vecs.T):
-        kv, mv = K @ v, M @ v
-        r = np.linalg.norm(kv - lam * mv)
-        scale = np.linalg.norm(kv) + abs(lam) * np.linalg.norm(mv)
-        out.append(r / scale if scale > 0 else r)
+        r = np.linalg.norm(K @ v - lam * (M @ v))
+        out.append(r / ((k1 + abs(lam) * m1) * np.linalg.norm(v)))
     return np.array(out)
 
 
@@ -174,7 +171,8 @@ class P1Interpolator:
     Works on any collection of triangles (several charts laid side by side
     included); lookup is nearest-centroid candidates plus a barycentric
     containment test, with graceful clipping for points that sit on the
-    curved boundary just outside every chord triangle.
+    curved boundary just outside every chord triangle.  fallbacks counts
+    the points evaluated by that clipping.
     """
 
     def __init__(self, points: np.ndarray, triangles: np.ndarray, values: np.ndarray):
@@ -187,34 +185,50 @@ class P1Interpolator:
         cent = z.mean(axis=1)
         self._tree = cKDTree(np.column_stack([cent.real, cent.imag]))
         self._z = z
+        self.fallbacks = 0
 
-    def _bary(self, t: int, x: complex):
-        z0, z1, z2 = self._z[t]
-        det = (z1 - z0).real * (z2 - z0).imag - (z1 - z0).imag * (z2 - z0).real
-        l1 = ((x - z0).real * (z2 - z0).imag - (x - z0).imag * (z2 - z0).real) / det
-        l2 = ((z1 - z0).real * (x - z0).imag - (z1 - z0).imag * (x - z0).real) / det
-        return np.array([1.0 - l1 - l2, l1, l2])
+    def _bary(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Barycentric weights (..., 3) of points x in triangles t (broadcast shapes)."""
+        z0, z1, z2 = np.moveaxis(self._z[t], -1, 0)
+        e1, e2, d = z1 - z0, z2 - z0, x - z0
+        det = e1.real * e2.imag - e1.imag * e2.real
+        l1 = (d.real * e2.imag - d.imag * e2.real) / det
+        l2 = (e1.real * d.imag - e1.imag * d.real) / det
+        return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
 
-    def __call__(self, x: complex, tol: float = 1e-9) -> float:
+    def __call__(self, x, tol: float = 1e-9):
+        """Value at x: a complex point gives a float, an ndarray of points an
+        array of its shape.
+
+        Each point takes the first of its 8 nearest-centroid triangles (64
+        if none of those) that contains it within tol; failing that, the
+        clipped weights of the candidate it violates least.
+        """
+        q = np.asarray(x, dtype=np.complex128)
+        pts = q.reshape(-1)
+        out = np.empty(len(pts))
+        todo = np.arange(len(pts))
+        n_tri = len(self.triangles)
         for k in (8, 64):
-            k_eff = min(k, len(self.triangles))
-            _, idx = self._tree.query([x.real, x.imag], k=k_eff)
-            idx = np.atleast_1d(idx)
-            best, best_viol = None, math.inf
-            for t in idx:
-                lam = self._bary(int(t), x)
-                viol = -lam.min()
-                if viol <= tol:
-                    vals = self.values[self.triangles[int(t)]]
-                    return float(lam @ vals)
-                if viol < best_viol:
-                    best, best_viol = int(t), viol
-            if k_eff == len(self.triangles):
-                break
-        # boundary fallback: clip the barycentric weights of the nearest hit
-        lam = np.clip(self._bary(best, x), 0.0, None)
-        lam /= lam.sum()
-        return float(lam @ self.values[self.triangles[best]])
+            k_eff = min(k, n_tri)
+            p = pts[todo]
+            _, idx = self._tree.query(np.column_stack([p.real, p.imag]), k=k_eff)
+            idx = idx.reshape(len(todo), k_eff)
+            lam = self._bary(idx, p[:, None])
+            viol = -lam.min(axis=2)
+            inside = viol <= tol
+            hit = inside.any(axis=1)
+            pick = np.where(hit, inside.argmax(axis=1), viol.argmin(axis=1))
+            done = hit | (k_eff == n_tri or k == 64)
+            lam, tri = lam[done, pick[done]], self.triangles[idx[done, pick[done]]]
+            # boundary fallback: clip the weights of the least violated candidate
+            clip = ~hit[done]
+            lam[clip] = np.clip(lam[clip], 0.0, None)
+            lam[clip] /= lam[clip].sum(axis=1, keepdims=True)
+            self.fallbacks += int(clip.sum())
+            out[todo[done]] = np.vecdot(lam, self.values[tri])
+            todo = todo[~done]
+        return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
 
 def richardson(values) -> tuple:

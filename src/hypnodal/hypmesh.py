@@ -199,10 +199,9 @@ def mesh_polygon(poly: HyperbolicPolygon, config: MeshConfig = None) -> Mesh:
         ua, ub = ucodes // n, ucodes % n
 
         mids = 0.5 * (z[ua] + z[ub])
-        code_pos = {c: k for k, c in enumerate(ucodes.tolist())}
+        bpos = np.searchsorted(ucodes, [a * n + b for a, b in bdict]).tolist()
         new_bdict = {}
-        for (a, b), (side_i, sa, sb) in bdict.items():
-            k = code_pos[a * n + b]
+        for ((a, b), (side_i, sa, sb)), k in zip(bdict.items(), bpos):
             sm = 0.5 * (sa + sb)
             mids[k] = projs[side_i].at(sm)
             m = n + k

@@ -794,7 +794,10 @@ def scan_pants_patterns(
     All C(8,2) C(6,2) / 2 = 210 pairings-of-pairs times 4 endpoint
     orientations are scored by the worst value mismatch |f(iso x) - f(x)|
     along the paired sides, and their combinatorial invariants computed.
-    Ordering is deterministic (ascending mismatch, then lexicographic).
+    A pattern's mismatch is the larger of its two side maps'; the
+    C(8,2) * 2 = 56 side maps (i < j, both orientations) are evaluated with
+    the side samples in one batched call of f.  Ordering is deterministic
+    (ascending mismatch, then lexicographic).
     """
     poly = poly or octagon_polygon()
     n = poly.n
@@ -806,7 +809,14 @@ def scan_pants_patterns(
         side_samples.append(
             [s.point_at(L * (q + 0.5) / samples_per_side) for q in range(samples_per_side)]
         )
-    f_at = {i: np.array([f(x) for x in side_samples[i]]) for i in range(n)}
+    maps = [(i, j, s2s) for i, j in itertools.combinations(range(n), 2) for s2s in (False, True)]
+    isos = [_side_iso(poly, *m) for m in maps]
+    # point by point: the array form of apply rounds differently and moves compat by ulps
+    mapped = [apply(iso, x) for iso, (i, _, _) in zip(isos, maps) for x in side_samples[i]]
+    vals = f(np.array([x for xs in side_samples for x in xs] + mapped)).reshape(-1, samples_per_side)
+    f_at, f_mapped = vals[:n], vals[n:]
+    mismatch = np.abs(f_mapped - f_at[[i for i, _, _ in maps]]).max(axis=1)
+    compat = dict(zip(maps, mismatch.tolist()))
 
     results = []
     for quad in itertools.combinations(range(n), 4):
@@ -816,11 +826,6 @@ def scan_pants_patterns(
             pair2 = tuple(s for s in quad if s not in pair1)
             for s2s1 in (False, True):
                 for s2s2 in (False, True):
-                    compat = 0.0
-                    for (i, j), s2s in zip((pair1, pair2), (s2s1, s2s2)):
-                        iso = _side_iso(poly, i, j, s2s)
-                        vals_j = np.array([f(apply(iso, x)) for x in side_samples[i]])
-                        compat = max(compat, float(np.max(np.abs(vals_j - f_at[i]))))
                     chi, orientable, circles = _pattern_invariants(
                         n, (pair1, pair2), (s2s1, s2s2)
                     )
@@ -828,7 +833,7 @@ def scan_pants_patterns(
                         PatternResult(
                             pairs=(pair1, pair2),
                             start_to_start=(s2s1, s2s2),
-                            compat=compat,
+                            compat=max(compat[(*pair1, s2s1)], compat[(*pair2, s2s2)]),
                             chi=chi,
                             orientable=orientable,
                             n_boundary=circles,

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from hypnodal import hypfem as hf
 from hypnodal import hypgeo as hg
@@ -49,6 +51,13 @@ class TestMass:
 
 
 class TestNeumannGroundState:
+    def test_zero_mode_residual_small(self, octagon, octagon_modes):
+        # the backward-error scale does not vanish with K v for the constant mode
+        coarse = hf.solve_polygon(octagon, 0.16, k=2, essential_labels=())
+        for modes in (coarse, octagon_modes):
+            assert abs(modes.values[0]) < 1e-8
+            assert modes.residuals[0] < 1e-10
+
     def test_lambda0_zero_constant_vector(self, octagon):
         modes = hf.solve_polygon(octagon, 0.12, k=3, essential_labels=())
         assert abs(modes.values[0]) < 1e-8
@@ -99,9 +108,14 @@ class TestSolverPaths:
         poly = quarter_octagon()
         mesh = hm.mesh_polygon(poly, hm.MeshConfig(h_target=0.1))
         K, M = hf.assemble(mesh.nodes, mesh.triangles)
-        v_dense, _ = hf.solve_lowest(K, M, 4, hf.SolverConfig(dense_cutoff=10**9))
-        v_sparse, _ = hf.solve_lowest(K, M, 4, hf.SolverConfig(dense_cutoff=1))
+        v_dense = scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=[0, 3], eigvals_only=True)
+        v_sparse, _ = hf.solve_lowest(K, M, 4)
         assert np.allclose(v_dense, v_sparse, rtol=1e-9, atol=1e-8)
+
+    def test_rejects_single_dof(self):
+        one = sp.csr_matrix(np.ones((1, 1)))
+        with pytest.raises(ValueError, match="at least 2 dofs"):
+            hf.solve_lowest(one, one, 1)
 
     def test_m_normalized_and_sign_fixed(self):
         modes = hf.solve_polygon(quarter_octagon(), 0.16, k=2)
@@ -119,6 +133,77 @@ class TestSolverPaths:
         b = hf.solve_polygon(quarter_octagon(), 0.16, k=2)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
+
+
+def reference_interp(f, x, tol=1e-9):
+    """Point-by-point interpolation as the scalar loop did it; returns the
+    value and the path taken (8 or 64 candidates, or 0 for the clip)."""
+
+    def bary(t):
+        z0, z1, z2 = f._z[t]
+        det = (z1 - z0).real * (z2 - z0).imag - (z1 - z0).imag * (z2 - z0).real
+        l1 = ((x - z0).real * (z2 - z0).imag - (x - z0).imag * (z2 - z0).real) / det
+        l2 = ((z1 - z0).real * (x - z0).imag - (z1 - z0).imag * (x - z0).real) / det
+        return np.array([1.0 - l1 - l2, l1, l2])
+
+    for k in (8, 64):
+        k_eff = min(k, len(f.triangles))
+        _, idx = f._tree.query([x.real, x.imag], k=k_eff)
+        best, best_viol = None, math.inf
+        for t in np.atleast_1d(idx):
+            lam = bary(int(t))
+            viol = -lam.min()
+            if viol <= tol:
+                return float(lam @ f.values[f.triangles[int(t)]]), k
+            if viol < best_viol:
+                best, best_viol = int(t), viol
+        if k_eff == len(f.triangles):
+            break
+    lam = np.clip(bary(best), 0.0, None)
+    lam /= lam.sum()
+    return float(lam @ f.values[f.triangles[best]]), 0
+
+
+@pytest.fixture(scope="module")
+def soup(octagon):
+    """Octagon mesh plus a cluster of 40 tiny triangles round c = 0.2 + 0.1j:
+    points near c find only tiny triangles among their 8 nearest centroids."""
+    rng = np.random.default_rng(3)
+    mesh = hm.mesh_polygon(octagon, hm.MeshConfig(h_target=0.16))
+    centers = 0.2 + 0.1j + 0.03 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+    tiny = (centers[:, None] + 1e-3 * np.exp(2j * np.pi * np.arange(3) / 3)).ravel()
+    points = np.concatenate([mesh.nodes, tiny])
+    tris = np.concatenate([mesh.triangles, mesh.n_nodes + np.arange(len(tiny)).reshape(-1, 3)])
+    return hf.P1Interpolator(points, tris, rng.standard_normal(len(points)))
+
+
+class TestInterpolator:
+    def test_batched_matches_scalar_loop(self, soup):
+        rng = np.random.default_rng(4)
+        near_c = 0.2 + 0.1j + 0.03 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+        anywhere = 0.9 * np.sqrt(rng.uniform(0, 1, 600)) * np.exp(2j * np.pi * rng.uniform(0, 1, 600))
+        x = np.concatenate([near_c, anywhere])
+        ref = [reference_interp(soup, complex(p)) for p in x]
+        paths = {path for _, path in ref}
+        assert paths == {8, 64, 0}
+        before = soup.fallbacks
+        got = soup(x.reshape(2, -1))
+        assert got.shape == (2, 400)
+        assert np.array_equal(got.ravel(), [v for v, _ in ref])
+        assert soup.fallbacks - before == sum(path == 0 for _, path in ref)
+
+    def test_scalar_point_gives_float(self, soup):
+        x = 0.05 + 0.02j
+        got = soup(x)
+        assert isinstance(got, float)
+        assert got == reference_interp(soup, x)[0]
+
+    def test_fallbacks_count_points_outside(self, soup):
+        before = soup.fallbacks
+        soup(np.array([0.0j, 0.1 + 0.05j]))
+        assert soup.fallbacks == before
+        soup(np.array([0.95 + 0j, -0.9j, 0.05 + 0.02j]))
+        assert soup.fallbacks == before + 2
 
 
 class TestRichardson:

@@ -6,6 +6,7 @@ contents) are hand-counted from the identification rules; masses follow
 from the angle-defect areas of the base polygons.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -287,6 +288,37 @@ class TestSchwarzExtend:
         assert res > 1e-2
 
 
+def reference_scan(f, poly, samples_per_side):
+    """The pattern scan as a per-pattern loop: both side maps of every
+    pattern re-applied and interpolated point by point."""
+    n = poly.n
+    side_samples = []
+    for i in range(n):
+        s = poly.side(i)
+        L = s.length
+        side_samples.append([s.point_at(L * (q + 0.5) / samples_per_side) for q in range(samples_per_side)])
+    f_at = {i: np.array([f(x) for x in side_samples[i]]) for i in range(n)}
+    results = []
+    for quad in itertools.combinations(range(n), 4):
+        a = quad[0]
+        for b in quad[1:]:
+            pair1 = (a, b)
+            pair2 = tuple(s for s in quad if s not in pair1)
+            for s2s1 in (False, True):
+                for s2s2 in (False, True):
+                    compat = 0.0
+                    for (i, j), s2s in zip((pair1, pair2), (s2s1, s2s2)):
+                        iso = surfglue._side_iso(poly, i, j, s2s)
+                        vals_j = np.array([f(apply(iso, x)) for x in side_samples[i]])
+                        compat = max(compat, float(np.max(np.abs(vals_j - f_at[i]))))
+                    chi, orientable, circles = surfglue._pattern_invariants(n, (pair1, pair2), (s2s1, s2s2))
+                    results.append(
+                        surfglue.PatternResult((pair1, pair2), (s2s1, s2s2), compat, chi, orientable, circles)
+                    )
+    results.sort(key=lambda r: (r.compat, r.pairs, r.start_to_start))
+    return results
+
+
 class TestPantsSearch:
     def test_search_finds_diagonal_patterns(self, tiling_ext):
         accepted = surfglue.search_pants_gluing(tiling_ext)
@@ -306,6 +338,18 @@ class TestPantsSearch:
         assert len(results) == 840
         pair_sets = {(r.pairs, r.start_to_start) for r in results}
         assert len(pair_sets) == 840
+
+    def test_scan_matches_per_pattern_loop(self, tiling_ext):
+        f = surfglue.chart_interpolator(tiling_ext.system, tiling_ext.vector)
+        poly = surfglue.octagon_polygon()
+        got = surfglue.scan_pants_patterns(f, poly, samples_per_side=4)
+        assert got == reference_scan(f, poly, samples_per_side=4)
+
+    def test_scan_needs_no_fallback(self, tiling_ext):
+        # every side sample and mapped sample lies in a chart triangle at h = 0.16
+        f = surfglue.chart_interpolator(tiling_ext.system, tiling_ext.vector)
+        surfglue.scan_pants_patterns(f)
+        assert f.fallbacks == 0
 
     def test_invariants_agree_with_audit_route(self, tiling_ext):
         # dual-route check on a sample of patterns, compatible or not
