@@ -80,13 +80,6 @@ def reduce_system(K, M, free: np.ndarray) -> tuple:
     return K[np.ix_(free, free)], M[np.ix_(free, free)]
 
 
-def expand_vector(u: np.ndarray, free: np.ndarray, n: int) -> np.ndarray:
-    """Zero-pad a reduced eigenvector back to all nodes."""
-    full = np.zeros(n, dtype=u.dtype)
-    full[free] = u
-    return full
-
-
 def solve_lowest(K, M, k: int, config: SolverConfig = None) -> tuple:
     """Lowest k eigenpairs of K u = lambda M u, M-normalized, deterministic.
 
@@ -160,7 +153,8 @@ def solve_polygon(
     free = np.flatnonzero(~constrained)
     Kf, Mf = reduce_system(K, M, free)
     vals, vecs = solve_lowest(Kf, Mf, k, solver)
-    full = np.stack([expand_vector(vecs[:, j], free, mesh.n_nodes) for j in range(vecs.shape[1])], axis=1)
+    full = np.zeros((mesh.n_nodes, vecs.shape[1]))
+    full[free] = vecs
     res = eigen_residuals(Kf, Mf, vals, vecs)
     return PolygonModes(mesh, vals, full, res, free, K, M)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -297,11 +297,10 @@ def foot_parameter(p, q, x):
     """
     many = isinstance(x, np.ndarray)
     w = np.asarray(apply(axis_map(p, q), x if many else _z(x)))
-    u = w.real
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = (1.0 + np.abs(w) ** 2) / (2.0 * u)
-        t = np.clip(c - np.copysign(np.sqrt(c * c - 1.0), c), -1.0 + 1e-15, 1.0 - 1e-15)
-        s = np.where(np.abs(u) < 1e-15, 0.0, 2.0 * np.arctanh(t))
+    # t = tanh(s / 2) is the root in [-1, 1] of t^2 - 2 c t + 1 with c = (1 + |w|^2) / (2 Re w);
+    # c - 1 = |w - 1|^2 / (2 Re w) and c + 1 = |w + 1|^2 / (2 Re w) give it without cancellation
+    t = 2.0 * w.real / (1.0 + np.abs(w) ** 2 + np.abs(w - 1.0) * np.abs(w + 1.0))
+    s = 2.0 * np.arctanh(np.clip(t, -1.0 + 1e-15, 1.0 - 1e-15))
     return s if many else float(s)
 
 
@@ -403,6 +402,24 @@ def interior_angles(poly: HyperbolicPolygon) -> list:
     return angles
 
 
+def segment_intersection(p1, p2, p3, p4, tol=1e-9):
+    """Intersection point of the Euclidean segments p1p2 and p3p4, or None;
+    endpoint touches within tol count, parallel segments never meet."""
+    d1 = p2 - p1
+    d2 = p4 - p3
+    den = d1.real * d2.imag - d1.imag * d2.real
+    scale = max(abs(d1), abs(d2), 1e-30)
+    if abs(den) <= 1e-14 * scale * scale:
+        return None
+    r = p3 - p1
+    t = (r.real * d2.imag - r.imag * d2.real) / den
+    s = (r.real * d1.imag - r.imag * d1.real) / den
+    eps = tol / scale
+    if -eps <= t <= 1 + eps and -eps <= s <= 1 + eps:
+        return p1 + t * d1
+    return None
+
+
 def _segments_intersect(poly: HyperbolicPolygon) -> bool:
     """Check intersections between non-adjacent sides (sampled chords)."""
     n = poly.n
@@ -413,24 +430,14 @@ def _segments_intersect(poly: HyperbolicPolygon) -> bool:
         pts = [s.point_at(L * k / 16.0) for k in range(17)]
         chains.append(pts)
 
-    def seg_hit(a1, a2, b1, b2):
-        d1 = a2 - a1
-        d2 = b2 - b1
-        den = d1.real * d2.imag - d1.imag * d2.real
-        if abs(den) < 1e-18:
-            return False
-        t = ((b1 - a1).real * d2.imag - (b1 - a1).imag * d2.real) / den
-        u = ((b1 - a1).real * d1.imag - (b1 - a1).imag * d1.real) / den
-        eps = 1e-12
-        return eps < t < 1 - eps and eps < u < 1 - eps
-
     for i in range(n):
         for j in range(i + 1, n):
             if j == i + 1 or (i == 0 and j == n - 1):
                 continue
             for k in range(16):
                 for m in range(16):
-                    if seg_hit(chains[i][k], chains[i][k + 1], chains[j][m], chains[j][m + 1]):
+                    a1, a2, b1, b2 = chains[i][k], chains[i][k + 1], chains[j][m], chains[j][m + 1]
+                    if segment_intersection(a1, a2, b1, b2) is not None:
                         return True
     return False
 

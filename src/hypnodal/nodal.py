@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypgeo import Geodesic, point_to_geodesic_distance
+from .hypgeo import Geodesic, point_to_geodesic_distance, segment_intersection
 
 
 class NodalError(ValueError):
@@ -318,23 +318,6 @@ def _segments(ns: NodalSet):
     return out
 
 
-def _seg_hit(p1, p2, p3, p4, tol=1e-9):
-    """Intersection point of two segments, or None; endpoint touches count."""
-    d1 = p2 - p1
-    d2 = p4 - p3
-    den = d1.real * d2.imag - d1.imag * d2.real
-    scale = max(abs(d1), abs(d2), 1e-30)
-    if abs(den) <= 1e-14 * scale * scale:
-        return None
-    r = p3 - p1
-    t = (r.real * d2.imag - r.imag * d2.real) / den
-    s = (r.real * d1.imag - r.imag * d1.real) / den
-    eps = tol / scale
-    if -eps <= t <= 1 + eps and -eps <= s <= 1 + eps:
-        return p1 + t * d1
-    return None
-
-
 def self_intersections(ns: NodalSet, transversal_tol: float = 1e-3):
     """Points where the nodal set crosses itself, with crossing angles.
 
@@ -356,7 +339,7 @@ def self_intersections(ns: NodalSet, transversal_tol: float = 1e-3):
                     continue
                 if ns.components[ca].closed and gap == sizes[ca] - 2:
                     continue
-            hit = _seg_hit(p1, p2, p3, p4)
+            hit = segment_intersection(p1, p2, p3, p4)
             if hit is None:
                 continue
             ang = _fold_line_angle(_line_angle(p2 - p1) - _line_angle(p4 - p3))

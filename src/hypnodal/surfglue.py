@@ -5,13 +5,16 @@ polygon, each with a transport sign for eigenfunction extension), and a
 list of pairings identifying chart sides through explicit isometries.
 Unpaired sides keep their polygon labels as outer boundary conditions.
 
-The module provides reflection extension of eigenfunctions across geodesic
-mirror lines (schwarz_extend), the combinatorial audit (Euler
-characteristic, orientability, boundary circles), reflection doubling of
-whole boundary circles, the exhaustive search for octagon side-pairing
-patterns compatible with a given eigenfunction, the staged construction of
-closed genus 2 and genus 3 surfaces, and the gluing of finite element
-systems across charts by exact node matching.
+One combinatorial core counts the glued cell complex (Euler
+characteristic, orientability, boundary circles); audit_topology feeds it
+the endpoint correspondences read off a surface's isometries, the octagon
+pants search feeds it each pattern's flags directly.  One mirror-copy
+builder serves both reflection extension of eigenfunctions across a
+geodesic mirror line (schwarz_extend) and reflection doubling across whole
+boundary circles (double_surface), which differ only in where the copies
+are placed.  The module also stages the closed genus 2 and genus 3
+surfaces and glues finite element systems across charts by exact node
+matching, through one node matcher.
 """
 
 from __future__ import annotations
@@ -47,6 +50,16 @@ MATCH_TOL = 1e-9
 
 class GlueError(ValueError):
     """A gluing is geometrically or combinatorially inconsistent."""
+
+
+def _match_nodes(points: np.ndarray, targets: np.ndarray, what: str) -> np.ndarray:
+    """Index of the point within MATCH_TOL of each target; GlueError saying
+    what failed to match otherwise."""
+    tree = cKDTree(np.column_stack([points.real, points.imag]))
+    dist, j = tree.query(np.column_stack([targets.real, targets.imag]))
+    if dist.max() > MATCH_TOL:
+        raise GlueError(f"{what} (worst match distance {dist.max():.3e})")
+    return j
 
 
 @dataclass(frozen=True)
@@ -122,9 +135,6 @@ class Surface:
             if (c, s) not in glued
         ]
 
-    def side_label(self, chart: int, side: int) -> str:
-        return self.base.labels[side]
-
 
 def _pairing_start_to_start(surface: Surface, p: Pairing, tol: float = MATCH_TOL) -> bool:
     """True if the pairing maps side_a's start vertex to side_b's start vertex."""
@@ -139,20 +149,6 @@ def _pairing_start_to_start(surface: Surface, p: Pairing, tol: float = MATCH_TOL
     raise GlueError(
         f"pairing ({p.chart_a},{p.side_a})-({p.chart_b},{p.side_b}) does not match side endpoints"
     )
-
-
-class _DSU:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            self.parent[x] = p = self.find(p)
-        return p
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
 
 
 @dataclass
@@ -174,8 +170,9 @@ class TopologyReport:
         return (2 - self.chi - len(self.boundary_circles)) // 2
 
 
-def audit_topology(surface: Surface) -> TopologyReport:
-    """Euler characteristic, orientability, and boundary circles of the glued complex.
+def _cell_complex(n_charts: int, n: int, glued) -> TopologyReport:
+    """Invariants of n_charts n-gons with sides identified by glued, a list
+    of (chart_a, side_a, chart_b, side_b, start_to_start) tuples.
 
     Vertices are chart polygon corners identified through pairing endpoint
     matches; every pairing merges two sides into one edge; faces are charts.
@@ -183,65 +180,57 @@ def audit_topology(surface: Surface) -> TopologyReport:
     vertex to start vertex forces opposite flags (the sides are traversed
     parallel), start to end forces equal flags.
     """
-    n = surface.base.n
-    dsu = _DSU()
-    for c in range(surface.n_charts):
-        for k in range(n):
-            dsu.find((c, k))
+    parent = list(range(n_charts * n))  # corner k of chart c is c * n + k
 
-    flips = []  # (chart_a, chart_b, must_flip)
-    for p in surface.pairings:
-        s2s = _pairing_start_to_start(surface, p)
-        a0, a1 = (p.chart_a, p.side_a), (p.chart_a, (p.side_a + 1) % n)
-        b0, b1 = (p.chart_b, p.side_b), (p.chart_b, (p.side_b + 1) % n)
-        if s2s:
-            dsu.union(a0, b0)
-            dsu.union(a1, b1)
-        else:
-            dsu.union(a0, b1)
-            dsu.union(a1, b0)
-        flips.append((p.chart_a, p.chart_b, s2s))
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    classes = {dsu.find((c, k)) for c in range(surface.n_charts) for k in range(n)}
-    V = len(classes)
-    E = surface.n_charts * n - len(surface.pairings)
-    F = surface.n_charts
-    chi = V - E + F
+    adj = [[] for _ in range(n_charts)]  # (neighbour chart, must_flip)
+    for ca, sa, cb, sb, s2s in glued:
+        ends_b = (sb, sb + 1) if s2s else (sb + 1, sb)
+        for ka, kb in zip((sa, sa + 1), ends_b):
+            parent[find(ca * n + ka % n)] = find(cb * n + kb % n)
+        adj[ca].append((cb, s2s))
+        adj[cb].append((ca, s2s))
+    root = [find(x) for x in range(n_charts * n)]
+
+    V = len(set(root))
+    E = n_charts * n - len(glued)
+    chi = V - E + n_charts
 
     # orientability: propagate face flags, contradiction means non-orientable
-    orient = {}
+    orient = [0] * n_charts
     orientable = True
-    adj = {}
-    for ca, cb, must_flip in flips:
-        adj.setdefault(ca, []).append((cb, must_flip))
-        adj.setdefault(cb, []).append((ca, must_flip))
-    for start in range(surface.n_charts):
-        if start in orient:
+    for start in range(n_charts):
+        if orient[start]:
             continue
         orient[start] = 1
         stack = [start]
         while stack:
             c = stack.pop()
-            for d, must_flip in adj.get(c, []):
+            for d, must_flip in adj[c]:
                 want = -orient[c] if must_flip else orient[c]
-                if d not in orient:
+                if not orient[d]:
                     orient[d] = want
                     stack.append(d)
                 elif orient[d] != want:
                     orientable = False
 
     # boundary circles: unglued sides chained through vertex classes
-    unglued = surface.unglued_sides()
+    glued_sides = {(ca, sa) for ca, sa, *_ in glued} | {(cb, sb) for _, _, cb, sb, _ in glued}
+    unglued = [(c, s) for c in range(n_charts) for s in range(n) if (c, s) not in glued_sides]
+    ends = {(c, s): (root[c * n + s], root[c * n + (s + 1) % n]) for c, s in unglued}
     bnd_adj = {}
-    for c, s in unglued:
-        r0 = dsu.find((c, s))
-        r1 = dsu.find((c, (s + 1) % n))
-        bnd_adj.setdefault(r0, []).append((c, s))
-        bnd_adj.setdefault(r1, []).append((c, s))
+    for side, (r0, r1) in ends.items():
+        bnd_adj.setdefault(r0, []).append(side)
+        bnd_adj.setdefault(r1, []).append(side)
     for r, sides in bnd_adj.items():
         if len(sides) != 2:
             raise GlueError(
-                f"boundary vertex class {r} touches {len(sides)} unglued sides; expected 2"
+                f"boundary vertex class {divmod(r, n)} touches {len(sides)} unglued sides; expected 2"
             )
     circles = []
     seen = set()
@@ -250,7 +239,7 @@ def audit_topology(surface: Surface) -> TopologyReport:
             continue
         circle = [(c, s)]
         seen.add((c, s))
-        cursor = dsu.find((c, (s + 1) % n))
+        cursor = ends[c, s][1]
         while True:
             nxt = [e for e in bnd_adj[cursor] if e not in seen]
             if not nxt:
@@ -258,20 +247,30 @@ def audit_topology(surface: Surface) -> TopologyReport:
             e = nxt[0]
             circle.append(e)
             seen.add(e)
-            r0 = dsu.find((e[0], e[1]))
-            r1 = dsu.find((e[0], (e[1] + 1) % n))
+            r0, r1 = ends[e]
             cursor = r1 if r0 == cursor else r0
         circles.append(circle)
 
     return TopologyReport(
         n_vertices=V,
         n_edges=E,
-        n_faces=F,
+        n_faces=n_charts,
         chi=chi,
         orientable=orientable,
         boundary_circles=circles,
         closed=not unglued,
     )
+
+
+def audit_topology(surface: Surface) -> TopologyReport:
+    """Euler characteristic, orientability, and boundary circles of the glued
+    complex; the endpoint correspondence of each pairing is read off its
+    isometry."""
+    glued = [
+        (p.chart_a, p.side_a, p.chart_b, p.side_b, _pairing_start_to_start(surface, p))
+        for p in surface.pairings
+    ]
+    return _cell_complex(surface.n_charts, surface.base.n, glued)
 
 
 def circle_length(surface: Surface, circle) -> float:
@@ -309,32 +308,6 @@ def quarter_octagon() -> HyperbolicPolygon:
 
 REAL_MIRROR = Geodesic(math.pi, 0.0)
 IMAG_MIRROR = Geodesic(3 * math.pi / 2, math.pi / 2)
-
-
-def mirror_tiling_surface() -> Surface:
-    """Four placements of the quarter domain tiling the right-angled octagon,
-    written out by hand (the same complex schwarz_extend builds in two steps).
-
-    Charts carry the odd-extension transport signs; the four mirror
-    interfaces are odd pairings, the twelve outer sides reassemble the
-    octagon boundary.
-    """
-    base = quarter_octagon()
-    refl_imag = reflect_in(IMAG_MIRROR)
-    refl_real = reflect_in(REAL_MIRROR)
-    charts = [
-        Chart(IDENTITY, 1.0),
-        Chart(refl_imag, -1.0),
-        Chart(compose(refl_real, refl_imag), 1.0),
-        Chart(refl_real, -1.0),
-    ]
-    pairings = [
-        pairing_from_base(charts, 0, 4, 1, 4, refl_imag, parity=-1),
-        pairing_from_base(charts, 1, 0, 2, 0, refl_real, parity=-1),
-        pairing_from_base(charts, 2, 4, 3, 4, refl_imag, parity=-1),
-        pairing_from_base(charts, 3, 0, 0, 0, refl_real, parity=-1),
-    ]
-    return Surface(base=base, charts=charts, pairings=pairings)
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +374,12 @@ def assemble_glued(surface: Surface, base_mesh: Mesh) -> GluedSystem:
         mu = surface.base_correspondence(p)
         na = base_mesh.side_nodes[p.side_a]
         nb = base_mesh.side_nodes[p.side_b]
-        za = apply(mu, base_mesh.nodes[na])
-        zb = base_mesh.nodes[nb]
-        tree = cKDTree(np.column_stack([zb.real, zb.imag]))
-        dist, j = tree.query(np.column_stack([za.real, za.imag]))
-        if dist.max() > MATCH_TOL:
-            raise GlueError(
-                f"pairing ({p.chart_a},{p.side_a})-({p.chart_b},{p.side_b}): "
-                f"side nodes mismatch by {dist.max():.3e} (mesh not symmetric under the gluing)"
-            )
+        j = _match_nodes(
+            base_mesh.nodes[nb],
+            apply(mu, base_mesh.nodes[na]),
+            f"pairing ({p.chart_a},{p.side_a})-({p.chart_b},{p.side_b}): side nodes do not match "
+            "(mesh not symmetric under the gluing)",
+        )
         if len(np.unique(j)) != len(nb):
             raise GlueError("pairing side-node matching is not one-to-one")
         slots_a.append(p.chart_a * N + na)
@@ -440,7 +410,7 @@ def assemble_glued(surface: Surface, base_mesh: Mesh) -> GluedSystem:
 
     dirichlet_boundary = np.zeros(G, dtype=bool)
     for c, s in surface.unglued_sides():
-        if surface.side_label(c, s) == "dirichlet":
+        if surface.base.labels[s] == "dirichlet":
             dirichlet_boundary[glue_index[c * N + base_mesh.side_nodes[s]]] = True
     constrained = dirichlet_boundary.copy()
     if odd_slots:
@@ -533,11 +503,7 @@ def picture_symmetry_error(system: GluedSystem, v: np.ndarray, mapping, sign: fl
     set (tiling placements only)."""
     pts = system.picture_nodes().ravel()
     vals = v[system.glue_index]
-    tree = cKDTree(np.column_stack([pts.real, pts.imag]))
-    target = mapping(pts)
-    dist, j = tree.query(np.column_stack([target.real, target.imag]))
-    if dist.max() > MATCH_TOL:
-        raise GlueError("picture nodes are not invariant under the requested mapping")
+    j = _match_nodes(pts, mapping(pts), "picture nodes are not invariant under the requested mapping")
     return float(np.max(np.abs(vals[j] - sign * vals)) / np.max(np.abs(vals)))
 
 
@@ -579,6 +545,29 @@ def as_extended(modes: hypfem.PolygonModes, index: int = 0) -> ExtendedSolution:
     )
 
 
+def _mirror_copies(surface: Surface, place, parity: int, twins) -> Surface:
+    """The surface with a mirror copy of every chart appended.
+
+    Copy c + C of chart c has placement place(P) of its placement P and sign
+    parity * sign; the pairings are replicated on the copies, and every
+    (chart, side) in twins is glued to its copy's same side by the identity
+    base correspondence, with the given parity.
+    """
+    C = surface.n_charts
+    charts = list(surface.charts) + [
+        Chart(place(ch.placement), parity * ch.sign) for ch in surface.charts
+    ]
+    pairings = list(surface.pairings)
+    for p in surface.pairings:
+        mu = surface.base_correspondence(p)
+        pairings.append(
+            pairing_from_base(charts, p.chart_a + C, p.side_a, p.chart_b + C, p.side_b, mu, p.parity)
+        )
+    for c, s in twins:
+        pairings.append(pairing_from_base(charts, c, s, c + C, s, IDENTITY, parity))
+    return Surface(base=surface.base, charts=charts, pairings=pairings)
+
+
 def schwarz_extend(ext: ExtendedSolution, mirror: Geodesic, parity: str) -> ExtendedSolution:
     """Reflect an extended solution across a geodesic mirror line.
 
@@ -592,7 +581,7 @@ def schwarz_extend(ext: ExtendedSolution, mirror: Geodesic, parity: str) -> Exte
     """
     if parity not in ("odd", "even"):
         raise GlueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    sigma = -1.0 if parity == "odd" else 1.0
+    sigma = -1 if parity == "odd" else 1
     want = "dirichlet" if parity == "odd" else "neumann"
     surface = ext.surface
     r_m = reflect_in(mirror)
@@ -603,29 +592,16 @@ def schwarz_extend(ext: ExtendedSolution, mirror: Geodesic, parity: str) -> Exte
         p = surface.charts[c].placement
         za, zb = apply(p, side.start), apply(p, side.end)
         if mirror.contains(za) and mirror.contains(zb):
-            if surface.side_label(c, s) != want:
+            if surface.base.labels[s] != want:
                 raise GlueError(
-                    f"side ({c},{s}) on the mirror is labeled {surface.side_label(c, s)}, "
+                    f"side ({c},{s}) on the mirror is labeled {surface.base.labels[s]}, "
                     f"but {parity} extension requires {want}"
                 )
             on_mirror.append((c, s))
     if not on_mirror:
         raise GlueError("no unglued side lies on the requested mirror")
 
-    C = surface.n_charts
-    charts = list(surface.charts) + [
-        Chart(compose(r_m, ch.placement), sigma * ch.sign) for ch in surface.charts
-    ]
-    pairings = list(surface.pairings)
-    for p in surface.pairings:
-        mu = surface.base_correspondence(p)
-        pairings.append(
-            pairing_from_base(charts, p.chart_a + C, p.side_a, p.chart_b + C, p.side_b, mu, p.parity)
-        )
-    for c, s in on_mirror:
-        pairings.append(Pairing(c, s, c + C, s, r_m, int(sigma)))
-
-    new_surface = Surface(base=surface.base, charts=charts, pairings=pairings)
+    new_surface = _mirror_copies(surface, lambda P: compose(r_m, P), sigma, on_mirror)
     system = assemble_glued(new_surface, ext.system.base_mesh)
     v = transport(system, ext.base_vector)
     return ExtendedSolution(
@@ -636,12 +612,6 @@ def schwarz_extend(ext: ExtendedSolution, mirror: Geodesic, parity: str) -> Exte
         vector=v,
         residual=glued_residual(system, ext.lam, v),
     )
-
-
-def verify_extension(ext: ExtendedSolution) -> float:
-    """Eigen-row residual of the extended vector on the unreduced glued
-    pencil; decreases to solver roundoff when the extension is exact."""
-    return glued_residual(ext.system, ext.lam, ext.vector)
 
 
 def extend_quarter_mode(h_target: float, mode_index: int = 0, k: int = None) -> ExtendedSolution:
@@ -680,7 +650,7 @@ def double_surface(surface: Surface, circle_indices=None) -> Surface:
 
     parities = set()
     for circle in chosen:
-        labs = {surface.side_label(c, s) for c, s in circle}
+        labs = {surface.base.labels[s] for _, s in circle}
         if len(labs) != 1:
             raise GlueError(f"boundary circle {circle} mixes side labels {labs}")
         parities.add(labs.pop())
@@ -689,21 +659,8 @@ def double_surface(surface: Surface, circle_indices=None) -> Surface:
     parity = 1 if parities.pop() == "neumann" else -1
 
     r0 = reflect_in(REAL_MIRROR)
-    C = surface.n_charts
-    charts = list(surface.charts) + [
-        Chart(compose(ch.placement, r0), parity * ch.sign) for ch in surface.charts
-    ]
-    pairings = list(surface.pairings)
-    for p in surface.pairings:
-        mu = surface.base_correspondence(p)
-        pairings.append(
-            pairing_from_base(charts, p.chart_a + C, p.side_a, p.chart_b + C, p.side_b, mu, p.parity)
-        )
-    for circle in chosen:
-        for c, s in circle:
-            pairings.append(pairing_from_base(charts, c, s, c + C, s, IDENTITY, parity))
-
-    return Surface(base=surface.base, charts=charts, pairings=pairings)
+    twins = [side for circle in chosen for side in circle]
+    return _mirror_copies(surface, lambda P: compose(P, r0), parity, twins)
 
 
 # ---------------------------------------------------------------------------
@@ -735,52 +692,6 @@ def _side_iso(poly: HyperbolicPolygon, i: int, j: int, start_to_start: bool) -> 
     Ai = axis_map(si.start, si.end)
     Aj = axis_map(sj.start, sj.end) if start_to_start else axis_map(sj.end, sj.start)
     return compose(inverse(Aj), Ai)
-
-
-def _pattern_invariants(poly_n: int, pairs, s2s_flags) -> tuple:
-    """chi, orientability, and boundary circle count of one polygon with the
-    given side pairings; standalone union-find on the polygon corners,
-    independent of the Surface/audit route."""
-    dsu = _DSU()
-    for k in range(poly_n):
-        dsu.find(k)
-    orientable = True
-    for (i, j), s2s in zip(pairs, s2s_flags):
-        if s2s:
-            dsu.union(i, j)
-            dsu.union((i + 1) % poly_n, (j + 1) % poly_n)
-            orientable = False  # both sides on one face: parallel traversal flips
-        else:
-            dsu.union(i, (j + 1) % poly_n)
-            dsu.union((i + 1) % poly_n, j)
-    V = len({dsu.find(k) for k in range(poly_n)})
-    E = poly_n - len(pairs)
-    chi = V - E + 1
-
-    paired = {i for ij in pairs for i in ij}
-    unglued = [s for s in range(poly_n) if s not in paired]
-    bnd_adj = {}
-    for s in unglued:
-        for r in (dsu.find(s), dsu.find((s + 1) % poly_n)):
-            bnd_adj.setdefault(r, []).append(s)
-    if any(len(v) != 2 for v in bnd_adj.values()):
-        return chi, orientable, -1  # degenerate boundary graph, never a pants
-    seen, circles = set(), 0
-    for s in unglued:
-        if s in seen:
-            continue
-        circles += 1
-        seen.add(s)
-        cursor = dsu.find((s + 1) % poly_n)
-        while True:
-            nxt = [e for e in bnd_adj[cursor] if e not in seen]
-            if not nxt:
-                break
-            e = nxt[0]
-            seen.add(e)
-            r0, r1 = dsu.find(e), dsu.find((e + 1) % poly_n)
-            cursor = r1 if r0 == cursor else r0
-    return chi, orientable, circles
 
 
 def scan_pants_patterns(
@@ -820,32 +731,27 @@ def scan_pants_patterns(
 
     results = []
     for quad in itertools.combinations(range(n), 4):
-        a = quad[0]
         for b in quad[1:]:
-            pair1 = (a, b)
-            pair2 = tuple(s for s in quad if s not in pair1)
-            for s2s1 in (False, True):
-                for s2s2 in (False, True):
-                    chi, orientable, circles = _pattern_invariants(
-                        n, (pair1, pair2), (s2s1, s2s2)
+            pairs = ((quad[0], b), tuple(s for s in quad[1:] if s != b))
+            for flags in itertools.product((False, True), repeat=2):
+                rep = _cell_complex(1, n, [(0, i, 0, j, s2s) for (i, j), s2s in zip(pairs, flags)])
+                results.append(
+                    PatternResult(
+                        pairs=pairs,
+                        start_to_start=flags,
+                        compat=max(compat[(i, j, s2s)] for (i, j), s2s in zip(pairs, flags)),
+                        chi=rep.chi,
+                        orientable=rep.orientable,
+                        n_boundary=len(rep.boundary_circles),
                     )
-                    results.append(
-                        PatternResult(
-                            pairs=(pair1, pair2),
-                            start_to_start=(s2s1, s2s2),
-                            compat=max(compat[(*pair1, s2s1)], compat[(*pair2, s2s2)]),
-                            chi=chi,
-                            orientable=orientable,
-                            n_boundary=circles,
-                        )
-                    )
+                )
     results.sort(key=lambda r: (r.compat, r.pairs, r.start_to_start))
     return results
 
 
 def build_pattern_surface(pattern: PatternResult, poly: HyperbolicPolygon = None) -> Surface:
-    """Surface object for one polygon pairing pattern (for the independent
-    cell-complex recount and for doubling into closed surfaces)."""
+    """Surface object for one polygon pairing pattern, for auditing or
+    doubling it."""
     poly = poly or octagon_polygon()
     charts = [Chart(IDENTITY, 1.0)]
     pairings = []
@@ -867,24 +773,12 @@ def search_pants_gluing(
     eigenfunction: pair of pants combinatorics (chi = -1, orientable, three
     boundary circles) and value mismatch at most tol_factor * max |f|.
 
-    Every accepted pattern is re-audited through the full cell-complex
-    route; disagreement between the two independent counts is an internal
-    error.  An empty list is a legitimate finding, not an error.
+    An empty list is a legitimate finding, not an error.
     """
     poly = poly or octagon_polygon()
     f = chart_interpolator(ext.system, ext.vector)
     tol = tol_factor * float(np.max(np.abs(f.values)))
-    accepted = [r for r in scan_pants_patterns(f, poly, samples_per_side) if r.accepted(tol)]
-    for r in accepted:
-        report = audit_topology(build_pattern_surface(r, poly))
-        agree = (
-            report.chi == r.chi
-            and report.orientable == r.orientable
-            and len(report.boundary_circles) == r.n_boundary
-        )
-        if not agree:
-            raise GlueError(f"cell-complex recount disagrees for pattern {r.pairs}")
-    return accepted
+    return [r for r in scan_pants_patterns(f, poly, samples_per_side) if r.accepted(tol)]
 
 
 def mirror_odd_eigenvector(modes: hypfem.PolygonModes, target: float) -> tuple:
@@ -906,16 +800,8 @@ def mirror_odd_eigenvector(modes: hypfem.PolygonModes, target: float) -> tuple:
     U = modes.vectors[:, cluster]
 
     nodes = modes.mesh.nodes
-    tree = cKDTree(np.column_stack([nodes.real, nodes.imag]))
-
-    def node_perm(mapping):
-        tgt = mapping(nodes)
-        dist, j = tree.query(np.column_stack([tgt.real, tgt.imag]))
-        if dist.max() > MATCH_TOL:
-            raise GlueError("mesh is not symmetric under the coordinate mirrors")
-        return j
-
-    p_real = node_perm(np.conj)
+    what = "mesh is not symmetric under the coordinate mirrors"
+    p_real = _match_nodes(nodes, np.conj(nodes), what)
     S = U.T @ (modes.M @ U[p_real])
     w, Q = np.linalg.eigh(0.5 * (S + S.T))
     if w[0] > -1.0 + 1e-6:
@@ -927,7 +813,7 @@ def mirror_odd_eigenvector(modes: hypfem.PolygonModes, target: float) -> tuple:
     pivot = int(np.argmax(np.abs(v)))
     if v[pivot] < 0:
         v = -v
-    p_imag = node_perm(lambda z: -np.conj(z))
+    p_imag = _match_nodes(nodes, -np.conj(nodes), what)
     err = float(np.max(np.abs(v[p_imag] + v)) / np.max(np.abs(v)))
     if err > 1e-8:
         raise GlueError(f"selected vector is not odd under the imaginary-axis mirror ({err:.2e})")
@@ -1025,7 +911,7 @@ def genus3_surface(boundary_length: float = 2.0) -> Surface:
     neumann_ids = [
         i
         for i, circle in enumerate(report.boundary_circles)
-        if all(pants.side_label(c, s) == "neumann" for c, s in circle)
+        if all(pants.base.labels[s] == "neumann" for _, s in circle)
     ]
     stage_a = double_surface(pants, neumann_ids)
     return double_surface(stage_a)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypnodal import hypgeo as hg
@@ -215,6 +215,8 @@ class TestArcParameters:
 
     @given(disk_points(), disk_points(), st.lists(disk_points(), min_size=1, max_size=12))
     @settings(max_examples=80, deadline=None)
+    @example(1e-7 + 0j, 0.5j, [0.3125 + 0j])  # foot near the side start: c - sqrt(c^2 - 1) cancels
+    @example(0.8359375 + 0.015625j, 0.15625 + 0j, [-0.859375 + 0j])  # x near the geodesic: c near 1
     def test_foot_parameter_array_matches_scalar(self, p, q, xs):
         if hg.hyp_distance(p, q) < 1e-3:
             return
@@ -303,6 +305,18 @@ class TestPolygonBasics:
         verts = (0.4 + 0j, -0.4 + 0.01j, 0.4 + 0.3j, -0.4 + 0.31j)
         with pytest.raises(hg.GeometryError):
             hg.polygon_area(hg.HyperbolicPolygon(verts))
+
+    def test_area_rejects_vertex_on_nonadjacent_side(self):
+        # vertex 3 = 0 touches side 0 (the diameter from -0.5 to 0.5) at its midpoint
+        verts = (-0.5 + 0j, 0.5 + 0j, 0.3 + 0.4j, 0j, -0.3 + 0.4j)
+        with pytest.raises(hg.GeometryError):
+            hg.polygon_area(hg.HyperbolicPolygon(verts))
+
+    def test_segment_intersection(self):
+        assert hg.segment_intersection(-1 + 0j, 1 + 0j, -1j, 1j) == pytest.approx(0j)
+        assert hg.segment_intersection(-1 + 0j, 1 + 0j, 1 + 0j, 1 + 1j) == pytest.approx(1 + 0j)  # endpoint touch
+        assert hg.segment_intersection(-1 + 0j, 1 + 0j, 2 + 0j, 2 + 1j) is None
+        assert hg.segment_intersection(-1 + 0j, 1 + 0j, -1 + 1j, 1 + 1j) is None  # parallel
 
     def test_labels_default_and_relabel(self):
         poly = hg.regular_right_polygon(8, math.pi / 2)

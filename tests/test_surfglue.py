@@ -29,9 +29,8 @@ def normalized_pairs(pattern):
 
 
 class TestTopologyAudit:
-    def test_mirror_tiling_complex(self):
-        surf = surfglue.mirror_tiling_surface()
-        rep = surfglue.audit_topology(surf)
+    def test_mirror_tiling_complex(self, tiling_ext):
+        rep = surfglue.audit_topology(tiling_ext.surface)
         assert (rep.n_vertices, rep.n_edges, rep.n_faces) == (13, 16, 4)
         assert rep.chi == 1
         assert rep.orientable
@@ -65,7 +64,7 @@ class TestTopologyAudit:
         assert rep.orientable
         assert len(rep.boundary_circles) == 3
         labels = sorted(
-            {surf.side_label(c, s) for c, s in circ}.pop() for circ in rep.boundary_circles
+            {surf.base.labels[s] for _, s in circ}.pop() for circ in rep.boundary_circles
         )
         assert labels == ["dirichlet", "neumann", "neumann"]
         for circ in rep.boundary_circles:
@@ -76,7 +75,7 @@ class TestTopologyAudit:
         rep = surfglue.audit_topology(surf)
         by_label = {}
         for circ in rep.boundary_circles:
-            lab = {surf.side_label(c, s) for c, s in circ}.pop()
+            lab = {surf.base.labels[s] for _, s in circ}.pop()
             by_label.setdefault(lab, []).append(surfglue.circle_length(surf, circ))
         assert abs(by_label["dirichlet"][0] - 1.4) < 1e-9
         assert sorted(abs(x - y) for x, y in zip(sorted(by_label["neumann"]), [2.0, 2.6]))[-1] < 1e-9
@@ -115,10 +114,15 @@ class TestTopologyAudit:
         bad = [
             i
             for i, circ in enumerate(rep.boundary_circles)
-            if len({mixed.side_label(c, s) for c, s in circ}) == 2
+            if len({mixed.base.labels[s] for _, s in circ}) == 2
         ]
         with pytest.raises(surfglue.GlueError):
             surfglue.double_surface(mixed, bad)
+
+    def test_side_glued_twice_raises(self):
+        # side 0 paired with both 2 and 4: vertex class {1, 2, 4} meets three unglued sides
+        with pytest.raises(surfglue.GlueError):
+            surfglue._cell_complex(1, 8, [(0, 0, 0, 2, False), (0, 0, 0, 4, False)])
 
     def test_pattern_surface_rejects_self_pairing(self):
         pat = surfglue.PatternResult(
@@ -167,6 +171,10 @@ class TestGluedAssembly:
         mesh = mesh_polygon(poly, MeshConfig(h_target=0.16))
         with pytest.raises(surfglue.GlueError):
             surfglue.assemble_glued(surf, mesh)
+
+    def test_symmetry_error_rejects_non_symmetry(self, tiling_ext):
+        with pytest.raises(surfglue.GlueError):
+            surfglue.picture_symmetry_error(tiling_ext.system, tiling_ext.vector, lambda z: np.exp(0.1j) * z, 1.0)
 
     def test_transport_rejects_wrong_symmetry(self, tiling_ext):
         system = tiling_ext.system
@@ -224,7 +232,7 @@ class TestSchwarzExtend:
         assert (rep.chi, rep.orientable, len(rep.boundary_circles)) == (1, True, 1)
 
     def test_extension_is_discrete_eigenpair(self, tiling_ext):
-        assert surfglue.verify_extension(tiling_ext) < 1e-10
+        assert tiling_ext.residual < 1e-10
 
     def test_extension_vanishes_on_mirrors(self, tiling_ext):
         v = tiling_ext.vector
@@ -288,6 +296,76 @@ class TestSchwarzExtend:
         assert res > 1e-2
 
 
+class _DSU:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        if p != x:
+            self.parent[x] = p = self.find(p)
+        return p
+
+    def union(self, x, y):
+        self.parent[self.find(x)] = self.find(y)
+
+
+def _pattern_invariants(poly_n: int, pairs, s2s_flags) -> tuple:
+    """chi, orientability, and boundary circle count of one polygon with the
+    given side pairings; standalone union-find on the polygon corners,
+    independent of the Surface/audit route."""
+    dsu = _DSU()
+    for k in range(poly_n):
+        dsu.find(k)
+    orientable = True
+    for (i, j), s2s in zip(pairs, s2s_flags):
+        if s2s:
+            dsu.union(i, j)
+            dsu.union((i + 1) % poly_n, (j + 1) % poly_n)
+            orientable = False  # both sides on one face: parallel traversal flips
+        else:
+            dsu.union(i, (j + 1) % poly_n)
+            dsu.union((i + 1) % poly_n, j)
+    V = len({dsu.find(k) for k in range(poly_n)})
+    E = poly_n - len(pairs)
+    chi = V - E + 1
+
+    paired = {i for ij in pairs for i in ij}
+    unglued = [s for s in range(poly_n) if s not in paired]
+    bnd_adj = {}
+    for s in unglued:
+        for r in (dsu.find(s), dsu.find((s + 1) % poly_n)):
+            bnd_adj.setdefault(r, []).append(s)
+    if any(len(v) != 2 for v in bnd_adj.values()):
+        return chi, orientable, -1  # degenerate boundary graph, never a pants
+    seen, circles = set(), 0
+    for s in unglued:
+        if s in seen:
+            continue
+        circles += 1
+        seen.add(s)
+        cursor = dsu.find((s + 1) % poly_n)
+        while True:
+            nxt = [e for e in bnd_adj[cursor] if e not in seen]
+            if not nxt:
+                break
+            e = nxt[0]
+            seen.add(e)
+            r0, r1 = dsu.find(e), dsu.find((e + 1) % poly_n)
+            cursor = r1 if r0 == cursor else r0
+    return chi, orientable, circles
+
+
+def octagon_patterns():
+    """All 840 patterns of two disjoint side pairings of the octagon."""
+    out = []
+    for quad in itertools.combinations(range(8), 4):
+        for b in quad[1:]:
+            pairs = ((quad[0], b), tuple(s for s in quad[1:] if s != b))
+            out += [(pairs, flags) for flags in itertools.product((False, True), repeat=2)]
+    return out
+
+
 def reference_scan(f, poly, samples_per_side):
     """The pattern scan as a per-pattern loop: both side maps of every
     pattern re-applied and interpolated point by point."""
@@ -311,7 +389,7 @@ def reference_scan(f, poly, samples_per_side):
                         iso = surfglue._side_iso(poly, i, j, s2s)
                         vals_j = np.array([f(apply(iso, x)) for x in side_samples[i]])
                         compat = max(compat, float(np.max(np.abs(vals_j - f_at[i]))))
-                    chi, orientable, circles = surfglue._pattern_invariants(n, (pair1, pair2), (s2s1, s2s2))
+                    chi, orientable, circles = _pattern_invariants(n, (pair1, pair2), (s2s1, s2s2))
                     results.append(
                         surfglue.PatternResult((pair1, pair2), (s2s1, s2s2), compat, chi, orientable, circles)
                     )
@@ -351,13 +429,21 @@ class TestPantsSearch:
         surfglue.scan_pants_patterns(f)
         assert f.fallbacks == 0
 
+    def test_cell_complex_matches_reference_count(self):
+        patterns = octagon_patterns()
+        assert len(patterns) == 840
+        for pairs, flags in patterns:
+            rep = surfglue._cell_complex(1, 8, [(0, i, 0, j, s2s) for (i, j), s2s in zip(pairs, flags)])
+            got = (rep.chi, rep.orientable, len(rep.boundary_circles))
+            assert got == _pattern_invariants(8, pairs, flags)
+            assert (rep.n_vertices - rep.n_edges + rep.n_faces, rep.n_edges, rep.n_faces) == (rep.chi, 6, 1)
+
     def test_invariants_agree_with_audit_route(self, tiling_ext):
-        # dual-route check on a sample of patterns, compatible or not
+        # dual-route check on every pattern, compatible or not
         f = surfglue.chart_interpolator(tiling_ext.system, tiling_ext.vector)
         results = surfglue.scan_pants_patterns(f, samples_per_side=2)
-        for r in results[::40]:
-            if r.n_boundary == -1:
-                continue
+        assert len(results) == 840
+        for r in results:
             rep = surfglue.audit_topology(surfglue.build_pattern_surface(r))
             assert rep.chi == r.chi
             assert rep.orientable == r.orientable
