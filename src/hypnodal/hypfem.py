@@ -20,17 +20,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from .hypmesh import Mesh, MeshConfig, mesh_polygon
+from .hypmesh import Mesh, mesh_polygon
 
 # phi[node, midpoint] for midpoints (01, 12, 20) of the reference triangle
 _PHI_MID = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Shift-invert Lanczos settings."""
-
-    sigma: float = -1.0  # shift for shift-invert; negative keeps K - sigma M positive definite
+SIGMA = -1.0  # shift for shift-invert; negative keeps K - SIGMA M positive definite
 
 
 def assemble(nodes: np.ndarray, triangles: np.ndarray) -> tuple:
@@ -80,19 +75,18 @@ def reduce_system(K, M, free: np.ndarray) -> tuple:
     return K[np.ix_(free, free)], M[np.ix_(free, free)]
 
 
-def solve_lowest(K, M, k: int, config: SolverConfig = None) -> tuple:
+def solve_lowest(K, M, k: int) -> tuple:
     """Lowest k eigenpairs of K u = lambda M u, M-normalized, deterministic.
 
-    Shift-invert Lanczos about config.sigma; at most n - 1 pairs of an
-    n-dof system.  The sign convention makes the largest-magnitude
+    Shift-invert Lanczos about SIGMA; at most n - 1 pairs of an n-dof
+    system.  The sign convention makes the largest-magnitude
     component positive, so repeated runs return identical vectors (up to
     degeneracies).
     """
-    cfg = config or SolverConfig()
     n = K.shape[0]
     if n < 2:
         raise ValueError(f"solve_lowest needs at least 2 dofs, got {n}")
-    vals, vecs = eigsh(K, k=min(k, n - 1), M=M, sigma=cfg.sigma, v0=np.ones(n))
+    vals, vecs = eigsh(K, k=min(k, n - 1), M=M, sigma=SIGMA, v0=np.ones(n))
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     for j in range(vecs.shape[1]):
@@ -136,23 +130,20 @@ def solve_polygon(
     h_target: float,
     k: int = 6,
     essential_labels: tuple = ("dirichlet",),
-    mesh: Mesh = None,
-    solver: SolverConfig = None,
 ) -> PolygonModes:
     """Mesh a polygon and solve for its lowest Laplace modes.
 
     Sides whose label is in essential_labels get homogeneous essential
     conditions; all other sides are natural (no constraint).
     """
-    if mesh is None:
-        mesh = mesh_polygon(poly, MeshConfig(h_target=h_target))
+    mesh = mesh_polygon(poly, h_target)
     K, M = assemble(mesh.nodes, mesh.triangles)
     constrained = np.zeros(mesh.n_nodes, dtype=bool)
     for lab in essential_labels:
         constrained[mesh.nodes_on_label(lab)] = True
     free = np.flatnonzero(~constrained)
     Kf, Mf = reduce_system(K, M, free)
-    vals, vecs = solve_lowest(Kf, Mf, k, solver)
+    vals, vecs = solve_lowest(Kf, Mf, k)
     full = np.zeros((mesh.n_nodes, vecs.shape[1]))
     full[free] = vecs
     res = eigen_residuals(Kf, Mf, vals, vecs)
@@ -190,12 +181,12 @@ class P1Interpolator:
         l2 = (e1.real * d.imag - e1.imag * d.real) / det
         return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
 
-    def __call__(self, x, tol: float = 1e-9):
+    def __call__(self, x):
         """Value at x: a complex point gives a float, an ndarray of points an
         array of its shape.
 
         Each point takes the first of its 8 nearest-centroid triangles (64
-        if none of those) that contains it within tol; failing that, the
+        if none of those) that contains it within 1e-9; failing that, the
         clipped weights of the candidate it violates least.
         """
         q = np.asarray(x, dtype=np.complex128)
@@ -210,7 +201,7 @@ class P1Interpolator:
             idx = idx.reshape(len(todo), k_eff)
             lam = self._bary(idx, p[:, None])
             viol = -lam.min(axis=2)
-            inside = viol <= tol
+            inside = viol <= 1e-9
             hit = inside.any(axis=1)
             pick = np.where(hit, inside.argmax(axis=1), viol.argmin(axis=1))
             done = hit | (k_eff == n_tri or k == 64)

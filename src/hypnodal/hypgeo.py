@@ -208,14 +208,6 @@ class Geodesic:
     def contains(self, p, tol: float = GEOM_TOL) -> bool:
         return self.euclidean_residual(p) <= tol
 
-    def same_carrier(self, other: "Geodesic", tol: float = GEOM_TOL) -> bool:
-        """True if both describe the same unoriented complete geodesic."""
-        e1 = sorted((self.theta_p % (2 * math.pi), self.theta_q % (2 * math.pi)))
-        e2 = sorted((other.theta_p % (2 * math.pi), other.theta_q % (2 * math.pi)))
-        return all(
-            min(abs(a - b), 2 * math.pi - abs(a - b)) <= tol for a, b in zip(e1, e2)
-        )
-
 
 def geodesic_between(p, q) -> Geodesic:
     """The unique geodesic through two distinct interior points, oriented p -> q."""
@@ -320,9 +312,6 @@ class Side:
     def point_at(self, s: float) -> complex:
         return point_along(self.start, self.end, s)
 
-    def parameter_of(self, x) -> float:
-        return arc_parameter(self.start, self.end, x)
-
 
 @dataclass(frozen=True)
 class HyperbolicPolygon:
@@ -349,11 +338,7 @@ class HyperbolicPolygon:
 
     @property
     def sides(self) -> tuple:
-        out = []
-        for i in range(self.n):
-            p, q = self.vertices[i], self.vertices[(i + 1) % self.n]
-            out.append(Side(p, q, geodesic_between(p, q), self.labels[i]))
-        return tuple(out)
+        return tuple(self.side(i) for i in range(self.n))
 
     def side(self, i: int) -> Side:
         p, q = self.vertices[i], self.vertices[(i + 1) % self.n]

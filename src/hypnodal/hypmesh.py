@@ -17,7 +17,7 @@ across isometries at tolerance 1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,17 +31,8 @@ from .hypgeo import (
 )
 
 
-@dataclass(frozen=True)
-class MeshConfig:
-    """Mesh generation knobs.
-
-    h_target is the maximum hyperbolic edge length; smooth_sweeps the number
-    of Jacobi relaxation passes (interior and tangential-boundary).
-    """
-
-    h_target: float = 0.08
-    smooth_sweeps: int = 40
-    max_refinements: int = 14
+SMOOTH_SWEEPS = 40  # Jacobi relaxation passes (interior and tangential-boundary)
+MAX_REFINEMENTS = 14  # at most this many refine + smooth rounds
 
 
 class _SideProjector:
@@ -92,11 +83,6 @@ class Mesh:
     def boundary_nodes(self) -> np.ndarray:
         return np.unique(np.concatenate(self.side_nodes))
 
-    def interior_mask(self) -> np.ndarray:
-        mask = np.ones(self.n_nodes, dtype=bool)
-        mask[self.boundary_nodes()] = False
-        return mask
-
     def nodes_on_label(self, label: str) -> np.ndarray:
         """All nodes on sides carrying the given condition label (corners included)."""
         picked = [sn for sn, lab in zip(self.side_nodes, self.polygon.labels) if lab == label]
@@ -145,78 +131,75 @@ def min_angle_degrees(mesh: Mesh) -> float:
     return worst
 
 
-def mesh_polygon(poly: HyperbolicPolygon, config: MeshConfig = None) -> Mesh:
-    """Triangulate a geodesic polygon; see module docstring for the pipeline."""
-    cfg = config or MeshConfig()
+def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
+    """Triangulate a geodesic polygon so every hyperbolic edge is at most
+    h_target; see module docstring for the pipeline."""
+    if not (h_target > 0.0 and math.isfinite(h_target)):
+        raise ValueError(f"h_target must be positive and finite, got {h_target!r}")
     sides = poly.sides
     projs = [_SideProjector(s) for s in sides]
-    lengths = [s.length for s in sides]
-    lmin = min(lengths)
+    lengths = np.array([s.length for s in sides])
+    lmin = float(lengths.min())
 
-    # macro boundary subdivision, arclength-uniform per side
+    # macro boundary subdivision, arclength-uniform per side.  Boundary
+    # state: side_of[node] is the side of a non-corner boundary node (-1 for
+    # interior nodes and corners), par[node] its arclength along that side,
+    # bedges the (a, b, side) boundary edges in arclength order per side.
     nodes = list(poly.vertices)
     corners = np.arange(poly.n, dtype=np.int64)
-    node_side = {}  # non-corner boundary node -> (side index, arclength)
-    chains = []
-    for i, (pr, L) in enumerate(zip(projs, lengths)):
+    side_of, par, bedges = [-1] * poly.n, [0.0] * poly.n, []
+    for i, (pr, L) in enumerate(zip(projs, lengths.tolist())):
         cnt = max(1, round(L / lmin))
-        chain = [corners[i]]
-        params = [0.0]
+        chain = [i, *range(len(nodes), len(nodes) + cnt - 1), (i + 1) % poly.n]
         for j in range(1, cnt):
             s = L * j / cnt
-            node_side[len(nodes)] = (i, s)
-            chain.append(len(nodes))
-            params.append(s)
             nodes.append(pr.at(s))
-        chain.append(corners[(i + 1) % poly.n])
-        params.append(L)
-        chains.append((chain, params))
+            side_of.append(i)
+            par.append(s)
+        bedges += [(a, b, i) for a, b in zip(chain, chain[1:])]
 
     hub = len(nodes)
     nodes.append(sum(poly.vertices) / poly.n)
-
-    tris = []
-    bdict = {}  # sorted node pair -> (side, param of pair[0], param of pair[1])
-    for i, (chain, params) in enumerate(chains):
-        for k in range(len(chain) - 1):
-            a, b = chain[k], chain[k + 1]
-            tris.append((a, b, hub))
-            key = (a, b) if a < b else (b, a)
-            sa, sb = params[k], params[k + 1]
-            bdict[key] = (i, sa, sb) if a < b else (i, sb, sa)
+    side_of.append(-1)
+    par.append(0.0)
 
     z = np.array(nodes, dtype=np.complex128)
-    tris = np.array(tris, dtype=np.int64)
+    side_of = np.array(side_of, dtype=np.int64)
+    par = np.array(par, dtype=np.float64)
+    bedges = np.array(bedges, dtype=np.int64)
+    tris = np.column_stack([bedges[:, :2], np.full(len(bedges), hub)])
 
-    def refine(z, tris):
-        """One uniform 1:4 split; boundary midpoints placed at the arclength
-        midpoint of their side segment, interior midpoints Euclidean."""
+    def arclength(x, side):
+        """Arclength of boundary node x along side (corners are nodes 0..n-1)."""
+        return np.where(x == side, 0.0, np.where(x == (side + 1) % poly.n, lengths[side], par[x]))
+
+    def refine(z, tris, e):
+        """One uniform 1:4 split; e is the level's unique edges, whose k-th
+        midpoint becomes node n + k.  Boundary midpoints are placed at the
+        arclength midpoint of their side segment, interior midpoints
+        Euclidean."""
+        nonlocal side_of, par, bedges
         n = len(z)
-        raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        raw_sorted = np.sort(raw, axis=1)
-        codes = raw_sorted[:, 0] * n + raw_sorted[:, 1]
-        ucodes, inv = np.unique(codes, return_inverse=True)
-        ua, ub = ucodes // n, ucodes % n
+        codes = e[:, 0] * n + e[:, 1]
+        raw = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+        inv = np.searchsorted(codes, raw[:, 0] * n + raw[:, 1])
+        mids = 0.5 * (z[e[:, 0]] + z[e[:, 1]])
 
-        mids = 0.5 * (z[ua] + z[ub])
-        bpos = np.searchsorted(ucodes, [a * n + b for a, b in bdict]).tolist()
-        new_bdict = {}
-        for ((a, b), (side_i, sa, sb)), k in zip(bdict.items(), bpos):
-            sm = 0.5 * (sa + sb)
-            mids[k] = projs[side_i].at(sm)
-            m = n + k
-            node_side[m] = (side_i, sm)
-            ka = (a, m) if a < m else (m, a)
-            kb = (m, b) if m < b else (b, m)
-            new_bdict[ka] = (side_i, sa, sm) if a < m else (side_i, sm, sa)
-            new_bdict[kb] = (side_i, sm, sb) if m < b else (side_i, sb, sm)
-        bdict.clear()
-        bdict.update(new_bdict)
+        a, b, side = bedges.T
+        k = np.searchsorted(codes, np.minimum(a, b) * n + np.maximum(a, b))
+        sm = 0.5 * (arclength(a, side) + arclength(b, side))
+        for i, pr in enumerate(projs):
+            on = side == i
+            mids[k[on]] = pr.at(sm[on])
+        m = n + k
+        side_of = np.concatenate([side_of, np.full(len(e), -1)])
+        par = np.concatenate([par, np.zeros(len(e))])
+        side_of[m], par[m] = side, sm
+        bedges = np.column_stack([a, m, side, m, b, side]).reshape(-1, 3)
 
         z = np.concatenate([z, mids])
-        mid_idx = (n + inv).reshape(3, -1).T  # columns: m01, m12, m20
+        m01, m12, m20 = (n + inv).reshape(3, -1)
         a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-        m01, m12, m20 = mid_idx[:, 0], mid_idx[:, 1], mid_idx[:, 2]
         tris = np.concatenate(
             [
                 np.stack([a, m01, m20], axis=1),
@@ -234,66 +217,42 @@ def mesh_polygon(poly: HyperbolicPolygon, config: MeshConfig = None) -> Mesh:
         n = len(z)
         ei, ej = e[:, 0], e[:, 1]
         cnt = np.maximum(np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n), 1.0)
-        interior = np.ones(n, dtype=bool)
+        interior = side_of < 0
         interior[corners] = False
-        bnd = np.array(sorted(node_side), dtype=np.int64)
-        interior[bnd] = False
-        side_of = np.array([node_side[m][0] for m in bnd], dtype=np.int64)
-        on_side = [bnd[side_of == i] for i in range(poly.n)]
-        params = [np.array([node_side[m][1] for m in idx], dtype=np.float64) for idx in on_side]
-        for _ in range(cfg.smooth_sweeps):
+        on_side = [np.flatnonzero(side_of == i) for i in range(poly.n)]
+        for _ in range(SMOOTH_SWEEPS):
             acc = np.zeros(n, dtype=np.complex128)
             np.add.at(acc, ei, z[ej])
             np.add.at(acc, ej, z[ei])
             mean = acc / cnt
             znew = np.where(interior, mean, z)
-            for i, (idx, pr) in enumerate(zip(on_side, projs)):
-                params[i] = np.clip(foot_parameter(pr.side.start, pr.side.end, mean[idx]), 0.0, pr.length)
-                znew[idx] = pr.at(params[i])
+            for idx, pr in zip(on_side, projs):
+                par[idx] = np.clip(foot_parameter(pr.side.start, pr.side.end, mean[idx]), 0.0, pr.length)
+                znew[idx] = pr.at(par[idx])
             z = znew
-        for i, (idx, par) in enumerate(zip(on_side, params)):
-            for m, s in zip(idx.tolist(), par.tolist()):
-                node_side[m] = (i, s)
         return z
 
     def max_edge(z, e):
         """Longest hyperbolic edge; e is the level's unique edge list, computed once per level."""
         return _hyp_len(z[e[:, 0]], z[e[:, 1]]).max()
 
-    def param_of(m, side_i):
-        if m == corners[side_i]:
-            return 0.0
-        if m == corners[(side_i + 1) % poly.n]:
-            return lengths[side_i]
-        return node_side[m][1]
-
-    def refresh_bdict():
-        # smoothing slides boundary nodes along their sides; keep the
-        # per-edge params in sync or later midpoints land off-segment
-        for key in list(bdict):
-            side_i = bdict[key][0]
-            bdict[key] = (side_i, param_of(key[0], side_i), param_of(key[1], side_i))
-
     # refine + smooth until the smoothed mesh meets the edge criterion
     # (smoothing can stretch edges, so the check runs on the final positions)
     e = _unique_edges(tris)
-    for _ in range(cfg.max_refinements):
-        while max_edge(z, e) > cfg.h_target:
-            z, tris = refine(z, tris)
+    for _ in range(MAX_REFINEMENTS):
+        while max_edge(z, e) > h_target:
+            z, tris = refine(z, tris, e)
             e = _unique_edges(tris)
         z = smooth(z, e)
-        refresh_bdict()
-        if max_edge(z, e) <= cfg.h_target:
+        if max_edge(z, e) <= h_target:
             break
 
     side_nodes, side_params = [], []
     for i in range(poly.n):
-        own = [(s, m) for m, (si, s) in node_side.items() if si == i]
-        own.sort()
-        idx = [corners[i]] + [m for _, m in own] + [corners[(i + 1) % poly.n]]
-        par = [0.0] + [s for s, _ in own] + [lengths[i]]
-        side_nodes.append(np.array(idx, dtype=np.int64))
-        side_params.append(np.array(par, dtype=np.float64))
+        own = np.flatnonzero(side_of == i)
+        own = own[np.argsort(par[own], kind="stable")]
+        side_nodes.append(np.concatenate([[corners[i]], own, [corners[(i + 1) % poly.n]]]))
+        side_params.append(np.concatenate([[0.0], par[own], [lengths[i]]]))
 
     return Mesh(
         nodes=z,
@@ -302,5 +261,5 @@ def mesh_polygon(poly: HyperbolicPolygon, config: MeshConfig = None) -> Mesh:
         side_nodes=side_nodes,
         side_params=side_params,
         polygon=poly,
-        h_target=cfg.h_target,
+        h_target=h_target,
     )

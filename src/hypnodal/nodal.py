@@ -318,12 +318,12 @@ def _segments(ns: NodalSet):
     return out
 
 
-def self_intersections(ns: NodalSet, transversal_tol: float = 1e-3):
+def self_intersections(ns: NodalSet):
     """Points where the nodal set crosses itself, with crossing angles.
 
     Pairwise scan over all segments, within and across components;
     consecutive segments of one component are skipped, and hits closer
-    than transversal_tol in angle (near-tangential contacts) are dropped.
+    than 1e-3 in angle (near-tangential contacts) are dropped.
     Coincident hits are reported once.
     """
     segs = _segments(ns)
@@ -343,7 +343,7 @@ def self_intersections(ns: NodalSet, transversal_tol: float = 1e-3):
             if hit is None:
                 continue
             ang = _fold_line_angle(_line_angle(p2 - p1) - _line_angle(p4 - p3))
-            if ang < transversal_tol:
+            if ang < 1e-3:
                 continue
             key = (round(hit.real, 7), round(hit.imag, 7))
             if key not in seen:

@@ -43,7 +43,7 @@ from .hypgeo import (
     regular_right_polygon,
     right_angled_hexagon,
 )
-from .hypmesh import Mesh, MeshConfig, mesh_polygon
+from .hypmesh import Mesh, mesh_polygon
 
 MATCH_TOL = 1e-9
 
@@ -351,11 +351,6 @@ class GluedSystem:
             out.append(apply(ch.placement, self.base_mesh.nodes))
         return np.stack(out)
 
-    def chart_values(self, v: np.ndarray, c: int) -> np.ndarray:
-        """Restriction of a glued vector to chart c's base mesh nodes."""
-        N = self.base_mesh.n_nodes
-        return v[self.glue_index[c * N : (c + 1) * N]]
-
 
 def assemble_glued(surface: Surface, base_mesh: Mesh) -> GluedSystem:
     """Glue chart copies of the base mesh system by exact side-node matching.
@@ -456,13 +451,11 @@ def transport(system: GluedSystem, u: np.ndarray, consistency_tol: float = 1e-10
     return vals
 
 
-def glued_residual(system: GluedSystem, lam: float, v: np.ndarray, rows: np.ndarray = None) -> float:
+def glued_residual(system: GluedSystem, lam: float, v: np.ndarray) -> float:
     """Relative eigen-residual of (lam, v) on the unreduced glued pencil,
-    restricted to the given dof rows (default: all eigen rows, leaving out
-    only the unglued Dirichlet boundary where the boundary condition rather
-    than the equation holds)."""
-    if rows is None:
-        rows = system.eigen_rows
+    restricted to the eigen rows (leaving out only the unglued Dirichlet
+    boundary, where the boundary condition rather than the equation holds)."""
+    rows = system.eigen_rows
     kv = (system.K @ v)[rows]
     mv = (system.M @ v)[rows]
     num = np.linalg.norm(kv - lam * mv)
@@ -470,15 +463,15 @@ def glued_residual(system: GluedSystem, lam: float, v: np.ndarray, rows: np.ndar
     return float(num / den) if den > 0 else float(num)
 
 
-def solve_glued(system: GluedSystem, k: int = 6, constrain: bool = True, solver=None) -> tuple:
-    """Lowest modes of the glued pencil; constrained dofs removed if requested.
+def solve_glued(system: GluedSystem, k: int = 6) -> tuple:
+    """Lowest modes of the glued pencil with the constrained dofs removed.
 
     Returns (values, vectors) with vectors on all glued dofs (zeros on
     removed ones).
     """
-    free = system.free if constrain else np.arange(system.n_dofs)
+    free = system.free
     Kf, Mf = hypfem.reduce_system(system.K, system.M, free)
-    vals, vecs = hypfem.solve_lowest(Kf, Mf, k, solver)
+    vals, vecs = hypfem.solve_lowest(Kf, Mf, k)
     full = np.zeros((system.n_dofs, vecs.shape[1]))
     full[free] = vecs
     return vals, full
@@ -528,12 +521,9 @@ class ExtendedSolution:
     residual: float
 
 
-def as_extended(modes: hypfem.PolygonModes, index: int = 0) -> ExtendedSolution:
-    """Wrap one polygon eigenmode as a single-chart extended solution."""
-    surface = Surface(base=modes.mesh.polygon, charts=[Chart()], pairings=[])
-    system = assemble_glued(surface, modes.mesh)
-    u = modes.vectors[:, index]
-    lam = float(modes.values[index])
+def _extended(surface: Surface, base_mesh: Mesh, lam: float, u: np.ndarray) -> ExtendedSolution:
+    """Glue the base mesh system over the surface and transport u to it."""
+    system = assemble_glued(surface, base_mesh)
     v = transport(system, u)
     return ExtendedSolution(
         surface=surface,
@@ -543,6 +533,12 @@ def as_extended(modes: hypfem.PolygonModes, index: int = 0) -> ExtendedSolution:
         vector=v,
         residual=glued_residual(system, lam, v),
     )
+
+
+def as_extended(modes: hypfem.PolygonModes) -> ExtendedSolution:
+    """Wrap the lowest polygon eigenmode as a single-chart extended solution."""
+    surface = Surface(base=modes.mesh.polygon, charts=[Chart()], pairings=[])
+    return _extended(surface, modes.mesh, float(modes.values[0]), modes.vectors[:, 0])
 
 
 def _mirror_copies(surface: Surface, place, parity: int, twins) -> Surface:
@@ -602,24 +598,15 @@ def schwarz_extend(ext: ExtendedSolution, mirror: Geodesic, parity: str) -> Exte
         raise GlueError("no unglued side lies on the requested mirror")
 
     new_surface = _mirror_copies(surface, lambda P: compose(r_m, P), sigma, on_mirror)
-    system = assemble_glued(new_surface, ext.system.base_mesh)
-    v = transport(system, ext.base_vector)
-    return ExtendedSolution(
-        surface=new_surface,
-        system=system,
-        lam=ext.lam,
-        base_vector=ext.base_vector,
-        vector=v,
-        residual=glued_residual(system, ext.lam, v),
-    )
+    return _extended(new_surface, ext.system.base_mesh, ext.lam, ext.base_vector)
 
 
-def extend_quarter_mode(h_target: float, mode_index: int = 0, k: int = None) -> ExtendedSolution:
-    """Solve the mixed quarter-octagon problem and extend it over the full
-    right-angled octagon by two odd reflections (real mirror, then
-    imaginary mirror): four charts with signs +1, -1, -1, +1."""
-    modes = hypfem.solve_polygon(quarter_octagon(), h_target, k=k or mode_index + 1)
-    ext = as_extended(modes, mode_index)
+def extend_quarter_mode(h_target: float) -> ExtendedSolution:
+    """Solve the mixed quarter-octagon problem and extend its ground state
+    over the full right-angled octagon by two odd reflections (real mirror,
+    then imaginary mirror): four charts with signs +1, -1, -1, +1."""
+    modes = hypfem.solve_polygon(quarter_octagon(), h_target, k=1)
+    ext = as_extended(modes)
     ext = schwarz_extend(ext, REAL_MIRROR, "odd")
     ext = schwarz_extend(ext, IMAG_MIRROR, "odd")
     return ext
@@ -763,22 +750,16 @@ def build_pattern_surface(pattern: PatternResult, poly: HyperbolicPolygon = None
     return Surface(base=poly, charts=charts, pairings=pairings)
 
 
-def search_pants_gluing(
-    ext: ExtendedSolution,
-    poly: HyperbolicPolygon = None,
-    samples_per_side: int = 24,
-    tol_factor: float = 1e-6,
-) -> list:
+def search_pants_gluing(ext: ExtendedSolution) -> list:
     """Side-pairing patterns of the octagon compatible with the extended
     eigenfunction: pair of pants combinatorics (chi = -1, orientable, three
-    boundary circles) and value mismatch at most tol_factor * max |f|.
+    boundary circles) and value mismatch at most 1e-6 * max |f|.
 
     An empty list is a legitimate finding, not an error.
     """
-    poly = poly or octagon_polygon()
     f = chart_interpolator(ext.system, ext.vector)
-    tol = tol_factor * float(np.max(np.abs(f.values)))
-    return [r for r in scan_pants_patterns(f, poly, samples_per_side) if r.accepted(tol)]
+    tol = 1e-6 * float(np.max(np.abs(f.values)))
+    return [r for r in scan_pants_patterns(f) if r.accepted(tol)]
 
 
 def mirror_odd_eigenvector(modes: hypfem.PolygonModes, target: float) -> tuple:
@@ -917,30 +898,13 @@ def genus3_surface(boundary_length: float = 2.0) -> Surface:
     return double_surface(stage_a)
 
 
-def build_genus3(
-    boundary_length: float = 2.0,
-    h_target: float = 0.08,
-    k: int = 1,
-    solver: hypfem.SolverConfig = None,
-) -> ExtendedSolution:
+def build_genus3(boundary_length: float = 2.0, h_target: float = 0.08) -> ExtendedSolution:
     """Solve the pants eigenproblem (Dirichlet on one boundary circle,
     Neumann on the other two, seams glued) and transport its ground state
     to the closed genus 3 surface of four pants charts."""
     pants = pants_decagon_surface(boundary_length, boundary_length, boundary_length)
-    base_mesh = mesh_polygon(pants.base, MeshConfig(h_target=h_target))
+    base_mesh = mesh_polygon(pants.base, h_target)
     psys = assemble_glued(pants, base_mesh)
-    vals, vecs = solve_glued(psys, k=k, solver=solver)
-    lam = float(vals[0])
+    vals, vecs = solve_glued(psys, k=1)
     u = vecs[:, 0][psys.glue_index]  # back to base-mesh nodes (seam twins equal)
-
-    surf = genus3_surface(boundary_length)
-    system = assemble_glued(surf, base_mesh)
-    v = transport(system, u)
-    return ExtendedSolution(
-        surface=surf,
-        system=system,
-        lam=lam,
-        base_vector=u,
-        vector=v,
-        residual=glued_residual(system, lam, v),
-    )
+    return _extended(genus3_surface(boundary_length), base_mesh, float(vals[0]), u)

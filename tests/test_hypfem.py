@@ -32,14 +32,14 @@ class TestMass:
     def test_octagon_area_convergence(self, octagon):
         errs = []
         for h in (0.16, 0.08):
-            m = hm.mesh_polygon(octagon, hm.MeshConfig(h_target=h))
+            m = hm.mesh_polygon(octagon, h)
             _, M = hf.assemble(m.nodes, m.triangles)
             errs.append(abs(hf.total_mass(M) - 2.0 * math.pi) / (2.0 * math.pi))
         assert errs[1] < 1e-3
         assert errs[0] / errs[1] > 3.0  # second order
 
     def test_pentagon_area(self):
-        m = hm.mesh_polygon(quarter_octagon(), hm.MeshConfig(h_target=0.08))
+        m = hm.mesh_polygon(quarter_octagon(), 0.08)
         _, M = hf.assemble(m.nodes, m.triangles)
         assert hf.total_mass(M) == pytest.approx(math.pi / 2.0, rel=5e-4)
 
@@ -106,7 +106,7 @@ class TestDirichletQuarter:
 class TestSolverPaths:
     def test_dense_sparse_agree(self):
         poly = quarter_octagon()
-        mesh = hm.mesh_polygon(poly, hm.MeshConfig(h_target=0.1))
+        mesh = hm.mesh_polygon(poly, 0.1)
         K, M = hf.assemble(mesh.nodes, mesh.triangles)
         v_dense = scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=[0, 3], eigvals_only=True)
         v_sparse, _ = hf.solve_lowest(K, M, 4)
@@ -169,7 +169,7 @@ def soup(octagon):
     """Octagon mesh plus a cluster of 40 tiny triangles round c = 0.2 + 0.1j:
     points near c find only tiny triangles among their 8 nearest centroids."""
     rng = np.random.default_rng(3)
-    mesh = hm.mesh_polygon(octagon, hm.MeshConfig(h_target=0.16))
+    mesh = hm.mesh_polygon(octagon, 0.16)
     centers = 0.2 + 0.1j + 0.03 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
     tiny = (centers[:, None] + 1e-3 * np.exp(2j * np.pi * np.arange(3) / 3)).ravel()
     points = np.concatenate([mesh.nodes, tiny])

@@ -33,13 +33,13 @@ def quarter_octagon():
 
 @pytest.fixture(scope="module")
 def pent_mesh():
-    return hm.mesh_polygon(quarter_octagon(), hm.MeshConfig(h_target=0.16))
+    return hm.mesh_polygon(quarter_octagon(), 0.16)
 
 
 @pytest.fixture(scope="module")
 def oct_mesh():
     poly = hg.regular_right_polygon(8, math.pi / 2)
-    return hm.mesh_polygon(poly, hm.MeshConfig(h_target=0.25))
+    return hm.mesh_polygon(poly, 0.25)
 
 
 class TestEdgeLengths:
@@ -52,8 +52,8 @@ class TestEdgeLengths:
 
     def test_refinement_scaling(self):
         poly = quarter_octagon()
-        m1 = hm.mesh_polygon(poly, hm.MeshConfig(h_target=0.16))
-        m2 = hm.mesh_polygon(poly, hm.MeshConfig(h_target=0.08))
+        m1 = hm.mesh_polygon(poly, 0.16)
+        m2 = hm.mesh_polygon(poly, 0.08)
         assert m2.n_triangles == 4 * m1.n_triangles
 
 
@@ -130,16 +130,23 @@ class TestSymmetry:
 class TestDeterminism:
     def test_bitwise_reproducible(self):
         poly = quarter_octagon()
-        a = hm.mesh_polygon(poly, hm.MeshConfig(h_target=0.2))
-        b = hm.mesh_polygon(poly, hm.MeshConfig(h_target=0.2))
+        a = hm.mesh_polygon(poly, 0.2)
+        b = hm.mesh_polygon(poly, 0.2)
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.triangles, b.triangles)
+
+
+class TestInvalidTarget:
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite(self, h):
+        with pytest.raises(ValueError, match=repr(h)):
+            hm.mesh_polygon(quarter_octagon(), h)
 
 
 class TestHexagonMesh:
     def test_basic(self):
         poly = hg.right_angled_hexagon(1.0, 1.0, 1.0)
-        m = hm.mesh_polygon(poly, hm.MeshConfig(h_target=0.2))
+        m = hm.mesh_polygon(poly, 0.2)
         assert m.hyp_edge_lengths().max() <= 0.2 + 1e-12
         assert hm.min_angle_degrees(m) >= 20.0
         assert len(m.side_nodes) == 6
@@ -151,7 +158,7 @@ def reference_unique_edges(tris):
     return np.unique(np.sort(e, axis=1), axis=0)
 
 
-def reference_mesh(poly, cfg):
+def reference_mesh(poly, h_target):
     """The mesher with per-call edge recomputation and a per-node scalar
     boundary projection loop: the reference for the array mesher."""
     projs = [hm._SideProjector(s) for s in poly.sides]
@@ -216,7 +223,7 @@ def reference_mesh(poly, cfg):
         interior[corners] = False
         bnd = np.array(sorted(node_side), dtype=np.int64)
         interior[bnd] = False
-        for _ in range(cfg.smooth_sweeps):
+        for _ in range(hm.SMOOTH_SWEEPS):
             acc = np.zeros(len(z), dtype=np.complex128)
             cnt = np.zeros(len(z), dtype=np.float64)
             np.add.at(acc, ei, z[ej])
@@ -246,20 +253,21 @@ def reference_mesh(poly, cfg):
             return lengths[side_i]
         return node_side[m][1]
 
-    for _ in range(cfg.max_refinements):
-        while max_edge(z, tris) > cfg.h_target:
+    for _ in range(hm.MAX_REFINEMENTS):
+        while max_edge(z, tris) > h_target:
             z, tris = refine(z, tris)
         z = smooth(z, tris)
         for key in list(bdict):
             side_i = bdict[key][0]
             bdict[key] = (side_i, param_of(key[0], side_i), param_of(key[1], side_i))
-        if max_edge(z, tris) <= cfg.h_target:
+        if max_edge(z, tris) <= h_target:
             break
-    side_nodes = []
+    side_nodes, side_params = [], []
     for i in range(poly.n):
         own = sorted((s, m) for m, (si, s) in node_side.items() if si == i)
         side_nodes.append(np.array([corners[i]] + [m for _, m in own] + [corners[(i + 1) % poly.n]]))
-    return z, tris, corners, side_nodes
+        side_params.append(np.array([0.0] + [s for s, _ in own] + [lengths[i]]))
+    return z, tris, corners, side_nodes, side_params
 
 
 class TestArrayKernels:
@@ -276,16 +284,22 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize(
         "poly, h",
-        [(surfglue.pants_decagon(2.0, 2.0, 2.0), 0.24), (quarter_octagon(), 0.16)],
-        ids=["pants-decagon", "quarter-octagon"],
+        [
+            (surfglue.pants_decagon(2.0, 2.0, 2.0), 0.24),
+            (quarter_octagon(), 0.16),
+            (surfglue.octagon_polygon(), 0.16),
+            (hg.right_angled_hexagon(1.0, 1.0, 1.0), 0.2),
+        ],
+        ids=["pants-decagon", "quarter-octagon", "octagon", "hexagon"],
     )
     def test_matches_scalar_boundary_loop(self, poly, h):
-        cfg = hm.MeshConfig(h_target=h)
-        z, tris, corners, side_nodes = reference_mesh(poly, cfg)
-        mesh = hm.mesh_polygon(poly, cfg)
+        z, tris, corners, side_nodes, side_params = reference_mesh(poly, h)
+        mesh = hm.mesh_polygon(poly, h)
         assert np.array_equal(mesh.triangles, tris)
         assert np.array_equal(mesh.corners, corners)
         assert len(mesh.side_nodes) == len(side_nodes)
         for got, want in zip(mesh.side_nodes, side_nodes):
             assert np.array_equal(got, want)
+        for got, want in zip(mesh.side_params, side_params):
+            assert np.max(np.abs(got - want)) <= 1e-12
         assert np.max(np.abs(mesh.nodes - z)) <= 1e-12

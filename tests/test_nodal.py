@@ -124,7 +124,7 @@ class TestCrossedTrianglePrefilter:
         assert_same_nodal_set(nodal.extract_nodal(self.FAN, u), reference_extract(self.FAN, u))
 
     def test_equals_full_loop_on_mesh(self):
-        mesh = hypmesh.mesh_polygon(surfglue.quarter_octagon(), hypmesh.MeshConfig(h_target=0.16))
+        mesh = hypmesh.mesh_polygon(surfglue.quarter_octagon(), 0.16)
         z = mesh.nodes
         u = np.round(8.0 * (z.real - 0.3) * (z.imag - 0.2), 1)  # rounding leaves exact zero nodes
         assert (u == 0.0).any()

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from hypnodal import hypfem, surfglue
 from hypnodal.hypgeo import Geodesic, apply, hyp_distance
-from hypnodal.hypmesh import MeshConfig, mesh_polygon
+from hypnodal.hypmesh import mesh_polygon
 
 QUARTER_AREA = math.pi / 2
 OCTAGON_AREA = 2 * math.pi
@@ -168,7 +168,7 @@ class TestGluedAssembly:
             charts, 0, 1, 0, 2, surfglue._side_iso(poly, 1, 2, False)
         )
         surf = surfglue.Surface(base=poly, charts=charts, pairings=[bogus])
-        mesh = mesh_polygon(poly, MeshConfig(h_target=0.16))
+        mesh = mesh_polygon(poly, 0.16)
         with pytest.raises(surfglue.GlueError):
             surfglue.assemble_glued(surf, mesh)
 
@@ -216,7 +216,7 @@ class TestGlueIndexReference:
 
     def test_genus3_coarsest(self):
         surf = surfglue.genus3_surface(2.0)
-        mesh = mesh_polygon(surf.base, MeshConfig(h_target=0.25))
+        mesh = mesh_polygon(surf.base, 0.25)
         system = surfglue.assemble_glued(surf, mesh)
         index, n_dofs = reference_glue_index(surf, mesh)
         assert system.n_dofs == n_dofs
