@@ -156,18 +156,3 @@ def pants_chi_bound(chi: int) -> int:
         raise DomainError(f"Euler characteristic must be negative, got {chi}")
     return int(math.floor(-PANTS_CHI_COEFFICIENT * chi + 1e-9))
 
-
-def constants() -> dict:
-    return {
-        "MIN_REFLECTION_POLYGON_AREA": MIN_REFLECTION_POLYGON_AREA,
-        "PANTS_CHI_COEFFICIENT": PANTS_CHI_COEFFICIENT,
-        "NPRIME_AREA_COEFFICIENT": NPRIME_AREA_COEFFICIENT,
-    }
-
-
-BOUNDS_HEADER = "g,n,area,pants_number,nprime_bound"
-
-
-def bounds_row(t: SurfaceTopology) -> str:
-    """One CSV row of the bounds report."""
-    return f"{t.g},{t.n},{t.area!r},{pants_number(t)},{nprime_upper_bound(t)}"

@@ -29,33 +29,6 @@ class GeometryError(ValueError):
     """Geometric input is invalid (point outside disk, degenerate polygon, ...)."""
 
 
-def _z(p) -> complex:
-    """Coerce DiskPoint or complex-like to a complex number."""
-    if isinstance(p, DiskPoint):
-        return complex(p.x, p.y)
-    return complex(p)
-
-
-@dataclass(frozen=True)
-class DiskPoint:
-    """Point of the open unit disk, stored as Cartesian coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if self.x * self.x + self.y * self.y >= 1.0:
-            raise GeometryError(f"point ({self.x}, {self.y}) lies outside the open unit disk")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-    @staticmethod
-    def from_complex(z: complex) -> "DiskPoint":
-        return DiskPoint(z.real, z.imag)
-
-
 def hyp_distance(p, q) -> float:
     """Hyperbolic distance, 2 asinh(|p-q| / sqrt((1-|p|^2)(1-|q|^2))).
 
@@ -63,7 +36,7 @@ def hyp_distance(p, q) -> float:
     arccosh(1 + 2|p-q|^2 / ((1-|p|^2)(1-|q|^2))) and stays accurate for
     nearby points.
     """
-    zp, zq = _z(p), _z(q)
+    zp, zq = complex(p), complex(q)
     den = (1.0 - abs(zp) ** 2) * (1.0 - abs(zq) ** 2)
     if den <= 0.0:
         raise GeometryError("hyp_distance requires both points strictly inside the disk")
@@ -96,16 +69,13 @@ IDENTITY = Isometry(1.0 + 0.0j, 0.0j, False)
 
 
 def apply(iso: Isometry, p):
-    """Apply an isometry; accepts DiskPoint/complex (returns same kind) or ndarray."""
+    """Apply an isometry to a complex point (returns a complex) or an ndarray of them."""
     if isinstance(p, np.ndarray):
         w = np.conjugate(p) if iso.reverses else p
         return (iso.a * w + iso.b) / (np.conjugate(iso.b) * w + np.conjugate(iso.a))
-    zp = _z(p)
+    zp = complex(p)
     w = zp.conjugate() if iso.reverses else zp
-    out = (iso.a * w + iso.b) / (iso.b.conjugate() * w + iso.a.conjugate())
-    if isinstance(p, DiskPoint):
-        return DiskPoint.from_complex(out)
-    return out
+    return (iso.a * w + iso.b) / (iso.b.conjugate() * w + iso.a.conjugate())
 
 
 def compose(f: Isometry, g: Isometry) -> Isometry:
@@ -138,7 +108,7 @@ def translation(d: float) -> Isometry:
 
 def translate_to_zero(p) -> Isometry:
     """The disk automorphism sending p to the center."""
-    zp = _z(p)
+    zp = complex(p)
     s = math.sqrt(1.0 - abs(zp) ** 2)
     return Isometry(1.0 / s + 0.0j, -zp / s, False)
 
@@ -199,7 +169,7 @@ class Geodesic:
         whose circle center runs off to infinity (diameters are the cd -> 0
         limit of the same formula).
         """
-        zp = _z(p)
+        zp = complex(p)
         e, cd = self._bisector()
         f = cd * (abs(zp) ** 2 + 1.0) - 2.0 * (zp.real * e.real + zp.imag * e.imag)
         grad = 2.0 * abs(zp * cd - e)
@@ -211,7 +181,7 @@ class Geodesic:
 
 def geodesic_between(p, q) -> Geodesic:
     """The unique geodesic through two distinct interior points, oriented p -> q."""
-    zp, zq = _z(p), _z(q)
+    zp, zq = complex(p), complex(q)
     if abs(zp - zq) < 1e-14:
         raise GeometryError("geodesic_between requires distinct points")
     cross = zp.real * zq.imag - zp.imag * zq.real
@@ -253,14 +223,14 @@ def point_to_geodesic_distance(p, g: Geodesic) -> float:
     The geodesic from p to its mirror image crosses g orthogonally at its
     midpoint, so the distance is half the distance to the reflection.
     """
-    zp = _z(p)
+    zp = complex(p)
     return 0.5 * hyp_distance(zp, apply(reflect_in(g), zp))
 
 
 def axis_map(p, q) -> Isometry:
     """Isometry taking the geodesic through p, q to the real axis, p to 0, q to the positive ray."""
     T = translate_to_zero(p)
-    psi = cmath.phase(apply(T, _z(q)))
+    psi = cmath.phase(apply(T, q))
     return compose(rotation(-psi), T)
 
 
@@ -268,16 +238,6 @@ def point_along(p, q, s: float) -> complex:
     """Point at hyperbolic arclength s from p along the geodesic toward q."""
     A = axis_map(p, q)
     return apply(inverse(A), complex(math.tanh(s / 2.0)))
-
-
-def arc_parameter(p, q, x) -> float:
-    """Signed hyperbolic arclength of x's position along the geodesic through p, q.
-
-    x is assumed on (or numerically near) that geodesic; measured from p.
-    """
-    w = apply(axis_map(p, q), _z(x))
-    t = max(-1.0 + 1e-15, min(1.0 - 1e-15, w.real))
-    return 2.0 * math.atanh(t)
 
 
 def foot_parameter(p, q, x):
@@ -288,7 +248,7 @@ def foot_parameter(p, q, x):
     symmetric when boundary nodes are retracted with it.
     """
     many = isinstance(x, np.ndarray)
-    w = np.asarray(apply(axis_map(p, q), x if many else _z(x)))
+    w = np.asarray(apply(axis_map(p, q), x))
     # t = tanh(s / 2) is the root in [-1, 1] of t^2 - 2 c t + 1 with c = (1 + |w|^2) / (2 Re w);
     # c - 1 = |w - 1|^2 / (2 Re w) and c + 1 = |w + 1|^2 / (2 Re w) give it without cancellation
     t = 2.0 * w.real / (1.0 + np.abs(w) ** 2 + np.abs(w - 1.0) * np.abs(w + 1.0))
@@ -321,7 +281,7 @@ class HyperbolicPolygon:
     labels: tuple = None
 
     def __post_init__(self):
-        verts = tuple(_z(v) for v in self.vertices)
+        verts = tuple(complex(v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         if self.labels is None:
             object.__setattr__(self, "labels", tuple("neumann" for _ in verts))
@@ -405,31 +365,21 @@ def segment_intersection(p1, p2, p3, p4, tol=1e-9):
     return None
 
 
-def _segments_intersect(poly: HyperbolicPolygon) -> bool:
-    """Check intersections between non-adjacent sides (sampled chords)."""
+def _sides_intersect(poly: HyperbolicPolygon) -> bool:
+    """Whether two non-adjacent sides meet (endpoint touches count), exactly:
+    in the Klein model k = 2z / (1 + |z|^2) geodesics are straight chords."""
+    k = [2.0 * v / (1.0 + abs(v) ** 2) for v in poly.vertices]
     n = poly.n
-    chains = []
-    for i in range(n):
-        s = poly.side(i)
-        L = s.length
-        pts = [s.point_at(L * k / 16.0) for k in range(17)]
-        chains.append(pts)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            for k in range(16):
-                for m in range(16):
-                    a1, a2, b1, b2 = chains[i][k], chains[i][k + 1], chains[j][m], chains[j][m + 1]
-                    if segment_intersection(a1, a2, b1, b2) is not None:
-                        return True
-    return False
+    return any(
+        segment_intersection(k[i], k[i + 1], k[j], k[(j + 1) % n]) is not None
+        for i in range(n)
+        for j in range(i + 2, n - 1 if i == 0 else n)
+    )
 
 
 def polygon_area(poly: HyperbolicPolygon) -> float:
     """Hyperbolic area by angle defect: (n-2) pi - sum of interior angles."""
-    if _segments_intersect(poly):
+    if _sides_intersect(poly):
         raise GeometryError("polygon sides intersect; area by angle defect needs a simple polygon")
     angles = interior_angles(poly)
     area = (poly.n - 2) * math.pi - sum(angles)

@@ -8,10 +8,14 @@ All stages are array operations: the unique edges are computed once per
 refinement level and shared by the edge-length check and the smoother, and
 boundary nodes are projected side by side, one array per side and sweep.
 
-All operations are equivariant under disk isometries that map the polygon
-to itself, so symmetric polygons get symmetric meshes.  That exactness is
-load-bearing downstream: reflection extension and chart gluing match nodes
-across isometries at tolerance 1e-9.
+Boundary placement and projection are intrinsic, but the hub (the
+Euclidean mean of the vertices), the Euclidean interior midpoints and the
+Jacobi means are equivariant only under isometries that fix 0: rotations
+and reflections about 0 that map the polygon to itself.  Polygons with
+such symmetries get symmetric meshes.  That exactness is load-bearing
+downstream: reflection extension and chart gluing match nodes across
+isometries at tolerance 1e-9.  A mesh that cannot meet its target or has
+an inverted triangle raises MeshError.
 """
 
 from __future__ import annotations
@@ -32,7 +36,11 @@ from .hypgeo import (
 
 
 SMOOTH_SWEEPS = 40  # Jacobi relaxation passes (interior and tangential-boundary)
-MAX_REFINEMENTS = 14  # at most this many refine + smooth rounds
+MAX_REFINEMENTS = 14  # at most this many 1:4 refinement levels, and refine + smooth rounds
+
+
+class MeshError(ValueError):
+    """mesh_polygon cannot produce a valid mesh; the message gives the reason."""
 
 
 class _SideProjector:
@@ -239,13 +247,22 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
     # refine + smooth until the smoothed mesh meets the edge criterion
     # (smoothing can stretch edges, so the check runs on the final positions)
     e = _unique_edges(tris)
+    level = 0
     for _ in range(MAX_REFINEMENTS):
         while max_edge(z, e) > h_target:
+            if level == MAX_REFINEMENTS:
+                raise MeshError(f"{level} refinement levels leave an edge longer than h_target = {h_target}")
             z, tris = refine(z, tris, e)
-            e = _unique_edges(tris)
+            e, level = _unique_edges(tris), level + 1
         z = smooth(z, e)
         if max_edge(z, e) <= h_target:
             break
+    else:
+        raise MeshError(f"{MAX_REFINEMENTS} refine + smooth rounds end with an edge above h_target = {h_target}")
+    d1, d2 = z[tris[:, 1]] - z[tris[:, 0]], z[tris[:, 2]] - z[tris[:, 0]]
+    inverted = int(np.count_nonzero(d1.real * d2.imag - d2.real * d1.imag <= 0.0))
+    if inverted:
+        raise MeshError(f"{inverted} of {len(tris)} triangles have det <= 0 (inverted or degenerate)")
 
     side_nodes, side_params = [], []
     for i in range(poly.n):

@@ -350,16 +350,3 @@ def self_intersections(ns: NodalSet):
                 seen[key] = (hit, ang)
     return [seen[k] for k in sorted(seen)]
 
-
-def format_nodal_text(ns: NodalSet) -> str:
-    """Structured text rendering: one polyline per block, x y per line."""
-    lines = [f"components {len(ns.components)}", f"crossings {len(ns.crossing_points)}"]
-    for i, comp in enumerate(ns.components):
-        lines.append(
-            f"polyline {i} chart {comp.chart} closed {int(comp.closed)} points {len(comp.points)}"
-        )
-        for p in comp.points:
-            lines.append(f"{p.real:.17g} {p.imag:.17g}")
-    for p, ang in ns.crossing_points:
-        lines.append(f"crossing {p.real:.17g} {p.imag:.17g} angle {ang:.17g}")
-    return "\n".join(lines) + "\n"

@@ -15,11 +15,19 @@ boundary circles (double_surface), which differ only in where the copies
 are placed.  The module also stages the closed genus 2 and genus 3
 surfaces and glues finite element systems across charts by exact node
 matching, through one node matcher.
+
+The charts of a glued surface copy a base: a finite element pencil on base
+dofs plus the map from base mesh node to base dof.  Each base mesh is
+assembled once; gluing only scatters an existing base pencil over the
+charts.  A reflection extension reuses the base of the solution it
+extends, and the genus 3 surface is glued from the solved pants system,
+whose seam pairings every genus 3 chart contains.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -352,15 +360,34 @@ class GluedSystem:
         return np.stack(out)
 
 
-def assemble_glued(surface: Surface, base_mesh: Mesh) -> GluedSystem:
-    """Glue chart copies of the base mesh system by exact side-node matching.
+@dataclass(frozen=True)
+class Base:
+    """What every chart of a glued surface copies: a mesh, the pencil K, M
+    on base dofs (one sparsity pattern for both), and dof[node], the base
+    dof of each mesh node (every base dof has a node)."""
 
-    Nodes are merged only along pairings (never by picture position: mirror
-    placements overlap everywhere).  Every side node of a paired side must
-    land on a partner node within 1e-9 under the pairing's base
-    correspondence, which holds when the base mesh is symmetric under the
-    composite side maps.
+    mesh: Mesh
+    K: sp.csr_matrix
+    M: sp.csr_matrix
+    dof: np.ndarray
+
+
+def assemble_glued(surface: Surface, base) -> GluedSystem:
+    """Glue chart copies of a base system by exact side-node matching.
+
+    base is a Base, or a Mesh, which is assembled here and is its own base
+    (every node its own dof).  Nodes are merged only along pairings (never
+    by picture position: mirror placements overlap everywhere).  Every side
+    node of a paired side must land on a partner node within 1e-9 under the
+    pairing's base correspondence, which holds when the base mesh is
+    symmetric under the composite side maps.  The base pencil is then
+    scattered over the charts; all nodes of one base dof must land on one
+    glued dof in every chart, or GlueError.
     """
+    if isinstance(base, Mesh):
+        K0, M0 = hypfem.assemble(base.nodes, base.triangles)
+        base = Base(base, K0, M0, np.arange(base.n_nodes))
+    base_mesh = base.mesh
     N = base_mesh.n_nodes
     C = surface.n_charts
     slots_a, slots_b = [], []
@@ -391,17 +418,17 @@ def assemble_glued(surface: Surface, base_mesh: Mesh) -> GluedSystem:
     G, labels = connected_components(pairs, directed=False)
     glue_index = labels.astype(np.int64)
 
-    K0, M0 = hypfem.assemble(base_mesh.nodes, base_mesh.triangles)
-    K0, M0 = K0.tocoo(), M0.tocoo()
-    rows, cols, kv, mv = [], [], [], []
-    for c in range(C):
-        rows.append(glue_index[c * N + K0.row])
-        cols.append(glue_index[c * N + K0.col])
-        kv.append(K0.data)
-        mv.append(M0.data)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    K = sp.coo_matrix((np.concatenate(kv), (rows, cols)), shape=(G, G)).tocsr()
-    M = sp.coo_matrix((np.concatenate(mv), (rows, cols)), shape=(G, G)).tocsr()
+    # chart_dof[c, d]: the glued dof of chart c's copy of base dof d
+    slot_dof = glue_index.reshape(C, N)
+    chart_dof = np.zeros((C, base.K.shape[0]), dtype=np.int64)
+    chart_dof[:, base.dof] = slot_dof
+    if not np.array_equal(chart_dof[:, base.dof], slot_dof):
+        raise GlueError("the nodes of one base dof land on two glued dofs (surface lacks a base pairing)")
+    # scatter the base entries chart by chart; K and M share the base pattern
+    rows = np.repeat(np.arange(base.K.shape[0]), np.diff(base.K.indptr))
+    rc = (chart_dof[:, rows].ravel(), chart_dof[:, base.K.indices].ravel())
+    K = sp.coo_matrix((np.tile(base.K.data, C), rc), shape=(G, G)).tocsr()
+    M = sp.coo_matrix((np.tile(base.M.data, C), rc), shape=(G, G)).tocsr()
 
     dirichlet_boundary = np.zeros(G, dtype=bool)
     for c, s in surface.unglued_sides():
@@ -508,12 +535,13 @@ def picture_symmetry_error(system: GluedSystem, v: np.ndarray, mapping, sign: fl
 class ExtendedSolution:
     """An eigenfunction transported over a glued surface.
 
-    base_vector holds the eigenvector on the base mesh; vector its
-    transported copy on the glued dofs; residual the eigen-row residual of
-    the unreduced glued pencil.
+    base is what the charts copy; base_vector holds the eigenvector on the
+    base mesh; vector its transported copy on the glued dofs; residual the
+    eigen-row residual of the unreduced glued pencil.
     """
 
     surface: Surface
+    base: Base
     system: GluedSystem
     lam: float
     base_vector: np.ndarray
@@ -521,12 +549,13 @@ class ExtendedSolution:
     residual: float
 
 
-def _extended(surface: Surface, base_mesh: Mesh, lam: float, u: np.ndarray) -> ExtendedSolution:
-    """Glue the base mesh system over the surface and transport u to it."""
-    system = assemble_glued(surface, base_mesh)
+def _extended(surface: Surface, base: Base, lam: float, u: np.ndarray) -> ExtendedSolution:
+    """Glue the base system over the surface and transport u to it."""
+    system = assemble_glued(surface, base)
     v = transport(system, u)
     return ExtendedSolution(
         surface=surface,
+        base=base,
         system=system,
         lam=lam,
         base_vector=u,
@@ -536,9 +565,11 @@ def _extended(surface: Surface, base_mesh: Mesh, lam: float, u: np.ndarray) -> E
 
 
 def as_extended(modes: hypfem.PolygonModes) -> ExtendedSolution:
-    """Wrap the lowest polygon eigenmode as a single-chart extended solution."""
+    """Wrap the lowest polygon eigenmode as a single-chart extended solution
+    whose base is the polygon's own pencil."""
     surface = Surface(base=modes.mesh.polygon, charts=[Chart()], pairings=[])
-    return _extended(surface, modes.mesh, float(modes.values[0]), modes.vectors[:, 0])
+    base = Base(modes.mesh, modes.K, modes.M, np.arange(modes.mesh.n_nodes))
+    return _extended(surface, base, float(modes.values[0]), modes.vectors[:, 0])
 
 
 def _mirror_copies(surface: Surface, place, parity: int, twins) -> Surface:
@@ -598,7 +629,7 @@ def schwarz_extend(ext: ExtendedSolution, mirror: Geodesic, parity: str) -> Exte
         raise GlueError("no unglued side lies on the requested mirror")
 
     new_surface = _mirror_copies(surface, lambda P: compose(r_m, P), sigma, on_mirror)
-    return _extended(new_surface, ext.system.base_mesh, ext.lam, ext.base_vector)
+    return _extended(new_surface, ext.base, ext.lam, ext.base_vector)
 
 
 def extend_quarter_mode(h_target: float) -> ExtendedSolution:
@@ -716,24 +747,26 @@ def scan_pants_patterns(
     mismatch = np.abs(f_mapped - f_at[[i for i, _, _ in maps]]).max(axis=1)
     compat = dict(zip(maps, mismatch.tolist()))
 
-    results = []
+    results = [
+        PatternResult(pairs, flags, max(compat[(i, j, s2s)] for (i, j), s2s in zip(pairs, flags)), *inv)
+        for pairs, flags, *inv in _pair_patterns(n)
+    ]
+    results.sort(key=lambda r: (r.compat, r.pairs, r.start_to_start))
+    return results
+
+
+@functools.cache
+def _pair_patterns(n: int) -> tuple:
+    """Every pattern of two disjoint side pairings of an n-gon with endpoint
+    flags, as (pairs, flags, chi, orientable, n_boundary); counted once per n."""
+    out = []
     for quad in itertools.combinations(range(n), 4):
         for b in quad[1:]:
             pairs = ((quad[0], b), tuple(s for s in quad[1:] if s != b))
             for flags in itertools.product((False, True), repeat=2):
                 rep = _cell_complex(1, n, [(0, i, 0, j, s2s) for (i, j), s2s in zip(pairs, flags)])
-                results.append(
-                    PatternResult(
-                        pairs=pairs,
-                        start_to_start=flags,
-                        compat=max(compat[(i, j, s2s)] for (i, j), s2s in zip(pairs, flags)),
-                        chi=rep.chi,
-                        orientable=rep.orientable,
-                        n_boundary=len(rep.boundary_circles),
-                    )
-                )
-    results.sort(key=lambda r: (r.compat, r.pairs, r.start_to_start))
-    return results
+                out.append((pairs, flags, rep.chi, rep.orientable, len(rep.boundary_circles)))
+    return tuple(out)
 
 
 def build_pattern_surface(pattern: PatternResult, poly: HyperbolicPolygon = None) -> Surface:
@@ -901,10 +934,15 @@ def genus3_surface(boundary_length: float = 2.0) -> Surface:
 def build_genus3(boundary_length: float = 2.0, h_target: float = 0.08) -> ExtendedSolution:
     """Solve the pants eigenproblem (Dirichlet on one boundary circle,
     Neumann on the other two, seams glued) and transport its ground state
-    to the closed genus 3 surface of four pants charts."""
+    to the closed genus 3 surface of four pants charts.
+
+    The mesh is assembled once, for the pants system; the genus 3 charts
+    copy that system's pencil, its dofs being the base dofs.
+    """
     pants = pants_decagon_surface(boundary_length, boundary_length, boundary_length)
     base_mesh = mesh_polygon(pants.base, h_target)
     psys = assemble_glued(pants, base_mesh)
     vals, vecs = solve_glued(psys, k=1)
     u = vecs[:, 0][psys.glue_index]  # back to base-mesh nodes (seam twins equal)
-    return _extended(genus3_surface(boundary_length), base_mesh, float(vals[0]), u)
+    base = Base(base_mesh, psys.K, psys.M, psys.glue_index)
+    return _extended(genus3_surface(boundary_length), base, float(vals[0]), u)

@@ -194,9 +194,8 @@ class TestNprimeBound:
 
 class TestConstants:
     def test_min_reflection_polygon_area(self):
-        c = bounds.constants()
-        assert c["MIN_REFLECTION_POLYGON_AREA"] == math.pi / 42
-        assert abs(c["MIN_REFLECTION_POLYGON_AREA"] - 0.0747998) < 1e-6
+        assert bounds.MIN_REFLECTION_POLYGON_AREA == math.pi / 42
+        assert abs(bounds.MIN_REFLECTION_POLYGON_AREA - 0.0747998) < 1e-6
 
     def test_disk_component_bound_at_four_pi(self):
         assert bounds.disk_component_bound(4 * math.pi) == 168
@@ -207,11 +206,3 @@ class TestConstants:
         with pytest.raises(bounds.DomainError):
             bounds.pants_chi_bound(0)
 
-
-class TestReportRow:
-    def test_genus_two_row(self):
-        row = bounds.bounds_row(SurfaceTopology(2, 0))
-        assert row == "2,0,12.566370614359172,3,173"
-
-    def test_header(self):
-        assert bounds.BOUNDS_HEADER == "g,n,area,pants_number,nprime_bound"

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypnodal import hypgeo as hg
@@ -45,16 +45,6 @@ class TestDistance:
     def test_rejects_boundary(self):
         with pytest.raises(hg.GeometryError):
             hg.hyp_distance(0j, 1.0 + 0j)
-
-
-class TestDiskPoint:
-    def test_rejects_outside(self):
-        with pytest.raises(hg.GeometryError):
-            hg.DiskPoint(0.8, 0.7)
-
-    def test_roundtrip(self):
-        p = hg.DiskPoint.from_complex(0.25 - 0.125j)
-        assert p.z == 0.25 - 0.125j
 
 
 class TestGeodesic:
@@ -189,8 +179,8 @@ class TestArcParameters:
         p, q = 0.1 + 0.3j, -0.4 - 0.2j
         L = hg.hyp_distance(p, q)
         z = hg.point_along(p, q, 0.3 * L)
-        assert hg.arc_parameter(p, q, z) == pytest.approx(0.3 * L, abs=1e-12)
-        assert hg.arc_parameter(p, q, q) == pytest.approx(L, abs=1e-12)
+        assert hg.foot_parameter(p, q, z) == pytest.approx(0.3 * L, abs=1e-12)
+        assert hg.foot_parameter(p, q, q) == pytest.approx(L, abs=1e-12)
 
     def test_foot_parameter_matches_on_curve(self):
         p, q = 0.2 + 0j, 0.2 + 0.4j
@@ -297,6 +287,57 @@ class TestHexagon:
     def test_rejects_nonpositive(self):
         with pytest.raises(hg.FeasibilityError):
             hg.right_angled_hexagon(1.0, 0.0, 1.0)
+
+
+def sampled_sides_intersect(poly: hg.HyperbolicPolygon) -> bool:
+    """Check intersections between non-adjacent sides (sampled chords)."""
+    n = poly.n
+    chains = []
+    for i in range(n):
+        s = poly.side(i)
+        L = s.length
+        pts = [s.point_at(L * k / 16.0) for k in range(17)]
+        chains.append(pts)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            for k in range(16):
+                for m in range(16):
+                    a1, a2, b1, b2 = chains[i][k], chains[i][k + 1], chains[j][m], chains[j][m + 1]
+                    if hg.segment_intersection(a1, a2, b1, b2) is not None:
+                        return True
+    return False
+
+
+def clear_of_touches(poly: hg.HyperbolicPolygon, margin: float) -> bool:
+    """No vertex within margin of a non-adjacent side, measured in the Klein
+    model, where sides are straight: non-adjacent sides then either cross
+    well inside both or stay apart, and sampled chords agree with the arcs."""
+    k = np.array([2 * v / (1 + abs(v) ** 2) for v in poly.vertices])
+    n = poly.n
+
+    def dist(p, a, b):
+        t = np.clip(((p - a) * np.conj(b - a)).real / abs(b - a) ** 2, 0.0, 1.0)
+        return abs(p - (a + t * (b - a)))
+
+    for i in range(n):
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            a0, a1, b0, b1 = k[i], k[(i + 1) % n], k[j], k[(j + 1) % n]
+            if min(dist(a0, b0, b1), dist(a1, b0, b1), dist(b0, a0, a1), dist(b1, a0, a1)) <= margin:
+                return False
+    return True
+
+
+class TestExactSimplicity:
+    @given(st.lists(disk_points(0.9), min_size=4, max_size=6))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_matches_sampled_chords(self, verts):
+        assume(all(abs(p - q) > 0.05 for p, q in zip(verts, verts[1:] + verts[:1])))
+        poly = hg.HyperbolicPolygon(tuple(verts))
+        assume(clear_of_touches(poly, 0.01))
+        assert hg._sides_intersect(poly) == sampled_sides_intersect(poly)
 
 
 class TestPolygonBasics:

@@ -143,6 +143,23 @@ class TestInvalidTarget:
             hm.mesh_polygon(quarter_octagon(), h)
 
 
+class TestMeshError:
+    def test_translated_decagon_has_inverted_triangles(self):
+        poly = surfglue.pants_decagon(2.0, 2.0, 2.0).transformed(hg.translation(1.0))
+        with pytest.raises(hm.MeshError, match="9 of .*inverted"):
+            hm.mesh_polygon(poly, 0.24)
+
+    def test_refinement_level_cap(self, monkeypatch):
+        monkeypatch.setattr(hm, "MAX_REFINEMENTS", 1)
+        with pytest.raises(hm.MeshError, match="1 refinement levels"):
+            hm.mesh_polygon(quarter_octagon(), 0.1)
+
+    def test_rounds_that_miss_the_target(self, monkeypatch):
+        monkeypatch.setattr(hm, "MAX_REFINEMENTS", 0)
+        with pytest.raises(hm.MeshError, match="0 refine \\+ smooth rounds"):
+            hm.mesh_polygon(quarter_octagon(), 0.2)
+
+
 class TestHexagonMesh:
     def test_basic(self):
         poly = hg.right_angled_hexagon(1.0, 1.0, 1.0)

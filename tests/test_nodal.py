@@ -283,7 +283,7 @@ class TestOctagonNodalSet:
         for a, b in zip(again.components, ns.components):
             assert a.closed == b.closed
             assert np.array_equal(a.points, b.points)
-        assert nodal.format_nodal_text(again) == nodal.format_nodal_text(ns)
+        assert again.crossing_points == ns.crossing_points
 
 
 class TestGenus3Nodal:
@@ -310,19 +310,3 @@ class TestGenus3Nodal:
         }
         assert ends == expect
 
-
-class TestNodalText:
-    def test_format_structure(self):
-        ns = nodal.NodalSet(
-            components=[
-                nodal.NodalComponent(points=np.array([0.0, 0.5 + 0.25j]), closed=False)
-            ],
-            crossing_points=[(0j, math.pi / 2)],
-        )
-        text = nodal.format_nodal_text(ns)
-        lines = text.splitlines()
-        assert lines[0] == "components 1"
-        assert lines[1] == "crossings 1"
-        assert lines[2].startswith("polyline 0 chart 0 closed 0 points 2")
-        assert lines[3] == "0 0"
-        assert lines[-1].startswith("crossing 0 0 angle ")

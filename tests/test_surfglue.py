@@ -554,6 +554,65 @@ class TestGenus3Workflow:
         assert np.array_equal(a.vector, b.vector)
 
 
+class TestClosedSurfaceOracle:
+    """The transported eigenvalue is an eigenvalue of the unconstrained
+    closed-surface pencil, at the index the construction predicts."""
+
+    def test_genus2_index_3(self):
+        modes = hypfem.solve_polygon(surfglue.octagon_polygon(), 0.16, k=6, essential_labels=())
+        lam, _ = surfglue.mirror_odd_eigenvector(modes, 3.8390)
+        system = surfglue.assemble_glued(surfglue.genus2_surface(), modes.mesh)
+        assert system.n_dofs == 2046
+        vals, _ = hypfem.solve_lowest(system.K, system.M, 5)
+        assert abs(vals[3] - lam) <= 1e-9 * lam
+
+    def test_genus3_index_1(self):
+        ext = surfglue.build_genus3(2.0, h_target=0.16)
+        assert ext.system.n_dofs == 28668
+        vals, _ = hypfem.solve_lowest(ext.system.K, ext.system.M, 3)
+        assert abs(vals[1] - ext.lam) <= 1e-9 * ext.lam
+
+
+class TestOneAssemblyPerBase:
+    @pytest.fixture
+    def assemble_calls(self, monkeypatch):
+        calls = []
+        assemble = hypfem.assemble
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return assemble(*args)
+
+        monkeypatch.setattr(hypfem, "assemble", counted)
+        return calls
+
+    def test_build_genus3_assembles_once(self, assemble_calls):
+        ext = surfglue.build_genus3(2.0, h_target=0.24)
+        assert assemble_calls == [ext.system.base_mesh.n_nodes]
+
+    def test_extend_quarter_mode_assembles_once(self, assemble_calls):
+        ext = surfglue.extend_quarter_mode(0.16)
+        assert assemble_calls == [ext.system.base_mesh.n_nodes]
+
+    def test_genus3_from_pants_matches_mesh_assembly(self):
+        ext = surfglue.build_genus3(2.0, h_target=0.24)
+        direct = surfglue.assemble_glued(ext.surface, ext.system.base_mesh)
+        assert np.array_equal(direct.glue_index, ext.system.glue_index)
+        for a, b in ((direct.K, ext.system.K), (direct.M, ext.system.M)):
+            assert abs(a - b).max() <= 1e-13 * abs(b).max()
+
+    def test_base_dof_split_raises(self):
+        # the pants system merges seam twins into one dof; a chart without
+        # the seam pairings would put them on two glued dofs
+        pants = surfglue.pants_decagon_surface()
+        mesh = mesh_polygon(pants.base, 0.25)
+        psys = surfglue.assemble_glued(pants, mesh)
+        base = surfglue.Base(mesh, psys.K, psys.M, psys.glue_index)
+        bare = surfglue.Surface(base=pants.base, charts=[surfglue.Chart()], pairings=[])
+        with pytest.raises(surfglue.GlueError, match="base dof"):
+            surfglue.assemble_glued(bare, base)
+
+
 class TestChartInterpolator:
     def test_values_across_interfaces(self, tiling_ext):
         f = surfglue.chart_interpolator(tiling_ext.system, tiling_ext.vector)
