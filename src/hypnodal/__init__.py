@@ -2,12 +2,11 @@
 
 Submodules:
     hypgeo    Poincare disk geometry (geodesics, isometries, polygons)
-    hypmesh   geodesic-polygon triangulation with curvature-aware grading
+    hypmesh   geodesic-polygon triangulation with uniform 1:4 refinement
     hypfem    P1 finite elements for the hyperbolic Laplacian
     surfglue  surfaces from polygon charts with side pairings
     nodal     nodal set extraction and geodesic comparison
     bounds    combinatorial bounds for geodesic nodal components
-    cli       command line entry points
 """
 
 __version__ = "0.1.0"

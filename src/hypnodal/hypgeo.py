@@ -13,6 +13,7 @@ orientation-reversing ones apply the same coefficients to conj(z) first.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -234,12 +235,6 @@ def axis_map(p, q) -> Isometry:
     return compose(rotation(-psi), T)
 
 
-def point_along(p, q, s: float) -> complex:
-    """Point at hyperbolic arclength s from p along the geodesic toward q."""
-    A = axis_map(p, q)
-    return apply(inverse(A), complex(math.tanh(s / 2.0)))
-
-
 def foot_parameter(p, q, x):
     """Arclength parameter of the orthogonal projection of x onto the geodesic p -> q.
 
@@ -269,8 +264,16 @@ class Side:
     def length(self) -> float:
         return hyp_distance(self.start, self.end)
 
-    def point_at(self, s: float) -> complex:
-        return point_along(self.start, self.end, s)
+    @functools.cached_property
+    def _from_axis(self) -> Isometry:
+        return inverse(axis_map(self.start, self.end))
+
+    def point_at(self, s):
+        """Point at hyperbolic arclength s (a float, or an ndarray of them)
+        from start along the side's geodesic toward end."""
+        if isinstance(s, np.ndarray):
+            return apply(self._from_axis, np.tanh(s / 2.0).astype(np.complex128))
+        return apply(self._from_axis, complex(math.tanh(s / 2.0)))
 
 
 @dataclass(frozen=True)

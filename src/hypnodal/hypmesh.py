@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypgeo import (
-    HyperbolicPolygon,
-    Side,
-    apply,
-    axis_map,
-    foot_parameter,
-    inverse,
-)
+from .hypgeo import HyperbolicPolygon, foot_parameter
 
 
 SMOOTH_SWEEPS = 40  # Jacobi relaxation passes (interior and tangential-boundary)
@@ -41,25 +34,6 @@ MAX_REFINEMENTS = 14  # at most this many 1:4 refinement levels, and refine + sm
 
 class MeshError(ValueError):
     """mesh_polygon cannot produce a valid mesh; the message gives the reason."""
-
-
-class _SideProjector:
-    """Fast arclength parametrization of one polygon side.
-
-    Caches the inverse axis map so placing boundary nodes does not
-    recompose isometries every call.
-    """
-
-    def __init__(self, side: Side):
-        self.side = side
-        self.length = side.length
-        self.Ainv = inverse(axis_map(side.start, side.end))
-
-    def at(self, s):
-        """Point at arclength s (a float, or an ndarray of them) from the side's start."""
-        if isinstance(s, np.ndarray):
-            return apply(self.Ainv, np.tanh(s / 2.0).astype(np.complex128))
-        return apply(self.Ainv, complex(math.tanh(s / 2.0)))
 
 
 @dataclass
@@ -145,7 +119,6 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
     if not (h_target > 0.0 and math.isfinite(h_target)):
         raise ValueError(f"h_target must be positive and finite, got {h_target!r}")
     sides = poly.sides
-    projs = [_SideProjector(s) for s in sides]
     lengths = np.array([s.length for s in sides])
     lmin = float(lengths.min())
 
@@ -156,12 +129,12 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
     nodes = list(poly.vertices)
     corners = np.arange(poly.n, dtype=np.int64)
     side_of, par, bedges = [-1] * poly.n, [0.0] * poly.n, []
-    for i, (pr, L) in enumerate(zip(projs, lengths.tolist())):
+    for i, (sd, L) in enumerate(zip(sides, lengths.tolist())):
         cnt = max(1, round(L / lmin))
         chain = [i, *range(len(nodes), len(nodes) + cnt - 1), (i + 1) % poly.n]
         for j in range(1, cnt):
             s = L * j / cnt
-            nodes.append(pr.at(s))
+            nodes.append(sd.point_at(s))
             side_of.append(i)
             par.append(s)
         bedges += [(a, b, i) for a, b in zip(chain, chain[1:])]
@@ -196,9 +169,9 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
         a, b, side = bedges.T
         k = np.searchsorted(codes, np.minimum(a, b) * n + np.maximum(a, b))
         sm = 0.5 * (arclength(a, side) + arclength(b, side))
-        for i, pr in enumerate(projs):
+        for i, sd in enumerate(sides):
             on = side == i
-            mids[k[on]] = pr.at(sm[on])
+            mids[k[on]] = sd.point_at(sm[on])
         m = n + k
         side_of = np.concatenate([side_of, np.full(len(e), -1)])
         par = np.concatenate([par, np.zeros(len(e))])
@@ -234,9 +207,9 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
             np.add.at(acc, ej, z[ei])
             mean = acc / cnt
             znew = np.where(interior, mean, z)
-            for idx, pr in zip(on_side, projs):
-                par[idx] = np.clip(foot_parameter(pr.side.start, pr.side.end, mean[idx]), 0.0, pr.length)
-                znew[idx] = pr.at(par[idx])
+            for idx, sd, L in zip(on_side, sides, lengths):
+                par[idx] = np.clip(foot_parameter(sd.start, sd.end, mean[idx]), 0.0, L)
+                znew[idx] = sd.point_at(par[idx])
             z = znew
         return z
 

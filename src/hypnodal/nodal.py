@@ -2,12 +2,14 @@
 
 extract_nodal walks the triangles of a mesh that the zero set meets (an
 array mask picks those with a zero vertex or a sign change), collects the
-zero segments of the linear interpolant, and chains them into polylines.
-Chains split at vertices where more than two segments meet; those vertices
-are reported as crossing points with a transversality angle, and chains
-that continue straight through a crossing are re-joined so every maximal
-collinear piece appears as one component.  geodesic_deviation measures the
-hyperbolic distance from a polyline to a target geodesic, and
+zero segments of the linear interpolant, and chains them into polylines in
+one walk over the segment graph.  A key where two segments meet passes the
+walk through.  A key where more than two meet is a crossing point, reported
+with a transversality angle; there the walk goes straight on when exactly
+two segments share one direction (modulo pi), and stops otherwise.  Every
+zero segment lies on exactly one component, so a nodal line that runs
+straight through crossings is one component.  geodesic_deviation measures
+the hyperbolic distance from a polyline to a target geodesic, and
 self_intersections scans a nodal set for the points where it crosses
 itself.
 """
@@ -39,9 +41,6 @@ class NodalComponent:
     closed: bool = False
     chart: int = 0
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 @dataclass(frozen=True)
 class NodalSet:
@@ -68,25 +67,29 @@ def _line_angle(d: complex) -> float:
 
 
 def _cluster_lines(angles, tol: float = 1e-2):
-    """Group direction angles modulo pi; returns sorted cluster means."""
-    if not angles:
-        return []
-    arr = sorted(a % math.pi for a in angles)
-    clusters = [[arr[0]]]
-    for a in arr[1:]:
-        if a - clusters[-1][-1] <= tol:
-            clusters[-1].append(a)
+    """Group direction angles modulo pi, chaining neighbours at most tol apart.
+
+    Returns the clusters as lists of (angle, index into angles) in ascending
+    angle order; a cluster that wraps around pi carries its angles below pi
+    shifted down by pi.
+    """
+    arr = sorted((a % math.pi, i) for i, a in enumerate(angles))
+    clusters = []
+    for a, i in arr:
+        if clusters and a - clusters[-1][-1][0] <= tol:
+            clusters[-1].append((a, i))
         else:
-            clusters.append([a])
+            clusters.append([(a, i)])
     # wraparound: angles just below pi belong with angles just above 0
-    if len(clusters) > 1 and (arr[0] + math.pi) - clusters[-1][-1] <= tol:
+    if len(clusters) > 1 and (arr[0][0] + math.pi) - clusters[-1][-1][0] <= tol:
         tail = clusters.pop()
-        clusters[0] = [a - math.pi for a in tail] + clusters[0]
-    return sorted(sum(c) / len(c) % math.pi for c in clusters)
+        clusters[0] = [(a - math.pi, i) for a, i in tail] + clusters[0]
+    return clusters
 
 
 def _crossing_angle(dirs) -> float:
-    reps = _cluster_lines([_line_angle(d) for d in dirs])
+    lines = _cluster_lines([_line_angle(d) for d in dirs])
+    reps = sorted(sum(a for a, _ in c) / len(c) % math.pi for c in lines)
     if len(reps) < 2:
         return 0.0
     best = min(
@@ -160,74 +163,43 @@ def _nodal_set(pts: dict, segs: set, chart: int) -> NodalSet:
         adj.setdefault(k1, set()).add(k2)
         adj.setdefault(k2, set()).add(k1)
 
-    cross_keys = sorted(k for k in adj if len(adj[k]) >= 3)
+    # through[k, a]: the key a walk moves on to after arriving at k from a
+    through = {}
     crossings = []
-    for k in cross_keys:
-        p = pts[k]
-        dirs = [pts[n] - p for n in sorted(adj[k])]
-        crossings.append((p, _crossing_angle(dirs)))
+    for k in sorted(adj):
+        nbrs = sorted(adj[k])
+        pairs = [nbrs] if len(nbrs) == 2 else []
+        if len(nbrs) >= 3:
+            dirs = [pts[n] - pts[k] for n in nbrs]
+            crossings.append((pts[k], _crossing_angle(dirs)))
+            lines = _cluster_lines([_line_angle(d) for d in dirs])
+            pairs = [[nbrs[i] for _, i in line] for line in lines if len(line) == 2]
+        for a, b in pairs:
+            through[k, a], through[k, b] = b, a
 
-    cross_set = set(cross_keys)
-    sub = {
-        k: sorted(n for n in adj[k] if n not in cross_set)
-        for k in adj
-        if k not in cross_set
-    }
-    tails = {k: sorted(n for n in adj[k] if n in cross_set) for k in sub}
+    walked = set()
 
-    visited = set()
-    chains = []
-    # open chains first: start from every subgraph endpoint
-    for start in sorted(sub):
-        if start in visited or len(sub[start]) > 1:
-            continue
-        visited.add(start)
-        chain = [start]
-        prev, cur = None, start
-        while True:
-            nxt = [n for n in sub[cur] if n != prev and n not in visited]
-            if not nxt:
+    def walk(a, b):
+        chain, closed = [a, b], False
+        walked.update(((a, b), (b, a)))
+        while (b, a) in through:
+            a, b = b, through[b, a]
+            if (a, b) == (chain[0], chain[1]):
+                chain.pop()
+                closed = True
                 break
-            prev, cur = cur, nxt[0]
-            visited.add(cur)
-            chain.append(cur)
-        chains.append((chain, False))
-    # what remains are pure cycles
-    for start in sorted(sub):
-        if start in visited:
-            continue
-        visited.add(start)
-        chain = [start]
-        prev, cur = None, start
-        while True:
-            nxt = [n for n in sorted(sub[cur]) if n != prev]
-            if not nxt or nxt[0] in visited:
-                break
-            prev, cur = cur, nxt[0]
-            visited.add(cur)
-            chain.append(cur)
-        chains.append((chain, True))
-
-    components = []
-    for chain, closed in chains:
+            chain.append(b)
+            walked.update(((a, b), (b, a)))
         pl = [pts[k] for k in chain]
-        if not closed:
-            tt_head = tails.get(chain[0], [])
-            if len(chain) == 1:
-                if tt_head:
-                    pl.insert(0, pts[tt_head[0]])
-                if len(tt_head) == 2:
-                    pl.append(pts[tt_head[1]])
-            else:
-                tt_tail = tails.get(chain[-1], [])
-                if tt_head:
-                    pl.insert(0, pts[tt_head[0]])
-                if tt_tail:
-                    pl.append(pts[tt_tail[0]])
-        if len(pl) >= 2:
-            components.append((pl, closed))
+        if closed:
+            return _normalize_cycle(pl), True
+        return (pl if _point_key(pl[0]) <= _point_key(pl[-1]) else pl[::-1]), False
 
-    components = _merge_collinear(components, [p for p, _ in crossings])
+    # open components start where a walk cannot continue backwards; the
+    # segments left over lie on cycles
+    edges = [(k, n) for k in sorted(adj) for n in sorted(adj[k])]
+    components = [walk(k, n) for k, n in edges if (k, n) not in through and (k, n) not in walked]
+    components += [walk(k, n) for k, n in edges if (k, n) not in walked]
     comps = [
         NodalComponent(points=np.array(pl, dtype=np.complex128), closed=closed, chart=chart)
         for pl, closed in components
@@ -239,55 +211,6 @@ def _nodal_set(pts: dict, segs: set, chart: int) -> NodalSet:
 
 def _point_key(p: complex):
     return (round(p.real, 9), round(p.imag, 9))
-
-
-def _merge_collinear(components, crossing_points, tol: float = 1e-7, angle_tol: float = 1e-2):
-    """Re-join open chains that continue straight through a crossing point."""
-    comps = [(list(pl), closed) for pl, closed in components]
-    merged = True
-    while merged:
-        merged = False
-        for cp in sorted(crossing_points, key=_point_key):
-            ends = []
-            for ci, (pl, closed) in enumerate(comps):
-                if closed or len(pl) < 2:
-                    continue
-                if abs(pl[0] - cp) <= tol:
-                    ends.append((ci, 0, _line_angle(pl[1] - pl[0])))
-                if abs(pl[-1] - cp) <= tol:
-                    ends.append((ci, -1, _line_angle(pl[-2] - pl[-1])))
-            if len(ends) < 2:
-                continue
-            reps = _cluster_lines([a for _, _, a in ends], tol=angle_tol)
-            for rep in reps:
-                grp = [e for e in ends if _fold_line_angle(e[2] - rep) <= angle_tol]
-                if len(grp) != 2:
-                    continue
-                (ca, sa, _), (cb, sb, _) = sorted(grp[:2], key=lambda e: (e[0], e[1]))
-                if ca == cb:
-                    # both ends of one chain meet straight: close the loop
-                    pl = comps[ca][0]
-                    if abs(pl[0] - pl[-1]) <= 2 * tol:
-                        comps[ca] = (pl[:-1], True)
-                        merged = True
-                        break
-                    continue
-                pa = comps[ca][0] if sa == -1 else list(reversed(comps[ca][0]))
-                pb = comps[cb][0] if sb == 0 else list(reversed(comps[cb][0]))
-                comps[ca] = (pa + pb[1:], False)
-                comps[cb] = ([], False)
-                merged = True
-                break
-            if merged:
-                break
-        comps = [(pl, closed) for pl, closed in comps if len(pl) >= 2 or closed]
-    out = []
-    for pl, closed in comps:
-        if closed and len(pl) >= 3:
-            out.append((_normalize_cycle(pl), True))
-        elif len(pl) >= 2:
-            out.append((pl if _point_key(pl[0]) <= _point_key(pl[-1]) else list(reversed(pl)), False))
-    return out
 
 
 def _normalize_cycle(pl):

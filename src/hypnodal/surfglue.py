@@ -30,7 +30,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,7 +86,8 @@ class Chart:
 @dataclass(frozen=True)
 class Pairing:
     """Identification of side side_a of chart chart_a with side side_b of
-    chart chart_b through the picture-coordinate isometry iso.
+    chart chart_b through the base-coordinate isometry mu, which takes base
+    side side_a onto base side side_b.
 
     parity is +1 for an even (mirror/Neumann) interface, -1 for an odd
     (Dirichlet) one, and None for a generic gluing with no reflection
@@ -97,15 +98,8 @@ class Pairing:
     side_a: int
     chart_b: int
     side_b: int
-    iso: Isometry
+    mu: Isometry
     parity: int = None
-
-
-def pairing_from_base(charts, chart_a, side_a, chart_b, side_b, mu, parity=None) -> Pairing:
-    """Build a pairing from its base-coordinate correspondence mu
-    (the map taking base side_a points to base side_b points)."""
-    iso = compose(charts[chart_b].placement, compose(mu, inverse(charts[chart_a].placement)))
-    return Pairing(chart_a, side_a, chart_b, side_b, iso, parity)
 
 
 @dataclass
@@ -119,13 +113,6 @@ class Surface:
     @property
     def n_charts(self) -> int:
         return len(self.charts)
-
-    def base_correspondence(self, p: Pairing) -> Isometry:
-        """The pairing's action in base coordinates: placement_b^-1 iso placement_a."""
-        return compose(
-            inverse(self.charts[p.chart_b].placement),
-            compose(p.iso, self.charts[p.chart_a].placement),
-        )
 
     def glued_sides(self) -> set:
         out = set()
@@ -146,10 +133,9 @@ class Surface:
 
 def _pairing_start_to_start(surface: Surface, p: Pairing, tol: float = MATCH_TOL) -> bool:
     """True if the pairing maps side_a's start vertex to side_b's start vertex."""
-    mu = surface.base_correspondence(p)
     sa = surface.base.side(p.side_a)
     sb = surface.base.side(p.side_b)
-    im = apply(mu, sa.start)
+    im = apply(p.mu, sa.start)
     if abs(im - sb.start) <= tol:
         return True
     if abs(im - sb.end) <= tol:
@@ -393,12 +379,11 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     slots_a, slots_b = [], []
     odd_slots = []
     for p in surface.pairings:
-        mu = surface.base_correspondence(p)
         na = base_mesh.side_nodes[p.side_a]
         nb = base_mesh.side_nodes[p.side_b]
         j = _match_nodes(
             base_mesh.nodes[nb],
-            apply(mu, base_mesh.nodes[na]),
+            apply(p.mu, base_mesh.nodes[na]),
             f"pairing ({p.chart_a},{p.side_a})-({p.chart_b},{p.side_b}): side nodes do not match "
             "(mesh not symmetric under the gluing)",
         )
@@ -585,13 +570,8 @@ def _mirror_copies(surface: Surface, place, parity: int, twins) -> Surface:
         Chart(place(ch.placement), parity * ch.sign) for ch in surface.charts
     ]
     pairings = list(surface.pairings)
-    for p in surface.pairings:
-        mu = surface.base_correspondence(p)
-        pairings.append(
-            pairing_from_base(charts, p.chart_a + C, p.side_a, p.chart_b + C, p.side_b, mu, p.parity)
-        )
-    for c, s in twins:
-        pairings.append(pairing_from_base(charts, c, s, c + C, s, IDENTITY, parity))
+    pairings += [replace(p, chart_a=p.chart_a + C, chart_b=p.chart_b + C) for p in surface.pairings]
+    pairings += [Pairing(c, s, c + C, s, IDENTITY, parity) for c, s in twins]
     return Surface(base=surface.base, charts=charts, pairings=pairings)
 
 
@@ -725,11 +705,16 @@ def scan_pants_patterns(
     along the paired sides, and their combinatorial invariants computed.
     A pattern's mismatch is the larger of its two side maps'; the
     C(8,2) * 2 = 56 side maps (i < j, both orientations) are evaluated with
-    the side samples in one batched call of f.  Ordering is deterministic
-    (ascending mismatch, then lexicographic).
+    the side samples in one batched call of f.  Patterns are ordered by
+    mismatch relative to max |f|, rounded to 9 digits so that patterns tied
+    in exact arithmetic are not ordered by rounding noise, then
+    lexicographically.  Raises GlueError when f vanishes identically.
     """
     poly = poly or octagon_polygon()
     n = poly.n
+    fmax = float(np.max(np.abs(f.values)))
+    if fmax == 0.0:
+        raise GlueError("pattern scan of an identically zero function")
 
     side_samples = []
     for i in range(n):
@@ -751,7 +736,7 @@ def scan_pants_patterns(
         PatternResult(pairs, flags, max(compat[(i, j, s2s)] for (i, j), s2s in zip(pairs, flags)), *inv)
         for pairs, flags, *inv in _pair_patterns(n)
     ]
-    results.sort(key=lambda r: (r.compat, r.pairs, r.start_to_start))
+    results.sort(key=lambda r: (round(r.compat / fmax, 9), r.pairs, r.start_to_start))
     return results
 
 
@@ -773,14 +758,12 @@ def build_pattern_surface(pattern: PatternResult, poly: HyperbolicPolygon = None
     """Surface object for one polygon pairing pattern, for auditing or
     doubling it."""
     poly = poly or octagon_polygon()
-    charts = [Chart(IDENTITY, 1.0)]
     pairings = []
     for (i, j), s2s in zip(pattern.pairs, pattern.start_to_start):
         if i == j:
             raise GlueError("a side cannot be paired with itself")
-        mu = _side_iso(poly, i, j, s2s)
-        pairings.append(pairing_from_base(charts, 0, i, 0, j, mu))
-    return Surface(base=poly, charts=charts, pairings=pairings)
+        pairings.append(Pairing(0, i, 0, j, _side_iso(poly, i, j, s2s)))
+    return Surface(base=poly, charts=[Chart()], pairings=pairings)
 
 
 def search_pants_gluing(ext: ExtendedSolution) -> list:
@@ -839,12 +822,11 @@ def canonical_pants_surface() -> Surface:
     the orientation-preserving maps agreeing with the reflections in the
     pi/4 and 3 pi/4 diagonals on those sides."""
     poly = octagon_polygon()
-    charts = [Chart(IDENTITY, 1.0)]
     pairings = [
-        pairing_from_base(charts, 0, 7, 0, 1, _side_iso(poly, 7, 1, False)),
-        pairing_from_base(charts, 0, 3, 0, 5, _side_iso(poly, 3, 5, False)),
+        Pairing(0, 7, 0, 1, _side_iso(poly, 7, 1, False)),
+        Pairing(0, 3, 0, 5, _side_iso(poly, 3, 5, False)),
     ]
-    return Surface(base=poly, charts=charts, pairings=pairings)
+    return Surface(base=poly, charts=[Chart()], pairings=pairings)
 
 
 def genus2_surface() -> Surface:
@@ -902,13 +884,9 @@ def pants_decagon(l1: float, l2: float, l3: float) -> HyperbolicPolygon:
 def pants_decagon_surface(l1: float = 2.0, l2: float = 2.0, l3: float = 2.0) -> Surface:
     """Single-chart pants: the decagon with its two seam self-pairings."""
     poly = pants_decagon(l1, l2, l3)
-    charts = [Chart(IDENTITY, 1.0)]
     r0 = reflect_in(REAL_MIRROR)
-    pairings = [
-        pairing_from_base(charts, 0, 1, 0, 8, r0),
-        pairing_from_base(charts, 0, 3, 0, 6, r0),
-    ]
-    return Surface(base=poly, charts=charts, pairings=pairings)
+    pairings = [Pairing(0, 1, 0, 8, r0), Pairing(0, 3, 0, 6, r0)]
+    return Surface(base=poly, charts=[Chart()], pairings=pairings)
 
 
 def genus3_surface(boundary_length: float = 2.0) -> Surface:

@@ -139,13 +139,18 @@ class TestIsometry:
         assert out[0] == pytest.approx(hg.apply(T, zs[0]), abs=1e-15)
 
 
+def point_along(p, q, s):
+    """Point at arclength s from p toward q, through the side projector."""
+    return hg.Side(p, q, hg.geodesic_between(p, q)).point_at(s)
+
+
 class TestReflection:
     def test_fixes_geodesic_pointwise(self):
         g = hg.geodesic_between(0.5 + 0j, 0.3 + 0.3j)
         R = hg.reflect_in(g)
         assert R.reverses
         for s in (0.0, 0.2, 0.5):
-            z = hg.point_along(0.5 + 0j, 0.3 + 0.3j, s)
+            z = point_along(0.5 + 0j, 0.3 + 0.3j, s)
             assert hg.apply(R, z) == pytest.approx(z, abs=1e-12)
 
     def test_involution(self):
@@ -178,23 +183,31 @@ class TestArcParameters:
     def test_point_along_roundtrip(self):
         p, q = 0.1 + 0.3j, -0.4 - 0.2j
         L = hg.hyp_distance(p, q)
-        z = hg.point_along(p, q, 0.3 * L)
+        z = point_along(p, q, 0.3 * L)
         assert hg.foot_parameter(p, q, z) == pytest.approx(0.3 * L, abs=1e-12)
         assert hg.foot_parameter(p, q, q) == pytest.approx(L, abs=1e-12)
 
+    def test_point_at_takes_floats_and_arrays(self):
+        side = hg.Side(0.1 + 0.3j, -0.4 - 0.2j, hg.geodesic_between(0.1 + 0.3j, -0.4 - 0.2j))
+        s = np.linspace(0.0, side.length, 7)
+        many = side.point_at(s)
+        assert many.shape == s.shape
+        assert np.allclose(many, [side.point_at(float(x)) for x in s], rtol=0.0, atol=1e-15)
+        assert abs(side.point_at(side.length) - side.end) < 1e-12
+
     def test_foot_parameter_matches_on_curve(self):
         p, q = 0.2 + 0j, 0.2 + 0.4j
-        z = hg.point_along(p, q, 0.37)
+        z = point_along(p, q, 0.37)
         assert hg.foot_parameter(p, q, z) == pytest.approx(0.37, abs=1e-12)
 
     def test_foot_parameter_is_nearest_point(self):
         p, q = 0.2 + 0j, 0.2 + 0.4j
         x = 0.5 + 0.1j
         s = hg.foot_parameter(p, q, x)
-        foot = hg.point_along(p, q, s)
+        foot = point_along(p, q, s)
         d0 = hg.hyp_distance(x, foot)
         for ds in (-1e-4, 1e-4):
-            assert hg.hyp_distance(x, hg.point_along(p, q, s + ds)) >= d0
+            assert hg.hyp_distance(x, point_along(p, q, s + ds)) >= d0
 
     def test_foot_parameter_equivariance(self):
         p, q, x = 0.1 + 0.05j, 0.3 + 0.4j, -0.2 + 0.3j

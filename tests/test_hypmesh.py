@@ -178,14 +178,14 @@ def reference_unique_edges(tris):
 def reference_mesh(poly, h_target):
     """The mesher with per-call edge recomputation and a per-node scalar
     boundary projection loop: the reference for the array mesher."""
-    projs = [hm._SideProjector(s) for s in poly.sides]
-    lengths = [s.length for s in poly.sides]
+    sides = poly.sides
+    lengths = [s.length for s in sides]
     lmin = min(lengths)
     nodes = list(poly.vertices)
     corners = np.arange(poly.n, dtype=np.int64)
     node_side = {}
     chains = []
-    for i, (pr, L) in enumerate(zip(projs, lengths)):
+    for i, (sd, L) in enumerate(zip(sides, lengths)):
         cnt = max(1, round(L / lmin))
         chain, params = [corners[i]], [0.0]
         for j in range(1, cnt):
@@ -193,7 +193,7 @@ def reference_mesh(poly, h_target):
             node_side[len(nodes)] = (i, s)
             chain.append(len(nodes))
             params.append(s)
-            nodes.append(pr.at(s))
+            nodes.append(sd.point_at(s))
         chain.append(corners[(i + 1) % poly.n])
         params.append(L)
         chains.append((chain, params))
@@ -219,7 +219,7 @@ def reference_mesh(poly, h_target):
         for (a, b), (side_i, sa, sb) in bdict.items():
             k = code_pos[a * n + b]
             sm = 0.5 * (sa + sb)
-            mids[k] = projs[side_i].at(sm)
+            mids[k] = sides[side_i].point_at(sm)
             m = n + k
             node_side[m] = (side_i, sm)
             new_bdict[(min(a, m), max(a, m))] = (side_i, sa, sm) if a < m else (side_i, sm, sa)
@@ -252,10 +252,10 @@ def reference_mesh(poly, h_target):
             znew[interior] = mean[interior]
             for m in bnd:
                 side_i = node_side[m][0]
-                pr = projs[side_i]
-                s = min(max(hg.foot_parameter(pr.side.start, pr.side.end, complex(mean[m])), 0.0), pr.length)
+                sd = sides[side_i]
+                s = min(max(hg.foot_parameter(sd.start, sd.end, complex(mean[m])), 0.0), lengths[side_i])
                 node_side[m] = (side_i, s)
-                znew[m] = pr.at(s)
+                znew[m] = sd.point_at(s)
             z = znew
         return z
 

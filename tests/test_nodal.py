@@ -6,6 +6,7 @@ whose nodal set must trace the two orthogonal mirror diameters.
 """
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,9 +69,8 @@ class TestExtractSingleTriangles:
         assert len(ns.components[0].points) == 2
 
 
-def reference_extract(mesh, u, zero_tol=1e-9, chart=0):
-    """Zero segments collected over every triangle, chained like extract_nodal:
-    the reference for its crossed-triangle prefilter."""
+def reference_segments(mesh, u, zero_tol=1e-9):
+    """Zero segments collected over every triangle, as (pts, segs) for _nodal_set."""
     u = np.asarray(u, dtype=float)
     nodes = np.asarray(mesh.nodes, dtype=np.complex128)
     zero = np.abs(u) <= zero_tol * float(np.max(np.abs(u)))
@@ -94,7 +94,13 @@ def reference_extract(mesh, u, zero_tol=1e-9, chart=0):
             segs.add(tuple(sorted(ents)))
         elif len(ents) == 3:
             segs.update(tuple(sorted(pair)) for pair in ((ents[0], ents[1]), (ents[0], ents[2]), (ents[1], ents[2])))
-    return nodal._nodal_set(pts, segs, chart)
+    return pts, segs
+
+
+def reference_extract(mesh, u, zero_tol=1e-9, chart=0):
+    """Zero segments collected over every triangle, chained like extract_nodal:
+    the reference for its crossed-triangle prefilter."""
+    return nodal._nodal_set(*reference_segments(mesh, u, zero_tol), chart)
 
 
 def assert_same_nodal_set(got, want):
@@ -161,6 +167,54 @@ class TestCrossingSplit:
         ns = nodal.extract_nodal(m, u)
         for comp in ns.components:
             assert any(abs(p) < 1e-12 for p in comp.points)
+
+
+def component_pairs(ns):
+    """Consecutive point pairs of every component, the closing pair of a closed one included."""
+    out = []
+    for c in ns.components:
+        pl = [complex(p) for p in c.points] + ([complex(c.points[0])] if c.closed else [])
+        out += [frozenset(pq) for pq in zip(pl, pl[1:])]
+    return out
+
+
+class TestSegmentConservation:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_zero_segment_on_exactly_one_component(self, seed):
+        mesh = hypmesh.mesh_polygon(surfglue.quarter_octagon(), 0.16)
+        a, b = np.random.default_rng(seed).uniform(0.05, 0.45, 2)
+        z = mesh.nodes
+        u = np.round(8.0 * (z.real - a) * (z.imag - b), 1)  # exact zero nodes, crossings next to crossings
+        pts, segs = reference_segments(mesh, u)
+        want = Counter(frozenset((pts[k1], pts[k2])) for k1, k2 in segs)
+        got = Counter(component_pairs(nodal.extract_nodal(mesh, u)))
+        assert got == want
+        assert set(got.values()) == {1}
+
+    def test_segment_between_two_crossings_is_kept(self):
+        # two "+" crossings on y = 0, joined by one segment
+        pts = {"l": -0.2, "c0": 0.0, "c1": 0.2, "r": 0.4, "u0": 0.2j, "d0": -0.2j, "u1": 0.2 + 0.2j, "d1": 0.2 - 0.2j}
+        pts = {k: complex(p) for k, p in pts.items()}
+        segs = {("c0", "l"), ("c0", "c1"), ("c1", "r"), ("c0", "u0"), ("c0", "d0"), ("c1", "u1"), ("c1", "d1")}
+        ns = nodal._nodal_set(pts, segs, 0)
+        assert [p for p, _ in ns.crossing_points] == [0.0, 0.2]
+        assert all(abs(ang - math.pi / 2) < 1e-12 for _, ang in ns.crossing_points)
+        lines = sorted(tuple(c.points) for c in ns.components)
+        assert lines == [(-0.2, 0.0, 0.2, 0.4), (-0.2j, 0.0, 0.2j), (0.2 - 0.2j, 0.2, 0.2 + 0.2j)]
+        assert not any(c.closed for c in ns.components)
+
+    def test_loop_straight_through_its_own_crossing_is_closed(self):
+        # figure eight of two diamonds meeting at 0, each diagonal going straight on
+        ring = [0.0, 1 + 1j, 2.0, 1 - 1j, 0.0, -1 + 1j, -2.0, -1 - 1j]
+        keys = ["o", "a", "b", "c", "o", "d", "e", "f"]
+        pts = {k: complex(p) for k, p in zip(keys, ring)}
+        segs = {tuple(sorted((keys[i], keys[(i + 1) % 8]))) for i in range(8)}
+        ns = nodal._nodal_set(pts, segs, 0)
+        assert len(ns.components) == 1 and ns.components[0].closed
+        assert len(ns.components[0].points) == 8
+        assert Counter(component_pairs(ns)) == Counter(frozenset((pts[k1], pts[k2])) for k1, k2 in segs)
+        ((p, ang),) = ns.crossing_points
+        assert p == 0.0 and abs(ang - math.pi / 2) < 1e-12
 
 
 class TestGeodesicDeviation:
