@@ -350,34 +350,39 @@ def interior_angles(poly: HyperbolicPolygon) -> list:
     return angles
 
 
-def segment_intersection(p1, p2, p3, p4, tol=1e-9):
-    """Intersection point of the Euclidean segments p1p2 and p3p4, or None;
-    endpoint touches within tol count, parallel segments never meet."""
-    d1 = p2 - p1
-    d2 = p4 - p3
+def segment_intersection(p1, p2, p3, p4, tol=1e-9) -> tuple:
+    """Intersections of the Euclidean segments p1p2 and p3p4, elementwise
+    over complex arrays (or scalars) of one broadcast shape.
+
+    Returns (hit, point): hit is True where the segments meet, endpoint
+    touches within tol included and parallel segments never; point is the
+    meeting point p1 + t (p2 - p1) where hit holds (meaningless elsewhere).
+    """
+    d1 = np.asarray(p2 - p1)
+    d2 = np.asarray(p4 - p3)
     den = d1.real * d2.imag - d1.imag * d2.real
-    scale = max(abs(d1), abs(d2), 1e-30)
-    if abs(den) <= 1e-14 * scale * scale:
-        return None
+    scale = np.maximum(np.maximum(np.abs(d1), np.abs(d2)), 1e-30)
     r = p3 - p1
-    t = (r.real * d2.imag - r.imag * d2.real) / den
-    s = (r.real * d1.imag - r.imag * d1.real) / den
+    with np.errstate(all="ignore"):  # parallel or degenerate pairs, masked below
+        t = (r.real * d2.imag - r.imag * d2.real) / den
+        s = (r.real * d1.imag - r.imag * d1.real) / den
+        point = p1 + t * d1
     eps = tol / scale
-    if -eps <= t <= 1 + eps and -eps <= s <= 1 + eps:
-        return p1 + t * d1
-    return None
+    hit = (np.abs(den) > 1e-14 * scale * scale) & (-eps <= t) & (t <= 1 + eps)
+    hit &= (-eps <= s) & (s <= 1 + eps)
+    return hit, point
 
 
 def _sides_intersect(poly: HyperbolicPolygon) -> bool:
     """Whether two non-adjacent sides meet (endpoint touches count), exactly:
     in the Klein model k = 2z / (1 + |z|^2) geodesics are straight chords."""
-    k = [2.0 * v / (1.0 + abs(v) ** 2) for v in poly.vertices]
+    v = np.asarray(poly.vertices, dtype=np.complex128)
+    k = 2.0 * v / (1.0 + np.abs(v) ** 2)
     n = poly.n
-    return any(
-        segment_intersection(k[i], k[i + 1], k[j], k[(j + 1) % n]) is not None
-        for i in range(n)
-        for j in range(i + 2, n - 1 if i == 0 else n)
-    )
+    i, j = np.triu_indices(n, 2)
+    nonadjacent = (i > 0) | (j < n - 1)  # sides 0 and n-1 share vertex 0
+    hit, _ = segment_intersection(k[i], k[i + 1], k[j], k[(j + 1) % n])
+    return bool((hit & nonadjacent).any())
 
 
 def polygon_area(poly: HyperbolicPolygon) -> float:

@@ -62,9 +62,6 @@ class Mesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def boundary_nodes(self) -> np.ndarray:
-        return np.unique(np.concatenate(self.side_nodes))
-
     def nodes_on_label(self, label: str) -> np.ndarray:
         """All nodes on sides carrying the given condition label (corners included)."""
         picked = [sn for sn, lab in zip(self.side_nodes, self.polygon.labels) if lab == label]

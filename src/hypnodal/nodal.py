@@ -229,47 +229,36 @@ def geodesic_deviation(component, g: Geodesic) -> float:
     return max(point_to_geodesic_distance(complex(p), g) for p in pts)
 
 
-def _segments(ns: NodalSet):
-    out = []
-    for ci, comp in enumerate(ns.components):
-        pl = comp.points
-        n = len(pl)
-        for i in range(n - 1):
-            out.append((ci, i, complex(pl[i]), complex(pl[i + 1])))
-        if comp.closed and n >= 3:
-            out.append((ci, n - 1, complex(pl[-1]), complex(pl[0])))
-    return out
-
-
 def self_intersections(ns: NodalSet):
     """Points where the nodal set crosses itself, with crossing angles.
 
-    Pairwise scan over all segments, within and across components;
-    consecutive segments of one component are skipped, and hits closer
-    than 1e-3 in angle (near-tangential contacts) are dropped.
-    Coincident hits are reported once.
+    One array pass over all pairs of segments, within and across
+    components; consecutive segments of one component are skipped, and hits
+    closer than 1e-3 in angle (near-tangential contacts) are dropped.
+    Coincident hits are reported once, by the first pair in segment order.
     """
-    segs = _segments(ns)
+    comps = ns.components
+    # segment i of a component joins its points i and i + 1 (mod len, closed only)
+    counts = [max(len(c.points) - 1, 0) + int(c.closed and len(c.points) >= 3) for c in comps]
+    pts = [np.asarray(c.points, dtype=np.complex128) for c in comps]
+    none = np.zeros(0, dtype=np.complex128)
+    p = np.concatenate([none, *(x[:m] for x, m in zip(pts, counts))])
+    q = np.concatenate([none, *(np.roll(x, -1)[:m] for x, m in zip(pts, counts))])
+    comp = np.repeat(np.arange(len(comps)), counts)
+    idx = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)
+    wrap = np.array([len(c.points) - 1 if c.closed else -1 for c in comps], dtype=np.int64)
+    a, b = np.triu_indices(len(p), 1)
+    gap = np.abs(idx[a] - idx[b])
+    adjacent = (comp[a] == comp[b]) & ((gap == 1) | (gap == wrap[comp[a]]))
+    a, b = a[~adjacent], b[~adjacent]
+    hit, point = segment_intersection(p[a], q[a], p[b], q[b])
     seen = {}
-    sizes = [len(c.points) + (1 if c.closed else 0) for c in ns.components]
-    for a in range(len(segs)):
-        ca, ia, p1, p2 = segs[a]
-        for b in range(a + 1, len(segs)):
-            cb, ib, p3, p4 = segs[b]
-            if ca == cb:
-                gap = abs(ia - ib)
-                if gap == 1:
-                    continue
-                if ns.components[ca].closed and gap == sizes[ca] - 2:
-                    continue
-            hit = segment_intersection(p1, p2, p3, p4)
-            if hit is None:
-                continue
-            ang = _fold_line_angle(_line_angle(p2 - p1) - _line_angle(p4 - p3))
-            if ang < 1e-3:
-                continue
-            key = (round(hit.real, 7), round(hit.imag, 7))
-            if key not in seen:
-                seen[key] = (hit, ang)
+    for i in np.flatnonzero(hit):
+        d1, d2 = complex(q[a[i]] - p[a[i]]), complex(q[b[i]] - p[b[i]])
+        ang = _fold_line_angle(_line_angle(d1) - _line_angle(d2))
+        if ang < 1e-3:
+            continue
+        hit_point = complex(point[i])
+        seen.setdefault((round(hit_point.real, 7), round(hit_point.imag, 7)), (hit_point, ang))
     return [seen[k] for k in sorted(seen)]
 

@@ -338,6 +338,12 @@ class GluedSystem:
         adjacent charts cancel there when the extension is consistent)."""
         return np.flatnonzero(~self.dirichlet_boundary)
 
+    @property
+    def dof_points(self) -> np.ndarray:
+        """Base-mesh position of each glued dof: that of its smallest slot."""
+        _, first = np.unique(self.glue_index, return_index=True)
+        return self.base_mesh.nodes[first % self.base_mesh.n_nodes]
+
     def picture_nodes(self) -> np.ndarray:
         """Per-chart picture coordinates of all base nodes, shape (C, N)."""
         out = []
@@ -483,7 +489,7 @@ def solve_glued(system: GluedSystem, k: int = 6) -> tuple:
     """
     free = system.free
     Kf, Mf = hypfem.reduce_system(system.K, system.M, free)
-    vals, vecs = hypfem.solve_lowest(Kf, Mf, k)
+    vals, vecs = hypfem.solve_lowest(Kf, Mf, k, system.dof_points[free])
     full = np.zeros((system.n_dofs, vecs.shape[1]))
     full[free] = vecs
     return vals, full

@@ -7,16 +7,19 @@ eigenvalue was cross-validated by two independent discretizations
 (extrapolated limit 3.8390 +- a few e-4).
 """
 
+import logging
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh, splu
 
 from hypnodal import hypfem as hf
 from hypnodal import hypgeo as hg
 from hypnodal import hypmesh as hm
+from hypnodal import surfglue
 
 from test_hypmesh import quarter_octagon
 
@@ -109,13 +112,13 @@ class TestSolverPaths:
         mesh = hm.mesh_polygon(poly, 0.1)
         K, M = hf.assemble(mesh.nodes, mesh.triangles)
         v_dense = scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=[0, 3], eigvals_only=True)
-        v_sparse, _ = hf.solve_lowest(K, M, 4)
+        v_sparse, _ = hf.solve_lowest(K, M, 4, mesh.nodes)
         assert np.allclose(v_dense, v_sparse, rtol=1e-9, atol=1e-8)
 
     def test_rejects_single_dof(self):
         one = sp.csr_matrix(np.ones((1, 1)))
         with pytest.raises(ValueError, match="at least 2 dofs"):
-            hf.solve_lowest(one, one, 1)
+            hf.solve_lowest(one, one, 1, np.zeros(1))
 
     def test_m_normalized_and_sign_fixed(self):
         modes = hf.solve_polygon(quarter_octagon(), 0.16, k=2)
@@ -133,6 +136,88 @@ class TestSolverPaths:
         b = hf.solve_polygon(quarter_octagon(), 0.16, k=2)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
+
+
+    def test_rejects_points_not_one_per_dof(self):
+        mesh = hm.mesh_polygon(quarter_octagon(), 0.16)
+        K, M = hf.assemble(mesh.nodes, mesh.triangles)
+        for bad in (mesh.nodes[:-1], np.stack([mesh.nodes.real, mesh.nodes.imag], axis=1)):
+            with pytest.raises(ValueError, match="one point per dof"):
+                hf.solve_lowest(K, M, 2, bad)
+
+    def test_rejects_nonfinite_points(self):
+        mesh = hm.mesh_polygon(quarter_octagon(), 0.16)
+        K, M = hf.assemble(mesh.nodes, mesh.triangles)
+        pts = mesh.nodes.copy()
+        pts[7] = complex(np.nan, 0.0)
+        with pytest.raises(ValueError, match="1 of 1089 are not"):
+            hf.solve_lowest(K, M, 2, pts)
+
+    def test_one_debug_record_per_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
+            hf.solve_polygon(quarter_octagon(), 0.16, k=2)
+        (rec,) = [r for r in caplog.records if r.name == "hypnodal.hypfem"]
+        assert rec.levelno == logging.DEBUG
+        msg = rec.getMessage()
+        assert msg.startswith("solve_lowest: 1024 dofs, k=2, LU nnz ")
+        for part in ("ordering", "factorisation", "Lanczos", "OPinv applications"):
+            assert part in msg
+
+
+def plain_shift_invert(K, M, k):
+    """Lowest eigenvalues by eigsh's own shift-invert (SuperLU, COLAMD order)."""
+    return np.sort(eigsh(K, k=k, M=M, sigma=hf.SIGMA, v0=np.ones(K.shape[0]), return_eigenvectors=False))
+
+
+def lu_fill(A):
+    lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.fixture(scope="module", params=["quarter_dirichlet", "octagon_neumann", "closed_genus3"])
+def pencil(request):
+    """(K, M, points, k) of the three pencil shapes the benchmark solves."""
+    if request.param == "closed_genus3":
+        system = surfglue.build_genus3(2.0, h_target=0.16).system
+        return system.K, system.M, system.dof_points, 3
+    if request.param == "quarter_dirichlet":
+        mesh = hm.mesh_polygon(quarter_octagon(), 0.04)
+        free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.nodes_on_label("dirichlet"))
+        k = 3
+    else:
+        mesh = hm.mesh_polygon(surfglue.octagon_polygon(), 0.16)
+        free = np.arange(mesh.n_nodes)
+        k = 6
+    K, M = hf.reduce_system(*hf.assemble(mesh.nodes, mesh.triangles), free)
+    return K, M, mesh.nodes[free], k
+
+
+class TestNestedDissection:
+    def test_permutation(self, pencil):
+        K, M, points, _ = pencil
+        p = hf.nested_dissection((K - hf.SIGMA * M).tocsr(), points)
+        assert np.array_equal(np.sort(p), np.arange(K.shape[0]))
+
+    def test_permutation_with_coincident_points(self):
+        n = 200
+        path = sp.diags([np.ones(n - 1), 2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
+        p = hf.nested_dissection(path, np.zeros(n, dtype=complex))
+        assert np.array_equal(np.sort(p), np.arange(n))
+
+    def test_eigenvalues_match_plain_shift_invert(self, pencil):
+        K, M, points, k = pencil
+        vals, _ = hf.solve_lowest(K, M, k, points)
+        ref = plain_shift_invert(K, M, k)
+        # relative above 1, absolute 1e-9 for the zero modes of the Neumann and closed pencils
+        assert np.all(np.abs(vals - ref) <= 1e-9 * np.maximum(np.abs(ref), 1.0))
+
+    @pytest.mark.parametrize("pencil", ["quarter_dirichlet", "closed_genus3"], indirect=True)
+    def test_less_fill_than_colamd(self, pencil):
+        K, M, points, _ = pencil
+        A = (K - hf.SIGMA * M).tocsr()
+        p = hf.nested_dissection(A, points)
+        colamd = splu(A.tocsc())
+        assert lu_fill(A[p][:, p].tocsc()) < colamd.L.nnz + colamd.U.nnz
 
 
 def reference_interp(f, x, tol=1e-9):

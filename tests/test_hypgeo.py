@@ -302,6 +302,31 @@ class TestHexagon:
             hg.right_angled_hexagon(1.0, 0.0, 1.0)
 
 
+def grid_or_disk_points():
+    """Disk points, half of them on a coarse grid so that segments touch,
+    overlap and run parallel."""
+    grid = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
+    return st.one_of(st.builds(complex, grid, grid), disk_points(0.9))
+
+
+def reference_segment_intersection(p1, p2, p3, p4, tol=1e-9):
+    """Intersection point of the Euclidean segments p1p2 and p3p4, or None;
+    endpoint touches within tol count, parallel segments never meet."""
+    d1 = p2 - p1
+    d2 = p4 - p3
+    den = d1.real * d2.imag - d1.imag * d2.real
+    scale = max(abs(d1), abs(d2), 1e-30)
+    if abs(den) <= 1e-14 * scale * scale:
+        return None
+    r = p3 - p1
+    t = (r.real * d2.imag - r.imag * d2.real) / den
+    s = (r.real * d1.imag - r.imag * d1.real) / den
+    eps = tol / scale
+    if -eps <= t <= 1 + eps and -eps <= s <= 1 + eps:
+        return p1 + t * d1
+    return None
+
+
 def sampled_sides_intersect(poly: hg.HyperbolicPolygon) -> bool:
     """Check intersections between non-adjacent sides (sampled chords)."""
     n = poly.n
@@ -319,7 +344,7 @@ def sampled_sides_intersect(poly: hg.HyperbolicPolygon) -> bool:
             for k in range(16):
                 for m in range(16):
                     a1, a2, b1, b2 = chains[i][k], chains[i][k + 1], chains[j][m], chains[j][m + 1]
-                    if hg.segment_intersection(a1, a2, b1, b2) is not None:
+                    if hg.segment_intersection(a1, a2, b1, b2)[0]:
                         return True
     return False
 
@@ -367,10 +392,25 @@ class TestPolygonBasics:
             hg.polygon_area(hg.HyperbolicPolygon(verts))
 
     def test_segment_intersection(self):
-        assert hg.segment_intersection(-1 + 0j, 1 + 0j, -1j, 1j) == pytest.approx(0j)
-        assert hg.segment_intersection(-1 + 0j, 1 + 0j, 1 + 0j, 1 + 1j) == pytest.approx(1 + 0j)  # endpoint touch
-        assert hg.segment_intersection(-1 + 0j, 1 + 0j, 2 + 0j, 2 + 1j) is None
-        assert hg.segment_intersection(-1 + 0j, 1 + 0j, -1 + 1j, 1 + 1j) is None  # parallel
+        hit, p = hg.segment_intersection(-1 + 0j, 1 + 0j, -1j, 1j)
+        assert hit and p == pytest.approx(0j)
+        # crossing, endpoint touch, apart, parallel
+        c = np.array([-1j, 1 + 0j, 2 + 0j, -1 + 1j])
+        d = np.array([1j, 1 + 1j, 2 + 1j, 1 + 1j])
+        hit, p = hg.segment_intersection(-1 + 0j, 1 + 0j, c, d)
+        assert hit.tolist() == [True, True, False, False]
+        assert p[:2] == pytest.approx([0j, 1 + 0j])
+
+    @given(st.lists(st.tuples(*[grid_or_disk_points()] * 4), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_segment_intersection_matches_scalar_reference(self, quads):
+        p1, p2, p3, p4 = (np.array(x) for x in zip(*quads))
+        hit, p = hg.segment_intersection(p1, p2, p3, p4)
+        for j, quad in enumerate(quads):
+            ref = reference_segment_intersection(*quad)
+            assert hit[j] == (ref is not None)
+            if ref is not None:
+                assert complex(p[j]) == ref
 
     def test_labels_default_and_relabel(self):
         poly = hg.regular_right_polygon(8, math.pi / 2)

@@ -103,7 +103,7 @@ class TestBoundary:
     def test_label_node_sets(self, pent_mesh):
         d = pent_mesh.nodes_on_label("dirichlet")
         n = pent_mesh.nodes_on_label("neumann")
-        b = pent_mesh.boundary_nodes()
+        b = np.unique(np.concatenate(pent_mesh.side_nodes))
         assert len(np.union1d(d, n)) == len(b)
         # shared corners sit in both sets
         assert len(np.intersect1d(d, n)) > 0

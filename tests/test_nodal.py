@@ -11,9 +11,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypnodal import hypfem, hypmesh, nodal, surfglue
 from hypnodal.hypgeo import Geodesic, apply, geodesic_between, translation
+
+from test_hypgeo import grid_or_disk_points, reference_segment_intersection
 
 
 def soup(nodes, triangles):
@@ -282,6 +286,63 @@ class TestSelfIntersections:
             crossing_points=[],
         )
         assert len(nodal.self_intersections(ns)) == 1
+
+
+def reference_self_intersections(ns):
+    """The pairwise scalar scan that self_intersections replaced."""
+    segs = []
+    for ci, comp in enumerate(ns.components):
+        pl = comp.points
+        n = len(pl)
+        for i in range(n - 1):
+            segs.append((ci, i, complex(pl[i]), complex(pl[i + 1])))
+        if comp.closed and n >= 3:
+            segs.append((ci, n - 1, complex(pl[-1]), complex(pl[0])))
+    seen = {}
+    sizes = [len(c.points) + (1 if c.closed else 0) for c in ns.components]
+    for a in range(len(segs)):
+        ca, ia, p1, p2 = segs[a]
+        for b in range(a + 1, len(segs)):
+            cb, ib, p3, p4 = segs[b]
+            if ca == cb:
+                gap = abs(ia - ib)
+                if gap == 1:
+                    continue
+                if ns.components[ca].closed and gap == sizes[ca] - 2:
+                    continue
+            hit = reference_segment_intersection(p1, p2, p3, p4)
+            if hit is None:
+                continue
+            ang = nodal._fold_line_angle(nodal._line_angle(p2 - p1) - nodal._line_angle(p4 - p3))
+            if ang < 1e-3:
+                continue
+            key = (round(hit.real, 7), round(hit.imag, 7))
+            if key not in seen:
+                seen[key] = (hit, ang)
+    return [seen[k] for k in sorted(seen)]
+
+
+polylines = st.lists(
+    st.builds(
+        lambda pts, closed: nodal.NodalComponent(points=np.array(pts, dtype=complex), closed=closed),
+        st.lists(grid_or_disk_points(), max_size=10),
+        st.booleans(),
+    ),
+    max_size=4,
+)
+
+
+class TestSelfIntersectionsReference:
+    @given(polylines)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_scan(self, comps):
+        ns = nodal.NodalSet(components=comps, crossing_points=[])
+        assert nodal.self_intersections(ns) == reference_self_intersections(ns)
+
+    def test_surface_nodal_sets_match_pairwise_scan(self, genus2_nodal, g3):
+        g3_nodal = nodal.extract_nodal(g3.system.base_mesh, g3.base_vector, zero_tol=1e-7)
+        for ns in (genus2_nodal[2], g3_nodal):
+            assert nodal.self_intersections(ns) == reference_self_intersections(ns)
 
 
 class TestOctagonNodalSet:

@@ -578,13 +578,13 @@ class TestClosedSurfaceOracle:
         lam, _ = surfglue.mirror_odd_eigenvector(modes, 3.8390)
         system = surfglue.assemble_glued(surfglue.genus2_surface(), modes.mesh)
         assert system.n_dofs == 2046
-        vals, _ = hypfem.solve_lowest(system.K, system.M, 5)
+        vals, _ = hypfem.solve_lowest(system.K, system.M, 5, system.dof_points)
         assert abs(vals[3] - lam) <= 1e-9 * lam
 
     def test_genus3_index_1(self):
         ext = surfglue.build_genus3(2.0, h_target=0.16)
         assert ext.system.n_dofs == 28668
-        vals, _ = hypfem.solve_lowest(ext.system.K, ext.system.M, 3)
+        vals, _ = hypfem.solve_lowest(ext.system.K, ext.system.M, 3, ext.system.dof_points)
         assert abs(vals[1] - ext.lam) <= 1e-9 * ext.lam
 
 
