@@ -37,8 +37,9 @@ SIGMA = -1.0  # shift for shift-invert; negative keeps K - SIGMA M positive defi
 LEAF_SIZE = 16  # nested dissection stops bisecting blocks of at most this many dofs
 # bisection directions (0, 45, 90, 135 degrees); each block keeps the one with the smallest separator
 _DIRECTIONS = np.exp(1j * np.pi * np.arange(4) / 4)
-_DIRECTION_BIT = (1 << np.arange(4, dtype=np.uint8))[:, None]
-_CODE_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1  # _CODE_BITS[c, j]: bit j of code c
+_DIRECTION_BIT = (1 << np.arange(len(_DIRECTIONS), dtype=np.uint8))[:, None]
+# _CODE_BITS[c, j]: bit j of the direction code c
+_CODE_BITS = (np.arange(1 << len(_DIRECTIONS))[:, None] >> np.arange(len(_DIRECTIONS))) & 1
 
 _log = logging.getLogger(__name__)
 
@@ -124,8 +125,11 @@ def nested_dissection(A, points: np.ndarray) -> np.ndarray:
         med = np.sort(k, axis=1)[:, start + sizes // 2]
         right = ((k >= np.take(med, blk, axis=1)) * _DIRECTION_BIT).sum(axis=0, dtype=np.uint8)
         code[act] = right
+        # left dofs with a right neighbour: active neighbours share a block, the others have code 0
         sep = np.take(np.bitwise_or.reduceat(np.take(code, nbr), row_start), act) & ~right
-        counts = np.bincount(blk * 16 + sep, minlength=16 * len(sizes)).reshape(-1, 16) @ _CODE_BITS
+        # separator size of every block along every direction, from a (block, code) histogram
+        nc = len(_CODE_BITS)
+        counts = np.bincount(blk * nc + sep, minlength=nc * len(sizes)).reshape(-1, nc) @ _CODE_BITS
         best = np.take(counts.argmin(axis=1).astype(np.uint8), blk)
         is_sep, is_right = (sep >> best) & 1, (right >> best) & 1
         key *= 3
