@@ -307,9 +307,6 @@ class HyperbolicPolygon:
         p, q = self.vertices[i], self.vertices[(i + 1) % self.n]
         return Side(p, q, geodesic_between(p, q), self.labels[i])
 
-    def relabeled(self, labels) -> "HyperbolicPolygon":
-        return HyperbolicPolygon(self.vertices, tuple(labels))
-
     def transformed(self, iso: Isometry) -> "HyperbolicPolygon":
         verts = tuple(apply(iso, v) for v in self.vertices)
         if iso.reverses:

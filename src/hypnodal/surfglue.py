@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -54,6 +55,8 @@ from .hypgeo import (
 from .hypmesh import Mesh, mesh_polygon
 
 MATCH_TOL = 1e-9
+
+_log = logging.getLogger(__name__)
 
 
 class GlueError(ValueError):
@@ -267,11 +270,6 @@ def audit_topology(surface: Surface) -> TopologyReport:
     return _cell_complex(surface.n_charts, surface.base.n, glued)
 
 
-def circle_length(surface: Surface, circle) -> float:
-    """Total hyperbolic length of a boundary circle (list of (chart, side))."""
-    return sum(surface.base.side(s).length for _, s in circle)
-
-
 # ---------------------------------------------------------------------------
 # canonical domains: right-angled octagon and its quarter
 
@@ -481,17 +479,70 @@ def glued_residual(system: GluedSystem, lam: float, v: np.ndarray) -> float:
     return float(num / den) if den > 0 else float(num)
 
 
-def solve_glued(system: GluedSystem, k: int = 6) -> tuple:
+def _mirror_fold(system: GluedSystem, iso: Isometry) -> tuple:
+    """Orbits of the free dofs under the base symmetry iso, applied in every
+    chart.
+
+    iso must map the base mesh nodes onto themselves within MATCH_TOL and
+    induce an involution r of the glued dofs that keeps the constrained set;
+    GlueError names what fails.  Returns (fold, orbits): fold[i] is the
+    orbit {d, r(d)} of the i-th free dof, orbits[j] the smaller dof of
+    orbit j.
+    """
+    nodes, N = system.base_mesh.nodes, system.base_mesh.n_nodes
+    mapped = apply(iso, nodes)
+    mirror = _match_nodes(nodes, mapped, "mesh nodes are not mapped onto mesh nodes by the symmetry")
+    gi = system.glue_index
+    image = gi.reshape(-1, N)[:, mirror].ravel()  # glued dof of the mirror of every slot
+    r = np.empty(system.n_dofs, dtype=np.int64)
+    r[gi] = image
+    if not np.array_equal(r[gi], image):
+        raise GlueError("the symmetry maps the slots of one glued dof to two glued dofs")
+    if not np.array_equal(r[r], np.arange(system.n_dofs)):
+        raise GlueError("the symmetry does not act on the glued dofs as an involution")
+    if not np.array_equal(system.constrained[r], system.constrained):
+        raise GlueError("the symmetry does not preserve the constrained dofs")
+    free = system.free
+    orbits, fold = np.unique(np.minimum(free, r[free]), return_inverse=True)
+    _log.debug(
+        "mirror fold: %d -> %d dofs, %d fixed, worst mirror match %.3e",
+        len(free), len(orbits), int(np.count_nonzero(r[free] == free)),
+        float(np.abs(nodes[mirror] - mapped).max()),
+    )
+    return fold, orbits
+
+
+def _fold_matrix(A, fold: np.ndarray, n: int):
+    """P^T A P for the 0/1 matrix P with P[i, fold[i]] = 1, as CSR."""
+    A = A.tocoo()
+    return sp.coo_matrix((A.data, (fold[A.row], fold[A.col])), shape=(n, n)).tocsr()
+
+
+def solve_glued(system: GluedSystem, k: int = 6, even_under: Isometry = None) -> tuple:
     """Lowest modes of the glued pencil with the constrained dofs removed.
+
+    With even_under, a base-coordinate isometry that maps the mesh onto
+    itself and acts on the glued dofs as an involution r, only the modes
+    even under r are sought.  The pencil commutes with r, so these are the
+    modes of the free pencil folded onto the orbits {d, r(d)}: P^T K P and
+    P^T M P for the 0/1 orbit matrix P, about half the size.  The lift P w
+    copies each orbit's value to its members and stays M-normalized.  Each
+    orbit is ordered at its point folded into the upper half-plane, which
+    separates the orbits when r is the real-axis mirror.
 
     Returns (values, vectors) with vectors on all glued dofs (zeros on
     removed ones).
     """
-    free = system.free
+    free, pts = system.free, system.dof_points
     Kf, Mf = hypfem.reduce_system(system.K, system.M, free)
-    vals, vecs = hypfem.solve_lowest(Kf, Mf, k, system.dof_points[free])
+    fold, points = np.arange(len(free)), pts[free]
+    if even_under is not None:
+        fold, orbits = _mirror_fold(system, even_under)
+        Kf, Mf = (_fold_matrix(A, fold, len(orbits)) for A in (Kf, Mf))
+        points = pts[orbits].real + 1j * np.abs(pts[orbits].imag)
+    vals, vecs = hypfem.solve_lowest(Kf, Mf, k, points)
     full = np.zeros((system.n_dofs, vecs.shape[1]))
-    full[free] = vecs
+    full[free] = vecs[fold]
     return vals, full
 
 
@@ -505,17 +556,6 @@ def chart_interpolator(system: GluedSystem, v: np.ndarray) -> hypfem.P1Interpola
     )
     vals = v[system.glue_index]
     return hypfem.P1Interpolator(pts, tris, vals)
-
-
-def picture_symmetry_error(system: GluedSystem, v: np.ndarray, mapping, sign: float) -> float:
-    """max |v(mapping(z)) - sign v(z)| / max |v| over all picture nodes.
-
-    mapping acts on complex picture coordinates and must permute the node
-    set (tiling placements only)."""
-    pts = system.picture_nodes().ravel()
-    vals = v[system.glue_index]
-    j = _match_nodes(pts, mapping(pts), "picture nodes are not invariant under the requested mapping")
-    return float(np.max(np.abs(vals[j] - sign * vals)) / np.max(np.abs(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -920,13 +960,18 @@ def build_genus3(boundary_length: float = 2.0, h_target: float = 0.08) -> Extend
     Neumann on the other two, seams glued) and transport its ground state
     to the closed genus 3 surface of four pants charts.
 
-    The mesh is assembled once, for the pants system; the genus 3 charts
-    copy that system's pencil, its dofs being the base dofs.
+    The pants decagon, its labels and its seam pairings are symmetric under
+    the reflection in the real axis, the map the seams are glued by, and so
+    is the pencil.  The ground state is simple, hence even under that
+    reflection, and is solved on the folded pencil of the mirror orbits,
+    about half the dofs (solve_glued with even_under).  The mesh is
+    assembled once, for the pants system; the genus 3 charts copy that
+    system's pencil, its dofs being the base dofs.
     """
     pants = pants_decagon_surface(boundary_length, boundary_length, boundary_length)
     base_mesh = mesh_polygon(pants.base, h_target)
     psys = assemble_glued(pants, base_mesh)
-    vals, vecs = solve_glued(psys, k=1)
+    vals, vecs = solve_glued(psys, k=1, even_under=reflect_in(REAL_MIRROR))
     u = vecs[:, 0][psys.glue_index]  # back to base-mesh nodes (seam twins equal)
     base = Base(base_mesh, psys.K, psys.M, psys.glue_index)
     return _extended(genus3_surface(boundary_length), base, float(vals[0]), u)

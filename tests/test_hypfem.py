@@ -21,6 +21,7 @@ from hypnodal import hypgeo as hg
 from hypnodal import hypmesh as hm
 from hypnodal import surfglue
 
+from test_hypgeo import relabeled
 from test_hypmesh import quarter_octagon
 
 MIXED_QUARTER_LIMIT = 3.8390  # frozen from an independent discretization study
@@ -100,7 +101,7 @@ class TestMixedQuarter:
 
 class TestDirichletQuarter:
     def test_spectral_gap_above_quarter(self):
-        poly = quarter_octagon().relabeled(["dirichlet"] * 5)
+        poly = relabeled(quarter_octagon(), ["dirichlet"] * 5)
         for h in (0.16, 0.08):
             modes = hf.solve_polygon(poly, h, k=1)
             assert modes.values[0] > 0.25
@@ -109,7 +110,7 @@ class TestDirichletQuarter:
 class TestSolverPaths:
     def test_dense_sparse_agree(self):
         poly = quarter_octagon()
-        mesh = hm.mesh_polygon(poly, 0.1)
+        mesh = hm.mesh_polygon(poly, 0.16)
         K, M = hf.assemble(mesh.nodes, mesh.triangles)
         v_dense = scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=[0, 3], eigvals_only=True)
         v_sparse, _ = hf.solve_lowest(K, M, 4, mesh.nodes)

@@ -21,6 +21,11 @@ OCTAGON_HALF_SIDE = 0.7642854597404991  # arccosh(cos(pi/8) / sin(pi/4))
 HEXAGON_111_OPPOSITE = 1.7049128323580138  # arccosh((cosh 1 + cosh^2 1) / sinh^2 1)
 
 
+def relabeled(poly, labels):
+    """poly with new side labels (tests build mixed boundary conditions)."""
+    return hg.HyperbolicPolygon(poly.vertices, tuple(labels))
+
+
 def disk_points(r_max=0.93):
     return st.tuples(
         st.floats(-r_max, r_max), st.floats(-r_max, r_max)
@@ -415,7 +420,7 @@ class TestPolygonBasics:
     def test_labels_default_and_relabel(self):
         poly = hg.regular_right_polygon(8, math.pi / 2)
         assert set(poly.labels) == {"neumann"}
-        p2 = poly.relabeled(["dirichlet"] * 8)
+        p2 = relabeled(poly, ["dirichlet"] * 8)
         assert set(p2.labels) == {"dirichlet"}
 
     def test_transform_preserves_area(self):

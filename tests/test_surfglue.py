@@ -7,6 +7,7 @@ from the angle-defect areas of the base polygons.
 """
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -14,8 +15,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 from hypnodal import hypfem, surfglue
-from hypnodal.hypgeo import Geodesic, apply, hyp_distance
+from hypnodal.hypgeo import Geodesic, apply, hyp_distance, reflect_in, rotation
 from hypnodal.hypmesh import mesh_polygon
+
+from test_hypgeo import relabeled
 
 QUARTER_AREA = math.pi / 2
 OCTAGON_AREA = 2 * math.pi
@@ -23,6 +26,22 @@ OCTAGON_AREA = 2 * math.pi
 
 def normalized_pairs(pattern):
     return frozenset(frozenset(p) for p in pattern.pairs)
+
+
+def circle_length(surface, circle) -> float:
+    """Total hyperbolic length of a boundary circle (list of (chart, side))."""
+    return sum(surface.base.side(s).length for _, s in circle)
+
+
+def picture_symmetry_error(system, v, mapping, sign: float) -> float:
+    """max |v(mapping(z)) - sign v(z)| / max |v| over all picture nodes.
+
+    mapping acts on complex picture coordinates and must permute the node
+    set (tiling placements only)."""
+    pts = system.picture_nodes().ravel()
+    vals = v[system.glue_index]
+    j = surfglue._match_nodes(pts, mapping(pts), "picture nodes are not invariant under the requested mapping")
+    return float(np.max(np.abs(vals[j] - sign * vals)) / np.max(np.abs(vals)))
 
 
 # expensive solves (tiling_ext, octagon_modes, g3) come from conftest.py
@@ -68,7 +87,7 @@ class TestTopologyAudit:
         )
         assert labels == ["dirichlet", "neumann", "neumann"]
         for circ in rep.boundary_circles:
-            assert abs(surfglue.circle_length(surf, circ) - 2.0) < 1e-9
+            assert abs(circle_length(surf, circ) - 2.0) < 1e-9
 
     def test_pants_decagon_asymmetric_lengths(self):
         surf = surfglue.pants_decagon_surface(1.4, 2.0, 2.6)
@@ -76,7 +95,7 @@ class TestTopologyAudit:
         by_label = {}
         for circ in rep.boundary_circles:
             lab = {surf.base.labels[s] for _, s in circ}.pop()
-            by_label.setdefault(lab, []).append(surfglue.circle_length(surf, circ))
+            by_label.setdefault(lab, []).append(circle_length(surf, circ))
         assert abs(by_label["dirichlet"][0] - 1.4) < 1e-9
         assert sorted(abs(x - y) for x, y in zip(sorted(by_label["neumann"]), [2.0, 2.6]))[-1] < 1e-9
 
@@ -108,7 +127,7 @@ class TestTopologyAudit:
         labels = list(base.base.labels)
         labels[5] = "neumann"  # second half of the dirichlet circle
         mixed = surfglue.Surface(
-            base=base.base.relabeled(labels), charts=base.charts, pairings=base.pairings
+            base=relabeled(base.base, labels), charts=base.charts, pairings=base.pairings
         )
         rep = surfglue.audit_topology(mixed)
         bad = [
@@ -172,7 +191,7 @@ class TestGluedAssembly:
 
     def test_symmetry_error_rejects_non_symmetry(self, tiling_ext):
         with pytest.raises(surfglue.GlueError):
-            surfglue.picture_symmetry_error(tiling_ext.system, tiling_ext.vector, lambda z: np.exp(0.1j) * z, 1.0)
+            picture_symmetry_error(tiling_ext.system, tiling_ext.vector, lambda z: np.exp(0.1j) * z, 1.0)
 
     def test_transport_rejects_wrong_symmetry(self, tiling_ext):
         system = tiling_ext.system
@@ -238,15 +257,15 @@ class TestSchwarzExtend:
 
     def test_odd_symmetry_across_both_mirrors(self, tiling_ext):
         system, v = tiling_ext.system, tiling_ext.vector
-        err_real = surfglue.picture_symmetry_error(system, v, np.conj, -1.0)
-        err_imag = surfglue.picture_symmetry_error(system, v, lambda z: -np.conj(z), -1.0)
+        err_real = picture_symmetry_error(system, v, np.conj, -1.0)
+        err_imag = picture_symmetry_error(system, v, lambda z: -np.conj(z), -1.0)
         assert err_real < 1e-10
         assert err_imag < 1e-10
 
     def test_half_turn_invariance(self, tiling_ext):
         # the two mirror reflections compose to the rotation by pi
         system, v = tiling_ext.system, tiling_ext.vector
-        assert surfglue.picture_symmetry_error(system, v, lambda z: -z, 1.0) < 1e-10
+        assert picture_symmetry_error(system, v, lambda z: -z, 1.0) < 1e-10
 
     def test_eigenvalue_carried_unchanged(self, tiling_ext):
         modes = hypfem.solve_polygon(surfglue.quarter_octagon(), 0.16, k=1)
@@ -263,12 +282,12 @@ class TestSchwarzExtend:
         assert rep.chi == 1
 
     def test_even_extension_of_neumann_mode(self):
-        poly = surfglue.quarter_octagon().relabeled(["neumann"] * 5)
+        poly = relabeled(surfglue.quarter_octagon(), ["neumann"] * 5)
         modes = hypfem.solve_polygon(poly, 0.16, k=1, essential_labels=())
         ext = surfglue.as_extended(modes)
         ext = surfglue.schwarz_extend(ext, surfglue.REAL_MIRROR, "even")
         ext = surfglue.schwarz_extend(ext, surfglue.IMAG_MIRROR, "even")
-        err = surfglue.picture_symmetry_error(ext.system, ext.vector, np.conj, 1.0)
+        err = picture_symmetry_error(ext.system, ext.vector, np.conj, 1.0)
         assert err < 1e-10
         assert abs(ext.lam) < 1e-8
 
@@ -628,6 +647,86 @@ class TestOneAssemblyPerBase:
             surfglue.assemble_glued(bare, base)
 
 
+MIRROR = reflect_in(surfglue.REAL_MIRROR)
+
+
+def mirror_nodes(mesh):
+    """Index of the real-axis mirror image of every mesh node."""
+    tree = cKDTree(np.column_stack([mesh.nodes.real, mesh.nodes.imag]))
+    dist, j = tree.query(np.column_stack([mesh.nodes.real, -mesh.nodes.imag]))
+    assert dist.max() <= 1e-9
+    return j
+
+
+class TestMirrorFold:
+    """The pants ground state solved on the mirror orbits of its pencil."""
+
+    @pytest.fixture(scope="class", params=[0.24, 0.16])
+    def pants_system(self, request):
+        pants = surfglue.pants_decagon_surface()
+        return surfglue.assemble_glued(pants, mesh_polygon(pants.base, request.param))
+
+    def test_even_solve_matches_plain_solve(self, pants_system):
+        vals, vecs = surfglue.solve_glued(pants_system, k=1)
+        even_vals, even_vecs = surfglue.solve_glued(pants_system, k=1, even_under=MIRROR)
+        assert abs(even_vals[0] - vals[0]) <= 1e-12 * vals[0]
+        assert np.abs(even_vecs - vecs).max() <= 1e-10
+
+    def test_lifted_vector_is_exactly_even(self, pants_system):
+        _, vecs = surfglue.solve_glued(pants_system, k=1, even_under=MIRROR)
+        u = vecs[:, 0][pants_system.glue_index]
+        assert np.array_equal(u[mirror_nodes(pants_system.base_mesh)], u)
+        assert np.max(np.abs(u)) > 0.0
+
+    def test_rejects_map_that_moves_the_mesh(self, pants_system):
+        with pytest.raises(surfglue.GlueError, match="not mapped onto mesh nodes"):
+            surfglue.solve_glued(pants_system, k=1, even_under=rotation(0.1))
+
+    def test_rejects_map_that_breaks_constrained(self):
+        pants = surfglue.pants_decagon_surface()
+        labels = list(pants.base.labels)
+        labels[0] = "dirichlet"  # half of B2 only: its mirror half (side 9) stays neumann
+        surf = surfglue.Surface(relabeled(pants.base, labels), pants.charts, pants.pairings)
+        system = surfglue.assemble_glued(surf, mesh_polygon(surf.base, 0.24))
+        with pytest.raises(surfglue.GlueError, match="constrained"):
+            surfglue.solve_glued(system, k=1, even_under=MIRROR)
+
+    def test_rejects_map_that_splits_a_dof(self):
+        # the mirror takes the glued sides (7, 1) of the diagonal pants to unglued ones
+        surf = surfglue.canonical_pants_surface()
+        system = surfglue.assemble_glued(surf, mesh_polygon(surf.base, 0.24))
+        with pytest.raises(surfglue.GlueError, match="two glued dofs"):
+            surfglue.solve_glued(system, k=1, even_under=MIRROR)
+
+    def test_rejects_map_that_is_not_an_involution(self):
+        octagon = surfglue.octagon_polygon()
+        surf = surfglue.Surface(octagon, [surfglue.Chart()], [])
+        system = surfglue.assemble_glued(surf, mesh_polygon(octagon, 0.24))
+        with pytest.raises(surfglue.GlueError, match="involution"):
+            surfglue.solve_glued(system, k=1, even_under=rotation(math.pi / 4))
+
+    def test_build_genus3_solves_the_folded_pencil(self, monkeypatch):
+        sizes = []
+        solve_lowest = hypfem.solve_lowest
+
+        def recorded(K, M, k, points):
+            sizes.append(K.shape[0])
+            return solve_lowest(K, M, k, points)
+
+        monkeypatch.setattr(hypfem, "solve_lowest", recorded)
+        surfglue.build_genus3(2.0, h_target=0.16)
+        assert sizes == [3696]  # orbits of the 7,199 free pants dofs, 193 of them on the mirror
+
+    def test_one_debug_record_per_fold(self, pants_system, caplog):
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.surfglue"):
+            surfglue.solve_glued(pants_system, k=1, even_under=MIRROR)
+        (rec,) = [r for r in caplog.records if r.name == "hypnodal.surfglue"]
+        assert rec.levelno == logging.DEBUG
+        msg = rec.getMessage()
+        assert msg.startswith("mirror fold: 7199 -> 3696 dofs, 193 fixed, worst mirror match ")
+        assert float(msg.rsplit(" ", 1)[1]) <= surfglue.MATCH_TOL
+
+
 class TestChartInterpolator:
     def test_values_across_interfaces(self, tiling_ext):
         f = surfglue.chart_interpolator(tiling_ext.system, tiling_ext.vector)
@@ -641,7 +740,7 @@ class TestChartInterpolator:
 def test_circle_length_uses_base_sides():
     surf = surfglue.pants_decagon_surface(2.0, 2.4, 3.0)
     rep = surfglue.audit_topology(surf)
-    per = sorted(surfglue.circle_length(surf, c) for c in rep.boundary_circles)
+    per = sorted(circle_length(surf, c) for c in rep.boundary_circles)
     assert per == pytest.approx([2.0, 2.4, 3.0], abs=1e-9)
 
 
