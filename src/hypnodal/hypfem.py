@@ -8,14 +8,14 @@ edge-midpoint rule, which is exact for quadratics against a constant weight
 and second-order accurate here.
 
 Eigenpairs of K u = lambda M u are computed by shift-invert Lanczos with a
-fixed start vector, so repeated solves are deterministic, and with a few
-Lanczos vectors (LANCZOS_VECTORS, more only for many pairs): a ground
-state then costs about 13 shift inversions instead of 21.  K - SIGMA M is
-factorised once per solve, without pivoting (it is symmetric positive
-definite), in a geometric nested-dissection order computed from the dof
-positions: on planar meshes it fills the LU factors less than a general
-column ordering.  Each solve logs its size, fill, timings and operator
-applications at DEBUG level.
+fixed start vector, so repeated solves are deterministic.  The Lanczos
+basis is small (LANCZOS_VECTORS, or 2k + 1 vectors for k pairs): a ground
+state costs about 13 shift inversions, where eigsh's default basis of 20
+vectors takes 21.  K - SIGMA M is factorised once per solve, without
+pivoting (it is symmetric positive definite), in a geometric
+nested-dissection order computed from the dof positions: on planar meshes
+it fills the LU factors less than a general column ordering.  Each solve
+logs its size, fill, timings and operator applications at DEBUG level.
 """
 
 from __future__ import annotations

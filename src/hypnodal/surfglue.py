@@ -539,7 +539,8 @@ def solve_glued(system: GluedSystem, k: int = 6, even_under: Isometry = None) ->
     if even_under is not None:
         fold, orbits = _mirror_fold(system, even_under)
         Kf, Mf = (_fold_matrix(A, fold, len(orbits)) for A in (Kf, Mf))
-        points = pts[orbits].real + 1j * np.abs(pts[orbits].imag)
+        z = pts[orbits]
+        points = z.real + 1j * np.abs(z.imag)
     vals, vecs = hypfem.solve_lowest(Kf, Mf, k, points)
     full = np.zeros((system.n_dofs, vecs.shape[1]))
     full[free] = vecs[fold]
@@ -962,9 +963,10 @@ def build_genus3(boundary_length: float = 2.0, h_target: float = 0.08) -> Extend
 
     The pants decagon, its labels and its seam pairings are symmetric under
     the reflection in the real axis, the map the seams are glued by, and so
-    is the pencil.  The ground state is simple, hence even under that
-    reflection, and is solved on the folded pencil of the mirror orbits,
-    about half the dofs (solve_glued with even_under).  The mesh is
+    is the pencil.  The ground state is simple, so the reflection maps it
+    to plus or minus itself, and positive, so the sign is plus: it is even,
+    and is solved on the pencil folded onto the mirror orbits, about half
+    the dofs (solve_glued with even_under).  The mesh is
     assembled once, for the pants system; the genus 3 charts copy that
     system's pencil, its dofs being the base dofs.
     """

@@ -163,6 +163,13 @@ class TestSolverPaths:
         for part in ("ordering", "factorisation", "Lanczos", "OPinv applications"):
             assert part in msg
 
+    def test_ground_state_takes_13_shift_inversions(self, caplog):
+        # a Lanczos basis of LANCZOS_VECTORS = 8; eigsh's default basis of 20 takes 21
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
+            hf.solve_polygon(quarter_octagon(), 0.16, k=1)
+        (rec,) = [r for r in caplog.records if r.name == "hypnodal.hypfem"]
+        assert rec.getMessage().endswith(", 13 OPinv applications")
+
 
 def plain_shift_invert(K, M, k):
     """Lowest eigenvalues by eigsh's own shift-invert (SuperLU, COLAMD order)."""
