@@ -55,6 +55,7 @@ from .hypgeo import (
 from .hypmesh import Mesh, mesh_polygon
 
 MATCH_TOL = 1e-9
+PENCIL_SYMMETRY_TOL = 1e-10  # entry mismatch of a pencil and its mirror image, relative to its largest entry
 
 _log = logging.getLogger(__name__)
 
@@ -63,14 +64,15 @@ class GlueError(ValueError):
     """A gluing is geometrically or combinatorially inconsistent."""
 
 
-def _match_nodes(points: np.ndarray, targets: np.ndarray, what: str) -> np.ndarray:
-    """Index of the point within MATCH_TOL of each target; GlueError saying
-    what failed to match otherwise."""
+def _match_nodes(points: np.ndarray, targets: np.ndarray, what: str) -> tuple:
+    """(index of the point within MATCH_TOL of each target, worst match
+    distance); GlueError saying what failed to match otherwise."""
     tree = cKDTree(np.column_stack([points.real, points.imag]))
     dist, j = tree.query(np.column_stack([targets.real, targets.imag]))
-    if dist.max() > MATCH_TOL:
-        raise GlueError(f"{what} (worst match distance {dist.max():.3e})")
-    return j
+    worst = float(dist.max())
+    if worst > MATCH_TOL:
+        raise GlueError(f"{what} (worst match distance {worst:.3e})")
+    return j, worst
 
 
 @dataclass(frozen=True)
@@ -385,7 +387,7 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     for p in surface.pairings:
         na = base_mesh.side_nodes[p.side_a]
         nb = base_mesh.side_nodes[p.side_b]
-        j = _match_nodes(
+        j, _ = _match_nodes(
             base_mesh.nodes[nb],
             apply(p.mu, base_mesh.nodes[na]),
             f"pairing ({p.chart_a},{p.side_a})-({p.chart_b},{p.side_b}): side nodes do not match "
@@ -479,19 +481,21 @@ def glued_residual(system: GluedSystem, lam: float, v: np.ndarray) -> float:
     return float(num / den) if den > 0 else float(num)
 
 
-def _mirror_fold(system: GluedSystem, iso: Isometry) -> tuple:
-    """Orbits of the free dofs under the base symmetry iso, applied in every
-    chart.
+def _mirror_fold(system: GluedSystem, iso: Isometry, Kf, Mf) -> tuple:
+    """The free pencil (Kf, Mf) folded onto the orbits of the free dofs under
+    the base symmetry iso, applied in every chart.
 
     iso must map the base mesh nodes onto themselves within MATCH_TOL and
-    induce an involution r of the glued dofs that keeps the constrained set;
-    GlueError names what fails.  Returns (fold, orbits): fold[i] is the
-    orbit {d, r(d)} of the i-th free dof, orbits[j] the smaller dof of
-    orbit j.
+    induce an involution r of the glued dofs that keeps the constrained set
+    and commutes with the pencil within PENCIL_SYMMETRY_TOL; GlueError
+    names what fails.  Returns (K, M, fold, orbits): fold[i] is the orbit
+    {d, r(d)} of the i-th free dof, orbits[j] the smaller dof of orbit j,
+    and K, M are P^T Kf P and P^T Mf P for the 0/1 matrix P[i, fold[i]] = 1.
     """
     nodes, N = system.base_mesh.nodes, system.base_mesh.n_nodes
-    mapped = apply(iso, nodes)
-    mirror = _match_nodes(nodes, mapped, "mesh nodes are not mapped onto mesh nodes by the symmetry")
+    mirror, worst = _match_nodes(
+        nodes, apply(iso, nodes), "mesh nodes are not mapped onto mesh nodes by the symmetry"
+    )
     gi = system.glue_index
     image = gi.reshape(-1, N)[:, mirror].ravel()  # glued dof of the mirror of every slot
     r = np.empty(system.n_dofs, dtype=np.int64)
@@ -503,45 +507,49 @@ def _mirror_fold(system: GluedSystem, iso: Isometry) -> tuple:
     if not np.array_equal(system.constrained[r], system.constrained):
         raise GlueError("the symmetry does not preserve the constrained dofs")
     free = system.free
+    index = np.empty(system.n_dofs, dtype=np.int64)
+    index[free] = np.arange(len(free))
+    rf = index[r[free]]  # r on the free dofs, in free numbering
+    for name, A in (("stiffness", Kf), ("mass", Mf)):
+        mirrored = A[rf][:, rf]  # R A R, compared entry by entry on the pattern of A
+        mirrored.sort_indices()
+        A.sort_indices()
+        if not (
+            np.array_equal(mirrored.indptr, A.indptr)
+            and np.array_equal(mirrored.indices, A.indices)
+            and np.abs(mirrored.data - A.data).max() <= PENCIL_SYMMETRY_TOL * np.abs(A.data).max()
+        ):
+            raise GlueError(f"the {name} matrix does not commute with the symmetry (mesh not symmetric)")
     orbits, fold = np.unique(np.minimum(free, r[free]), return_inverse=True)
     _log.debug(
         "mirror fold: %d -> %d dofs, %d fixed, worst mirror match %.3e",
-        len(free), len(orbits), int(np.count_nonzero(r[free] == free)),
-        float(np.abs(nodes[mirror] - mapped).max()),
+        len(free), len(orbits), int(np.count_nonzero(rf == np.arange(len(free)))), worst,
     )
-    return fold, orbits
+    K, M = (
+        sp.coo_matrix((A.data, (fold[A.row], fold[A.col])), shape=(len(orbits), len(orbits))).tocsr()
+        for A in (Kf.tocoo(), Mf.tocoo())
+    )
+    return K, M, fold, orbits
 
 
-def _fold_matrix(A, fold: np.ndarray, n: int):
-    """P^T A P for the 0/1 matrix P with P[i, fold[i]] = 1, as CSR."""
-    A = A.tocoo()
-    return sp.coo_matrix((A.data, (fold[A.row], fold[A.col])), shape=(n, n)).tocsr()
+def solve_glued(system: GluedSystem, k: int, even_under: Isometry) -> tuple:
+    """Lowest modes, even under a symmetry, of the glued pencil with the
+    constrained dofs removed.
 
-
-def solve_glued(system: GluedSystem, k: int = 6, even_under: Isometry = None) -> tuple:
-    """Lowest modes of the glued pencil with the constrained dofs removed.
-
-    With even_under, a base-coordinate isometry that maps the mesh onto
-    itself and acts on the glued dofs as an involution r, only the modes
-    even under r are sought.  The pencil commutes with r, so these are the
-    modes of the free pencil folded onto the orbits {d, r(d)}: P^T K P and
-    P^T M P for the 0/1 orbit matrix P, about half the size.  The lift P w
-    copies each orbit's value to its members and stays M-normalized.  Each
-    orbit is ordered at its point folded into the upper half-plane, which
-    separates the orbits when r is the real-axis mirror.
+    even_under is a base-coordinate isometry that maps the mesh onto itself
+    and acts on the glued dofs as an involution r commuting with the pencil
+    (_mirror_fold checks all three).  The even modes are then the modes of
+    the free pencil folded onto the orbits {d, r(d)}: P^T K P and P^T M P
+    for the 0/1 orbit matrix P, about half the size.  The lift P w copies
+    each orbit's value to its members and stays M-normalized.
 
     Returns (values, vectors) with vectors on all glued dofs (zeros on
     removed ones).
     """
-    free, pts = system.free, system.dof_points
+    free = system.free
     Kf, Mf = hypfem.reduce_system(system.K, system.M, free)
-    fold, points = np.arange(len(free)), pts[free]
-    if even_under is not None:
-        fold, orbits = _mirror_fold(system, even_under)
-        Kf, Mf = (_fold_matrix(A, fold, len(orbits)) for A in (Kf, Mf))
-        z = pts[orbits]
-        points = z.real + 1j * np.abs(z.imag)
-    vals, vecs = hypfem.solve_lowest(Kf, Mf, k, points)
+    K, M, fold, orbits = _mirror_fold(system, even_under, Kf, Mf)
+    vals, vecs = hypfem.solve_lowest(K, M, k, system.dof_points[orbits])
     full = np.zeros((system.n_dofs, vecs.shape[1]))
     full[free] = vecs[fold]
     return vals, full
@@ -845,7 +853,7 @@ def mirror_odd_eigenvector(modes: hypfem.PolygonModes, target: float) -> tuple:
 
     nodes = modes.mesh.nodes
     what = "mesh is not symmetric under the coordinate mirrors"
-    p_real = _match_nodes(nodes, np.conj(nodes), what)
+    p_real, _ = _match_nodes(nodes, np.conj(nodes), what)
     S = U.T @ (modes.M @ U[p_real])
     w, Q = np.linalg.eigh(0.5 * (S + S.T))
     if w[0] > -1.0 + 1e-6:
@@ -857,7 +865,7 @@ def mirror_odd_eigenvector(modes: hypfem.PolygonModes, target: float) -> tuple:
     pivot = int(np.argmax(np.abs(v)))
     if v[pivot] < 0:
         v = -v
-    p_imag = _match_nodes(nodes, -np.conj(nodes), what)
+    p_imag, _ = _match_nodes(nodes, -np.conj(nodes), what)
     err = float(np.max(np.abs(v[p_imag] + v)) / np.max(np.abs(v)))
     if err > 1e-8:
         raise GlueError(f"selected vector is not odd under the imaginary-axis mirror ({err:.2e})")

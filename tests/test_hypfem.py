@@ -163,12 +163,18 @@ class TestSolverPaths:
         for part in ("ordering", "factorisation", "Lanczos", "OPinv applications"):
             assert part in msg
 
-    def test_ground_state_takes_13_shift_inversions(self, caplog):
-        # a Lanczos basis of LANCZOS_VECTORS = 8; eigsh's default basis of 20 takes 21
-        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
-            hf.solve_polygon(quarter_octagon(), 0.16, k=1)
-        (rec,) = [r for r in caplog.records if r.name == "hypnodal.hypfem"]
-        assert rec.getMessage().endswith(", 13 OPinv applications")
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_lanczos_basis_size(self, monkeypatch, k):
+        # eigsh's default basis is max(2k + 1, 20) vectors
+        seen = []
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs["ncv"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(hf, "eigsh", recorded)
+        hf.solve_polygon(quarter_octagon(), 0.16, k=k)
+        assert seen == [max(2 * k + 1, hf.LANCZOS_VECTORS)]
 
 
 def plain_shift_invert(K, M, k):

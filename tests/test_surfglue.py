@@ -6,6 +6,7 @@ contents) are hand-counted from the identification rules; masses follow
 from the angle-defect areas of the base polygons.
 """
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -40,7 +41,7 @@ def picture_symmetry_error(system, v, mapping, sign: float) -> float:
     set (tiling placements only)."""
     pts = system.picture_nodes().ravel()
     vals = v[system.glue_index]
-    j = surfglue._match_nodes(pts, mapping(pts), "picture nodes are not invariant under the requested mapping")
+    j, _ = surfglue._match_nodes(pts, mapping(pts), "picture nodes are not invariant under the requested mapping")
     return float(np.max(np.abs(vals[j] - sign * vals)) / np.max(np.abs(vals)))
 
 
@@ -658,6 +659,41 @@ def mirror_nodes(mesh):
     return j
 
 
+def plain_solve(system, k):
+    """Lowest modes of the whole free pencil: reduce, solve, lift."""
+    free = system.free
+    Kf, Mf = hypfem.reduce_system(system.K, system.M, free)
+    vals, vecs = hypfem.solve_lowest(Kf, Mf, k, system.dof_points[free])
+    full = np.zeros((system.n_dofs, vecs.shape[1]))
+    full[free] = vecs
+    return vals, full
+
+
+def flip_one_diagonal(mesh):
+    """The mesh with the diagonal of one convex quad of two triangles above
+    the real axis flipped: the node set stays mirror symmetric, the
+    triangulation does not."""
+    z, tris = mesh.nodes, mesh.triangles
+    owner = {(t[i], t[(i + 1) % 3]): n for n, t in enumerate(tris) for i in range(3)}
+
+    def ccw(tri):
+        a, b, c = z[list(tri)]
+        return ((b - a).conjugate() * (c - a)).imag > 0
+
+    for (a, b), n in owner.items():
+        m = owner.get((b, a))
+        if m is None:
+            continue
+        (c,) = set(tris[n]) - {a, b}
+        (d,) = set(tris[m]) - {a, b}
+        new = [(a, d, c), (d, b, c)]
+        if min(z[[a, b, c, d]].imag) > 0.1 and all(ccw(t) for t in new):
+            out = tris.copy()
+            out[n], out[m] = new
+            return dataclasses.replace(mesh, triangles=out)
+    raise AssertionError("no flippable quad above the real axis")
+
+
 class TestMirrorFold:
     """The pants ground state solved on the mirror orbits of its pencil."""
 
@@ -667,7 +703,7 @@ class TestMirrorFold:
         return surfglue.assemble_glued(pants, mesh_polygon(pants.base, request.param))
 
     def test_even_solve_matches_plain_solve(self, pants_system):
-        vals, vecs = surfglue.solve_glued(pants_system, k=1)
+        vals, vecs = plain_solve(pants_system, k=1)
         even_vals, even_vecs = surfglue.solve_glued(pants_system, k=1, even_under=MIRROR)
         assert abs(even_vals[0] - vals[0]) <= 1e-12 * vals[0]
         assert np.abs(even_vecs - vecs).max() <= 1e-10
@@ -681,6 +717,13 @@ class TestMirrorFold:
     def test_rejects_map_that_moves_the_mesh(self, pants_system):
         with pytest.raises(surfglue.GlueError, match="not mapped onto mesh nodes"):
             surfglue.solve_glued(pants_system, k=1, even_under=rotation(0.1))
+
+    def test_rejects_mesh_whose_triangles_are_not_symmetric(self):
+        pants = surfglue.pants_decagon_surface()
+        mesh = flip_one_diagonal(mesh_polygon(pants.base, 0.24))
+        system = surfglue.assemble_glued(pants, mesh)
+        with pytest.raises(surfglue.GlueError, match="does not commute"):
+            surfglue.solve_glued(system, k=1, even_under=MIRROR)
 
     def test_rejects_map_that_breaks_constrained(self):
         pants = surfglue.pants_decagon_surface()
