@@ -725,6 +725,17 @@ class TestMirrorFold:
         with pytest.raises(surfglue.GlueError, match="does not commute"):
             surfglue.solve_glued(system, k=1, even_under=MIRROR)
 
+    @pytest.mark.parametrize("matrix, name", [("K", "stiffness"), ("M", "mass")])
+    def test_rejects_pencil_entry_that_is_not_symmetric(self, pants_system, matrix, name):
+        gi = pants_system.glue_index
+        moved = gi[mirror_nodes(pants_system.base_mesh)] != gi
+        d = gi[np.flatnonzero(moved & ~pants_system.constrained[gi])[0]]
+        A = getattr(pants_system, matrix).copy()
+        A[d, d] *= 1.01  # same pattern, one diagonal entry without its mirror
+        system = dataclasses.replace(pants_system, **{matrix: A})
+        with pytest.raises(surfglue.GlueError, match=f"the {name} matrix does not commute"):
+            surfglue.solve_glued(system, k=1, even_under=MIRROR)
+
     def test_rejects_map_that_breaks_constrained(self):
         pants = surfglue.pants_decagon_surface()
         labels = list(pants.base.labels)
@@ -766,8 +777,10 @@ class TestMirrorFold:
         (rec,) = [r for r in caplog.records if r.name == "hypnodal.surfglue"]
         assert rec.levelno == logging.DEBUG
         msg = rec.getMessage()
-        assert msg.startswith("mirror fold: 7199 -> 3696 dofs, 193 fixed, worst mirror match ")
-        assert float(msg.rsplit(" ", 1)[1]) <= surfglue.MATCH_TOL
+        nodes = pants_system.base_mesh.nodes
+        worst = np.abs(nodes[mirror_nodes(pants_system.base_mesh)] - nodes.conj()).max()
+        assert msg == f"mirror fold: 7199 -> 3696 dofs, 193 fixed, worst mirror match {worst:.3e}"
+        assert 0.0 < worst <= surfglue.MATCH_TOL
 
 
 class TestChartInterpolator:
