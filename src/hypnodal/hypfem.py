@@ -16,6 +16,16 @@ pivoting (it is symmetric positive definite), in a geometric
 nested-dissection order computed from the dof positions: on planar meshes
 it fills the LU factors less than a general column ordering.  Each solve
 logs its size, fill, timings and operator applications at DEBUG level.
+
+solve_even is the one mirror fold: the modes of a pencil that are even
+under a dof involution r commuting with it are the modes of the pencil
+folded onto the orbits {d, r(d)}, about half the dofs.  solve_polygon uses
+it for ground states (k == 1) of polygons with a mirror through 0
+(hypgeo.polygon_mirror): the mesh, the side labels and hence the pencil are
+symmetric under the mirror, and the ground state is simple, so the mirror
+maps it to plus or minus itself, and positive, so the sign is plus.  Higher
+modes need not be even, so k > 1 solves the whole pencil.
+surfglue.solve_glued folds glued pencils the same way.
 """
 
 from __future__ import annotations
@@ -29,12 +39,17 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .hypmesh import Mesh, mesh_polygon
+from .hypgeo import apply, polygon_mirror
+from .hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
 
 # phi[node, midpoint] for midpoints (01, 12, 20) of the reference triangle
 _PHI_MID = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
 
 SIGMA = -1.0  # shift for shift-invert; negative keeps K - SIGMA M positive definite
+
+PENCIL_SYMMETRY_TOL = 1e-10  # entry mismatch of a pencil and its mirror image, relative to its largest entry
+# DEBUG record of a fold: dofs before and after, fixed dofs, worst node match of the symmetry
+FOLD_RECORD = "mirror fold: %d -> %d dofs, %d fixed, worst mirror match %.3e"
 
 LEAF_SIZE = 16  # nested dissection stops bisecting blocks of at most this many dofs
 LANCZOS_VECTORS = 8  # Lanczos basis of max(2k + 1, this many) vectors, at most n; eigsh's default is 20
@@ -45,6 +60,10 @@ _DIRECTION_BIT = (1 << np.arange(len(_DIRECTIONS), dtype=np.uint8))[:, None]
 _CODE_BITS = (np.arange(1 << len(_DIRECTIONS))[:, None] >> np.arange(len(_DIRECTIONS))) & 1
 
 _log = logging.getLogger(__name__)
+
+
+class SymmetryError(ValueError):
+    """A map of the dofs that should be a symmetry of a pencil is not one."""
 
 
 def assemble(nodes: np.ndarray, triangles: np.ndarray) -> tuple:
@@ -215,6 +234,43 @@ def eigen_residuals(K, M, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+def solve_even(K, M, r, k: int, points) -> tuple:
+    """Lowest k modes of K u = lambda M u that are even under the dof map r.
+
+    r[d] is the image of dof d under a symmetry; it must be an involution
+    that commutes with the pencil (R K R = K and R M R = M for its
+    permutation matrix R, compared entry by entry on the pattern within
+    PENCIL_SYMMETRY_TOL of the largest entry), or SymmetryError.  The even
+    modes are the modes of the pencil folded onto the orbits {d, r(d)}:
+    P^T K P and P^T M P for the 0/1 orbit matrix P, solved with each orbit
+    at the point of its smaller dof.  The lift P w copies each orbit's value
+    to its members and stays M-normalized.
+
+    Returns (values, vectors, counts): vectors on the dofs of K, counts the
+    (dofs, orbits, fixed dofs) of FOLD_RECORD.
+    """
+    n = K.shape[0]
+    if not np.array_equal(r[r], np.arange(n)):
+        raise SymmetryError("the symmetry does not act on the dofs as an involution")
+    for name, A in (("stiffness", K), ("mass", M)):
+        mirrored = A[r][:, r]  # R A R, compared entry by entry on the pattern of A
+        mirrored.sort_indices()
+        A.sort_indices()
+        if not (
+            np.array_equal(mirrored.indptr, A.indptr)
+            and np.array_equal(mirrored.indices, A.indices)
+            and np.abs(mirrored.data - A.data).max() <= PENCIL_SYMMETRY_TOL * np.abs(A.data).max()
+        ):
+            raise SymmetryError(f"the {name} matrix does not commute with the symmetry (mesh not symmetric)")
+    orbits, fold = np.unique(np.minimum(np.arange(n), r), return_inverse=True)
+    Kr, Mr = (
+        sp.coo_matrix((A.data, (fold[A.row], fold[A.col])), shape=(len(orbits), len(orbits))).tocsr()
+        for A in (K.tocoo(), M.tocoo())
+    )
+    vals, vecs = solve_lowest(Kr, Mr, k, points[orbits])
+    return vals, vecs[fold], (n, len(orbits), 2 * len(orbits) - n)
+
+
 @dataclass
 class PolygonModes:
     """Eigenpairs on a meshed polygon; vectors live on all mesh nodes
@@ -239,6 +295,16 @@ def solve_polygon(
 
     Sides whose label is in essential_labels get homogeneous essential
     conditions; all other sides are natural (no constraint).
+
+    A ground state (k == 1) of a polygon with a mirror through 0
+    (hypgeo.polygon_mirror) is solved on the mirror orbits of the free
+    dofs (solve_even), about half of them: the mesh, the labels and the
+    pencil are symmetric, and the ground state is simple and positive,
+    hence even.  The mesh nodes must map onto mesh nodes within MATCH_TOL
+    and the constrained nodes onto constrained nodes, or SymmetryError;
+    one DEBUG record gives FOLD_RECORD.  Higher modes need not be even, so
+    k > 1 solves the whole free pencil.  residuals are the backward errors
+    of the vectors on the free pencil either way.
     """
     mesh = mesh_polygon(poly, h_target)
     K, M = assemble(mesh.nodes, mesh.triangles)
@@ -247,7 +313,18 @@ def solve_polygon(
         constrained[mesh.nodes_on_label(lab)] = True
     free = np.flatnonzero(~constrained)
     Kf, Mf = reduce_system(K, M, free)
-    vals, vecs = solve_lowest(Kf, Mf, k, mesh.nodes[free])
+    mirror = polygon_mirror(poly) if k == 1 else None
+    if mirror is None:
+        vals, vecs = solve_lowest(Kf, Mf, k, mesh.nodes[free])
+    else:
+        image, worst = match_nodes(mesh.nodes, apply(mirror, mesh.nodes))
+        if worst > MATCH_TOL or not np.array_equal(constrained[image], constrained):
+            raise SymmetryError(
+                f"the mesh is not symmetric under the polygon's mirror (worst match distance {worst:.3e})"
+            )
+        index = np.cumsum(~constrained) - 1  # free numbering of the free nodes
+        vals, vecs, counts = solve_even(Kf, Mf, index[image[free]], k, mesh.nodes[free])
+        _log.debug(FOLD_RECORD, *counts, worst)
     full = np.zeros((mesh.n_nodes, vecs.shape[1]))
     full[free] = vecs
     res = eigen_residuals(Kf, Mf, vals, vecs)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 GEOM_TOL = 1e-9
+MIRROR_TOL = 1e-12  # vertex mismatch allowed for a mirror of a polygon (polygon_mirror)
 
 
 class FeasibilityError(ValueError):
@@ -391,6 +392,30 @@ def polygon_area(poly: HyperbolicPolygon) -> float:
     if area <= 0.0:
         raise GeometryError("nonpositive angle defect; vertex order is not a simple CCW polygon")
     return area
+
+
+def polygon_mirror(poly: HyperbolicPolygon) -> Isometry | None:
+    """A reflection in a line through 0 that maps poly onto itself, side
+    labels included, or None if there is none.
+
+    Such a reflection reverses the boundary: for some c it maps vertex i to
+    vertex c - i and side i onto side c - 1 - i (mod n).  For each c in
+    turn, the farthest vertex from 0 and its partner fix the mirror line;
+    the first c whose reflection maps every vertex within MIRROR_TOL of its
+    partner and every side onto a side with the same label gives the
+    result.  The tolerance is far below the mesh node match, so a polygon
+    that is only nearly symmetric has no mirror.
+    """
+    v = np.asarray(poly.vertices, dtype=np.complex128)
+    n, j = poly.n, int(np.argmax(np.abs(v)))
+    for c in range(n):
+        partner = (c - np.arange(n)) % n
+        turn = v[partner[j]] / np.conj(v[j])  # exp(2i theta) for the mirror line at angle theta
+        if np.abs(turn * np.conj(v) - v[partner]).max() <= MIRROR_TOL and all(
+            poly.labels[s] == poly.labels[(c - 1 - s) % n] for s in range(n)
+        ):
+            return Isometry(cmath.exp(0.5j * cmath.phase(turn)), 0j, True)
+    return None
 
 
 def regular_right_polygon(n: int, alpha: float) -> HyperbolicPolygon:

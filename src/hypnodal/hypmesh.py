@@ -13,9 +13,10 @@ Euclidean mean of the vertices), the Euclidean interior midpoints and the
 Jacobi means are equivariant only under isometries that fix 0: rotations
 and reflections about 0 that map the polygon to itself.  Polygons with
 such symmetries get symmetric meshes.  That exactness is load-bearing
-downstream: reflection extension and chart gluing match nodes across
-isometries at tolerance 1e-9.  A mesh that cannot meet its target or has
-an inverted triangle raises MeshError.
+downstream: reflection extension, chart gluing, the mirror fold of the
+genus 3 pants solve and that of solve_polygon's ground state match nodes
+across isometries at tolerance MATCH_TOL (match_nodes).  A mesh that
+cannot meet its target or has an inverted triangle raises MeshError.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .hypgeo import HyperbolicPolygon, foot_parameter
 
 
+MATCH_TOL = 1e-9  # a node matches the image of a node under a mesh symmetry when this close
 SMOOTH_SWEEPS = 40  # Jacobi relaxation passes (interior and tangential-boundary)
 MAX_REFINEMENTS = 14  # at most this many 1:4 refinement levels, and refine + smooth rounds
 
@@ -95,6 +98,21 @@ def _unique_edges(tris: np.ndarray) -> np.ndarray:
     codes = np.sort(e[:, 0] * n + e[:, 1])
     codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
     return np.stack([codes // n, codes % n], axis=1)
+
+
+def match_nodes(points: np.ndarray, targets: np.ndarray) -> tuple:
+    """(index of the point nearest to each target, worst nearest distance).
+
+    The tree search is bounded just above MATCH_TOL, which prunes it; when
+    some target has no point that close, the query is repeated unbounded,
+    so the worst distance is always the true one.
+    """
+    tree = cKDTree(np.column_stack([points.real, points.imag]))
+    xy = np.column_stack([targets.real, targets.imag])
+    dist, j = tree.query(xy, distance_upper_bound=2.0 * MATCH_TOL)
+    if not np.isfinite(dist).all():
+        dist, j = tree.query(xy)
+    return j, float(dist.max())
 
 
 def min_angle_degrees(mesh: Mesh) -> float:

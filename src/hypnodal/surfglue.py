@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from . import hypfem
 from .hypgeo import (
@@ -52,10 +51,7 @@ from .hypgeo import (
     regular_right_polygon,
     right_angled_hexagon,
 )
-from .hypmesh import Mesh, mesh_polygon
-
-MATCH_TOL = 1e-9
-PENCIL_SYMMETRY_TOL = 1e-10  # entry mismatch of a pencil and its mirror image, relative to its largest entry
+from .hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
 
 _log = logging.getLogger(__name__)
 
@@ -67,9 +63,7 @@ class GlueError(ValueError):
 def _match_nodes(points: np.ndarray, targets: np.ndarray, what: str) -> tuple:
     """(index of the point within MATCH_TOL of each target, worst match
     distance); GlueError saying what failed to match otherwise."""
-    tree = cKDTree(np.column_stack([points.real, points.imag]))
-    dist, j = tree.query(np.column_stack([targets.real, targets.imag]))
-    worst = float(dist.max())
+    j, worst = match_nodes(points, targets)
     if worst > MATCH_TOL:
         raise GlueError(f"{what} (worst match distance {worst:.3e})")
     return j, worst
@@ -407,11 +401,14 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     b = np.concatenate([np.zeros(0, dtype=np.int64), *slots_b])
     pairs = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(C * N, C * N))
     G, labels = connected_components(pairs, directed=False)
+    if G > np.iinfo(np.int32).max:
+        raise GlueError(f"{G} glued dofs do not fit the int32 dof index of the scatter")
     glue_index = labels.astype(np.int64)
 
-    # chart_dof[c, d]: the glued dof of chart c's copy of base dof d
+    # chart_dof[c, d]: the glued dof of chart c's copy of base dof d; int32
+    # halves the row and column arrays of the scatter, the gluing's memory peak
     slot_dof = glue_index.reshape(C, N)
-    chart_dof = np.zeros((C, base.K.shape[0]), dtype=np.int64)
+    chart_dof = np.zeros((C, base.K.shape[0]), dtype=np.int32)
     chart_dof[:, base.dof] = slot_dof
     if not np.array_equal(chart_dof[:, base.dof], slot_dof):
         raise GlueError("the nodes of one base dof land on two glued dofs (surface lacks a base pairing)")
@@ -481,16 +478,13 @@ def glued_residual(system: GluedSystem, lam: float, v: np.ndarray) -> float:
     return float(num / den) if den > 0 else float(num)
 
 
-def _mirror_fold(system: GluedSystem, iso: Isometry, Kf, Mf) -> tuple:
-    """The free pencil (Kf, Mf) folded onto the orbits of the free dofs under
-    the base symmetry iso, applied in every chart.
+def _mirror_fold(system: GluedSystem, iso: Isometry) -> tuple:
+    """(r, worst): the map r of the free dofs, in free numbering, that the
+    base symmetry iso induces in every chart, and the worst mirror match.
 
     iso must map the base mesh nodes onto themselves within MATCH_TOL and
-    induce an involution r of the glued dofs that keeps the constrained set
-    and commutes with the pencil within PENCIL_SYMMETRY_TOL; GlueError
-    names what fails.  Returns (K, M, fold, orbits): fold[i] is the orbit
-    {d, r(d)} of the i-th free dof, orbits[j] the smaller dof of orbit j,
-    and K, M are P^T Kf P and P^T Mf P for the 0/1 matrix P[i, fold[i]] = 1.
+    send the slots of one glued dof to one glued dof, and r must keep the
+    constrained set; GlueError names what fails.
     """
     nodes, N = system.base_mesh.nodes, system.base_mesh.n_nodes
     mirror, worst = _match_nodes(
@@ -502,34 +496,10 @@ def _mirror_fold(system: GluedSystem, iso: Isometry, Kf, Mf) -> tuple:
     r[gi] = image
     if not np.array_equal(r[gi], image):
         raise GlueError("the symmetry maps the slots of one glued dof to two glued dofs")
-    if not np.array_equal(r[r], np.arange(system.n_dofs)):
-        raise GlueError("the symmetry does not act on the glued dofs as an involution")
     if not np.array_equal(system.constrained[r], system.constrained):
         raise GlueError("the symmetry does not preserve the constrained dofs")
-    free = system.free
-    index = np.empty(system.n_dofs, dtype=np.int64)
-    index[free] = np.arange(len(free))
-    rf = index[r[free]]  # r on the free dofs, in free numbering
-    for name, A in (("stiffness", Kf), ("mass", Mf)):
-        mirrored = A[rf][:, rf]  # R A R, compared entry by entry on the pattern of A
-        mirrored.sort_indices()
-        A.sort_indices()
-        if not (
-            np.array_equal(mirrored.indptr, A.indptr)
-            and np.array_equal(mirrored.indices, A.indices)
-            and np.abs(mirrored.data - A.data).max() <= PENCIL_SYMMETRY_TOL * np.abs(A.data).max()
-        ):
-            raise GlueError(f"the {name} matrix does not commute with the symmetry (mesh not symmetric)")
-    orbits, fold = np.unique(np.minimum(free, r[free]), return_inverse=True)
-    _log.debug(
-        "mirror fold: %d -> %d dofs, %d fixed, worst mirror match %.3e",
-        len(free), len(orbits), int(np.count_nonzero(rf == np.arange(len(free)))), worst,
-    )
-    K, M = (
-        sp.coo_matrix((A.data, (fold[A.row], fold[A.col])), shape=(len(orbits), len(orbits))).tocsr()
-        for A in (Kf.tocoo(), Mf.tocoo())
-    )
-    return K, M, fold, orbits
+    index = np.cumsum(~system.constrained) - 1  # free numbering of the free dofs
+    return index[r[system.free]], worst
 
 
 def solve_glued(system: GluedSystem, k: int, even_under: Isometry) -> tuple:
@@ -537,21 +507,25 @@ def solve_glued(system: GluedSystem, k: int, even_under: Isometry) -> tuple:
     constrained dofs removed.
 
     even_under is a base-coordinate isometry that maps the mesh onto itself
-    and acts on the glued dofs as an involution r commuting with the pencil
-    (_mirror_fold checks all three).  The even modes are then the modes of
-    the free pencil folded onto the orbits {d, r(d)}: P^T K P and P^T M P
-    for the 0/1 orbit matrix P, about half the size.  The lift P w copies
-    each orbit's value to its members and stays M-normalized.
+    and acts on the free glued dofs as an involution r commuting with the
+    pencil (_mirror_fold and hypfem.solve_even check this; GlueError
+    otherwise).  The even modes are then the modes of the free pencil
+    folded onto the orbits {d, r(d)}, about half the size (hypfem.solve_even).
+    One DEBUG record gives hypfem.FOLD_RECORD.
 
     Returns (values, vectors) with vectors on all glued dofs (zeros on
     removed ones).
     """
     free = system.free
     Kf, Mf = hypfem.reduce_system(system.K, system.M, free)
-    K, M, fold, orbits = _mirror_fold(system, even_under, Kf, Mf)
-    vals, vecs = hypfem.solve_lowest(K, M, k, system.dof_points[orbits])
+    r, worst = _mirror_fold(system, even_under)
+    try:
+        vals, vecs, counts = hypfem.solve_even(Kf, Mf, r, k, system.dof_points[free])
+    except hypfem.SymmetryError as e:
+        raise GlueError(str(e)) from e
+    _log.debug(hypfem.FOLD_RECORD, *counts, worst)
     full = np.zeros((system.n_dofs, vecs.shape[1]))
-    full[free] = vecs[fold]
+    full[free] = vecs
     return vals, full
 
 

@@ -15,6 +15,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
+from scipy.spatial import cKDTree
 
 from hypnodal import hypfem as hf
 from hypnodal import hypgeo as hg
@@ -177,6 +178,123 @@ class TestSolverPaths:
         assert seen == [max(2 * k + 1, hf.LANCZOS_VECTORS)]
 
 
+def plain_solve(poly, h, k=1):
+    """Lowest modes of the whole free pencil: reduce, solve, lift (the
+    reference of the folded ground state solve)."""
+    mesh = hm.mesh_polygon(poly, h)
+    K, M = hf.assemble(mesh.nodes, mesh.triangles)
+    free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.nodes_on_label("dirichlet"))
+    vals, vecs = hf.solve_lowest(*hf.reduce_system(K, M, free), k, mesh.nodes[free])
+    full = np.zeros((mesh.n_nodes, vecs.shape[1]))
+    full[free] = vecs
+    return vals, full
+
+
+def mirror_image(mesh, iso):
+    """Index of the node at the image of every mesh node under iso, and the
+    worst distance of that match."""
+    tree = cKDTree(np.column_stack([mesh.nodes.real, mesh.nodes.imag]))
+    image = hg.apply(iso, mesh.nodes)
+    dist, j = tree.query(np.column_stack([image.real, image.imag]))
+    assert dist.max() <= hm.MATCH_TOL
+    return j, dist.max()
+
+
+def pants():
+    return surfglue.pants_decagon(2.0, 2.0, 2.0)
+
+
+def is_mirror_of(iso, poly):
+    """Whether iso is a reflection in a line through 0 permuting the vertices of poly."""
+    v = np.array(poly.vertices)
+    return iso.reverses and iso.b == 0 and np.abs(hg.apply(iso, v)[:, None] - v[None, :]).min(axis=1).max() < 1e-12
+
+
+class TestPolygonFold:
+    """Ground states of polygons with a mirror through 0, solved on the mirror orbits."""
+
+    def test_quarter_mirror_is_the_diagonal(self):
+        iso = hg.polygon_mirror(quarter_octagon())
+        assert is_mirror_of(iso, quarter_octagon())
+        assert hg.apply(iso, 0.3 + 0.1j) == pytest.approx(0.1 + 0.3j, abs=1e-15)
+
+    def test_pants_mirror_is_the_real_axis(self):
+        iso = hg.polygon_mirror(pants())
+        assert is_mirror_of(iso, pants())
+        assert hg.apply(iso, 0.3 + 0.1j) == pytest.approx(0.3 - 0.1j, abs=1e-15)
+
+    def test_regular_octagon_has_a_mirror(self, octagon):
+        assert is_mirror_of(hg.polygon_mirror(octagon), octagon)
+
+    def test_translated_pants(self):
+        # a translation along the mirror keeps it a line through 0; one across it does not
+        along = pants().transformed(hg.translation(1.0))
+        assert hg.apply(hg.polygon_mirror(along), 0.3 + 0.1j) == pytest.approx(0.3 - 0.1j, abs=1e-15)
+        across = hg.compose(hg.rotation(math.pi / 2), hg.compose(hg.translation(0.5), hg.rotation(-math.pi / 2)))
+        assert hg.polygon_mirror(pants().transformed(across)) is None
+
+    def test_no_mirror_when_one_axis_side_is_dirichlet(self):
+        assert hg.polygon_mirror(relabeled(quarter_octagon(), ["dirichlet"] + ["neumann"] * 4)) is None
+
+    def test_no_mirror_for_a_nearly_symmetric_polygon(self):
+        v = list(quarter_octagon().vertices)
+        v[2] += 1e-10
+        assert hg.polygon_mirror(hg.HyperbolicPolygon(v, quarter_octagon().labels)) is None
+
+    @pytest.mark.parametrize("h", [0.16, 0.08])
+    def test_folded_solve_matches_plain_solve(self, h):
+        vals, vecs = plain_solve(quarter_octagon(), h)
+        modes = hf.solve_polygon(quarter_octagon(), h, k=1)
+        assert abs(modes.values[0] - vals[0]) <= 1e-12 * vals[0]
+        assert np.abs(modes.vectors - vecs).max() <= 1e-10
+        assert modes.residuals[0] < 1e-12
+
+    def test_lifted_vector_is_exactly_even(self):
+        modes = hf.solve_polygon(quarter_octagon(), 0.16, k=1)
+        image, _ = mirror_image(modes.mesh, hg.polygon_mirror(quarter_octagon()))
+        u = modes.vectors[:, 0]
+        assert np.array_equal(u[image], u)
+        assert u.max() > 0.0
+
+    @pytest.mark.parametrize("k, dofs", [(1, 528), (2, 1024)])
+    def test_only_the_ground_state_is_folded(self, monkeypatch, k, dofs):
+        sizes = []
+        solve_lowest = hf.solve_lowest
+
+        def recorded(K, M, k, points):
+            sizes.append(K.shape[0])
+            return solve_lowest(K, M, k, points)
+
+        monkeypatch.setattr(hf, "solve_lowest", recorded)
+        hf.solve_polygon(quarter_octagon(), 0.16, k=k)
+        assert sizes == [dofs]  # 528 orbits of the 1,024 free dofs, 32 of them on the mirror
+
+    def test_one_debug_record_per_fold(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
+            modes = hf.solve_polygon(quarter_octagon(), 0.16, k=1)
+        folds = [r for r in caplog.records if r.name == "hypnodal.hypfem" and "fold" in r.getMessage()]
+        (rec,) = folds
+        assert rec.levelno == logging.DEBUG
+        _, worst = mirror_image(modes.mesh, hg.polygon_mirror(quarter_octagon()))
+        assert rec.getMessage() == f"mirror fold: 1024 -> 528 dofs, 32 fixed, worst mirror match {worst:.3e}"
+
+    @pytest.mark.parametrize("defect", ["moved node", "free node on a dirichlet side"])
+    def test_rejects_mesh_that_is_not_symmetric(self, monkeypatch, defect):
+        mesh_polygon = hf.mesh_polygon
+
+        def broken(poly, h):
+            mesh = mesh_polygon(poly, h)
+            if defect == "moved node":
+                mesh.nodes[np.argmin(np.abs(mesh.nodes - 0.3 - 0.1j))] += 1e-6
+            else:  # its mirror image on side 4 stays constrained
+                mesh.side_nodes[0] = np.delete(mesh.side_nodes[0], 3)
+            return mesh
+
+        monkeypatch.setattr(hf, "mesh_polygon", broken)
+        with pytest.raises(hf.SymmetryError, match="not symmetric under the polygon's mirror"):
+            hf.solve_polygon(quarter_octagon(), 0.16, k=1)
+
+
 def plain_shift_invert(K, M, k):
     """Lowest eigenvalues by eigsh's own shift-invert (SuperLU, COLAMD order)."""
     return np.sort(eigsh(K, k=k, M=M, sigma=hf.SIGMA, v0=np.ones(K.shape[0]), return_eigenvectors=False))
@@ -302,6 +420,13 @@ class TestInterpolator:
 
 
 class TestRichardson:
+    def test_quarter_sweep_levels_are_consecutive(self):
+        # richardson assumes each level halves h: the sweep's meshes must be consecutive 1:4 levels
+        meshes = [hm.mesh_polygon(quarter_octagon(), h) for h in (0.16, 0.08, 0.04, 0.02)]
+        assert [m.n_nodes for m in meshes] == [1089, 4225, 16641, 66049]
+        for coarse, fine in zip(meshes, meshes[1:]):
+            assert fine.n_triangles == 4 * coarse.n_triangles
+
     def test_exact_quadratic_sequence(self):
         # v_h = 7 + 3 h^2 sampled at h, h/2, h/4
         v = [7 + 3 * 0.1**2, 7 + 3 * 0.05**2, 7 + 3 * 0.025**2]

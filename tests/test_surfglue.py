@@ -190,6 +190,20 @@ class TestGluedAssembly:
         with pytest.raises(surfglue.GlueError):
             surfglue.assemble_glued(surf, mesh)
 
+    def test_match_failure_reports_the_true_worst_distance(self):
+        # the bounded tree query finds no point near 0.2; the message still gives its distance
+        points, targets = np.array([0j, 0.5 + 0j]), np.array([1e-12 + 0j, 0.2 + 0j])
+        with pytest.raises(surfglue.GlueError, match=r"^no match \(worst match distance 2\.000e-01\)$"):
+            surfglue._match_nodes(points, targets, "no match")
+
+    def test_rejects_more_glued_dofs_than_int32_indexes(self, monkeypatch):
+        poly = surfglue.quarter_octagon()
+        mesh = mesh_polygon(poly, 0.24)
+        huge = lambda *args, **kwargs: (2**31, np.zeros(mesh.n_nodes, dtype=np.int32))  # noqa: E731
+        monkeypatch.setattr(surfglue, "connected_components", huge)
+        with pytest.raises(surfglue.GlueError, match="2147483648 glued dofs do not fit the int32 dof index"):
+            surfglue.assemble_glued(surfglue.Surface(poly, [surfglue.Chart()], []), mesh)
+
     def test_symmetry_error_rejects_non_symmetry(self, tiling_ext):
         with pytest.raises(surfglue.GlueError):
             picture_symmetry_error(tiling_ext.system, tiling_ext.vector, lambda z: np.exp(0.1j) * z, 1.0)
