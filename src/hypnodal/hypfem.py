@@ -17,19 +17,20 @@ nested-dissection order computed from the dof positions: on planar meshes
 it fills the LU factors less than a general column ordering.  Each solve
 logs its size, fill, timings and operator applications at DEBUG level.
 
-solve_even is the one mirror fold: the modes of a pencil that are even
-under a dof involution r commuting with it are the modes of the pencil
-folded onto the orbits {d, r(d)}, about half the dofs.  solve_polygon uses
-it for ground states (k == 1) of polygons with a mirror through 0
-(hypgeo.polygon_mirror): the mesh, the side labels and hence the pencil are
-symmetric under the mirror, and the ground state is simple, so the mirror
-maps it to plus or minus itself, and positive, so the sign is plus.  Higher
-modes need not be even, so k > 1 solves the whole pencil.
-surfglue.solve_glued folds glued pencils the same way.
+solve_character is the one symmetry reduction: the modes of a pencil in a
+character of a group of commuting dof involutions that commute with it are
+those of the pencil on the group's signed orbits, a fraction of the dofs.
+solve_polygon uses it, with the polygon's mirror through 0 and chi = +1,
+for ground states (k == 1): the mesh, the labels and hence the pencil are
+symmetric (hypgeo.polygon_mirror), and the ground state is simple and
+positive, so the mirror maps it to itself.  Higher modes need not be even,
+so k > 1 solves the whole pencil.  surfglue uses it for glued pencils and
+for the octagon mode odd under both axis mirrors.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -234,41 +235,63 @@ def eigen_residuals(K, M, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def solve_even(K, M, r, k: int, points) -> tuple:
-    """Lowest k modes of K u = lambda M u that are even under the dof map r.
+def solve_character(K, M, gens, chi, k: int, points) -> tuple:
+    """Lowest k modes of K u = lambda M u with u[g(d)] = chi(g) u[d] for
+    every g of the group that the dof maps gens generate; chi[i] = +1 or -1.
 
-    r[d] is the image of dof d under a symmetry; it must be an involution
+    Each generator (gens[i][d] the image of dof d) must be an involution
     that commutes with the pencil (R K R = K and R M R = M for its
-    permutation matrix R, compared entry by entry on the pattern within
-    PENCIL_SYMMETRY_TOL of the largest entry), or SymmetryError.  The even
-    modes are the modes of the pencil folded onto the orbits {d, r(d)}:
-    P^T K P and P^T M P for the 0/1 orbit matrix P, solved with each orbit
-    at the point of its smaller dof.  The lift P w copies each orbit's value
-    to its members and stays M-normalized.
+    permutation matrix R, entry by entry on the pattern within
+    PENCIL_SYMMETRY_TOL of the largest entry), and the generators must
+    commute, or SymmetryError.  The modes are those of Q^T K Q and Q^T M Q
+    for the signed orbit matrix Q: the column of the orbit with smallest dof
+    d holds chi(g) at g(d) and is solved at the point of d.  Orbits whose
+    stabiliser chi does not fix are zero and get no column.  The lift Q w
+    is M-normalized, with its largest entry at a column's d positive.
 
     Returns (values, vectors, counts): vectors on the dofs of K, counts the
-    (dofs, orbits, fixed dofs) of FOLD_RECORD.
+    (dofs, columns, dofs fixed by every generator) of FOLD_RECORD.
     """
     n = K.shape[0]
-    if not np.array_equal(r[r], np.arange(n)):
-        raise SymmetryError("the symmetry does not act on the dofs as an involution")
-    for name, A in (("stiffness", K), ("mass", M)):
-        mirrored = A[r][:, r]  # R A R, compared entry by entry on the pattern of A
-        mirrored.sort_indices()
-        A.sort_indices()
-        if not (
-            np.array_equal(mirrored.indptr, A.indptr)
-            and np.array_equal(mirrored.indices, A.indices)
-            and np.abs(mirrored.data - A.data).max() <= PENCIL_SYMMETRY_TOL * np.abs(A.data).max()
-        ):
-            raise SymmetryError(f"the {name} matrix does not commute with the symmetry (mesh not symmetric)")
-    orbits, fold = np.unique(np.minimum(np.arange(n), r), return_inverse=True)
-    Kr, Mr = (
-        sp.coo_matrix((A.data, (fold[A.row], fold[A.col])), shape=(len(orbits), len(orbits))).tocsr()
-        for A in (K.tocoo(), M.tocoo())
-    )
-    vals, vecs = solve_lowest(Kr, Mr, k, points[orbits])
-    return vals, vecs[fold], (n, len(orbits), 2 * len(orbits) - n)
+    dofs = np.arange(n)
+    for r in gens:
+        if not np.array_equal(r[r], dofs):
+            raise SymmetryError("the symmetry does not act on the dofs as an involution")
+        for name, A in (("stiffness", K), ("mass", M)):
+            RAR = A[r][:, r]  # compared entry by entry on the pattern of A
+            RAR.sort_indices()
+            A.sort_indices()
+            same = np.array_equal(RAR.indptr, A.indptr) and np.array_equal(RAR.indices, A.indices)
+            if not same or np.abs(RAR.data - A.data).max() > PENCIL_SYMMETRY_TOL * np.abs(A.data).max():
+                raise SymmetryError(f"the {name} matrix does not commute with the symmetry (mesh not symmetric)")
+    if any(not np.array_equal(a[b], b[a]) for a, b in itertools.combinations(gens, 2)):
+        raise SymmetryError("the symmetries do not commute")
+    group = [(dofs, 1.0)]  # (dof map, character) of every group element
+    for r, c in zip(gens, chi):
+        group += [(r[g], c * s) for g, s in group]
+    rep = np.min([g for g, _ in group], axis=0)  # smallest dof of each orbit
+    sign, dead = np.zeros(n), np.zeros(n, dtype=bool)
+    for g, s in group:
+        hit = g[rep] == dofs  # dofs that g reaches from their orbit's smallest dof
+        dead |= hit & (sign == -s)
+        sign[hit] = s
+    live = np.flatnonzero(~dead)
+    cols, col = np.unique(rep[live], return_inverse=True)
+    Q = sp.csr_matrix((sign[live], (live, col)), shape=(n, len(cols)))
+    Qt = Q.T.tocsr()
+    vals, vecs = solve_lowest(Qt @ K @ Q, Qt @ M @ Q, k, points[cols])
+    return vals, Q @ vecs, (n, len(cols), int(np.logical_and.reduce([r == dofs for r in gens]).sum()))
+
+
+def _free_symmetry(nodes, iso, constrained, what: str) -> tuple:
+    """(r, worst): the map that iso induces on the free nodes, in free
+    numbering, and the worst node match; SymmetryError naming what unless iso
+    maps the nodes onto nodes within MATCH_TOL and keeps the constrained set."""
+    image, worst = match_nodes(nodes, apply(iso, nodes))
+    if worst > MATCH_TOL or not np.array_equal(constrained[image], constrained):
+        raise SymmetryError(f"the mesh is not symmetric under {what} (worst match distance {worst:.3e})")
+    index = np.cumsum(~constrained) - 1  # free numbering of the free nodes
+    return index[image[~constrained]], worst
 
 
 @dataclass
@@ -298,7 +321,7 @@ def solve_polygon(
 
     A ground state (k == 1) of a polygon with a mirror through 0
     (hypgeo.polygon_mirror) is solved on the mirror orbits of the free
-    dofs (solve_even), about half of them: the mesh, the labels and the
+    dofs (solve_character), about half of them: the mesh, the labels and the
     pencil are symmetric, and the ground state is simple and positive,
     hence even.  The mesh nodes must map onto mesh nodes within MATCH_TOL
     and the constrained nodes onto constrained nodes, or SymmetryError;
@@ -317,13 +340,8 @@ def solve_polygon(
     if mirror is None:
         vals, vecs = solve_lowest(Kf, Mf, k, mesh.nodes[free])
     else:
-        image, worst = match_nodes(mesh.nodes, apply(mirror, mesh.nodes))
-        if worst > MATCH_TOL or not np.array_equal(constrained[image], constrained):
-            raise SymmetryError(
-                f"the mesh is not symmetric under the polygon's mirror (worst match distance {worst:.3e})"
-            )
-        index = np.cumsum(~constrained) - 1  # free numbering of the free nodes
-        vals, vecs, counts = solve_even(Kf, Mf, index[image[free]], k, mesh.nodes[free])
+        r, worst = _free_symmetry(mesh.nodes, mirror, constrained, "the polygon's mirror")
+        vals, vecs, counts = solve_character(Kf, Mf, [r], [1], k, mesh.nodes[free])
         _log.debug(FOLD_RECORD, *counts, worst)
     full = np.zeros((mesh.n_nodes, vecs.shape[1]))
     full[free] = vecs

@@ -13,9 +13,9 @@ Euclidean mean of the vertices), the Euclidean interior midpoints and the
 Jacobi means are equivariant only under isometries that fix 0: rotations
 and reflections about 0 that map the polygon to itself.  Polygons with
 such symmetries get symmetric meshes.  That exactness is load-bearing
-downstream: reflection extension, chart gluing, the mirror fold of the
-genus 3 pants solve and that of solve_polygon's ground state match nodes
-across isometries at tolerance MATCH_TOL (match_nodes).  A mesh that
+downstream: reflection extension, chart gluing and the symmetry reductions
+of hypfem.solve_character match nodes across isometries at tolerance
+MATCH_TOL (match_nodes).  A mesh that
 cannot meet its target or has an inverted triangle raises MeshError.
 """
 

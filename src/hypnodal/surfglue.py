@@ -446,19 +446,11 @@ def transport(system: GluedSystem, u: np.ndarray, consistency_tol: float = 1e-10
     must agree within consistency_tol * max|u| or the extension is not well
     defined (wrong symmetry class of u).  The dof value is the member mean.
     """
-    N = system.base_mesh.n_nodes
-    sums = np.zeros(system.n_dofs)
-    counts = np.zeros(system.n_dofs)
-    per_chart = []
-    for c, ch in enumerate(system.surface.charts):
-        gi = system.glue_index[c * N : (c + 1) * N]
-        cand = ch.sign * u
-        np.add.at(sums, gi, cand)
-        np.add.at(counts, gi, 1.0)
-        per_chart.append((gi, cand))
-    vals = sums / counts
+    gi, n = system.glue_index, system.n_dofs
+    cand = np.concatenate([ch.sign * u for ch in system.surface.charts])  # value of every slot
+    vals = np.bincount(gi, cand, n) / np.bincount(gi, minlength=n)
     scale = float(np.max(np.abs(u)))
-    worst = max(float(np.max(np.abs(cand - vals[gi]))) for gi, cand in per_chart)
+    worst = float(np.max(np.abs(cand - vals[gi])))
     if worst > consistency_tol * scale:
         raise GlueError(
             f"transport inconsistent: chart values disagree by {worst:.3e} (|u|max = {scale:.3e})"
@@ -508,9 +500,9 @@ def solve_glued(system: GluedSystem, k: int, even_under: Isometry) -> tuple:
 
     even_under is a base-coordinate isometry that maps the mesh onto itself
     and acts on the free glued dofs as an involution r commuting with the
-    pencil (_mirror_fold and hypfem.solve_even check this; GlueError
-    otherwise).  The even modes are then the modes of the free pencil
-    folded onto the orbits {d, r(d)}, about half the size (hypfem.solve_even).
+    pencil (_mirror_fold and hypfem.solve_character check this; GlueError
+    otherwise).  The even modes are those of the free pencil on the orbits
+    {d, r(d)}, about half the size: hypfem.solve_character with [r], [+1].
     One DEBUG record gives hypfem.FOLD_RECORD.
 
     Returns (values, vectors) with vectors on all glued dofs (zeros on
@@ -520,7 +512,7 @@ def solve_glued(system: GluedSystem, k: int, even_under: Isometry) -> tuple:
     Kf, Mf = hypfem.reduce_system(system.K, system.M, free)
     r, worst = _mirror_fold(system, even_under)
     try:
-        vals, vecs, counts = hypfem.solve_even(Kf, Mf, r, k, system.dof_points[free])
+        vals, vecs, counts = hypfem.solve_character(Kf, Mf, [r], [1], k, system.dof_points[free])
     except hypfem.SymmetryError as e:
         raise GlueError(str(e)) from e
     _log.debug(hypfem.FOLD_RECORD, *counts, worst)
@@ -808,42 +800,31 @@ def search_pants_gluing(ext: ExtendedSolution) -> list:
 
 
 def mirror_odd_eigenvector(modes: hypfem.PolygonModes, target: float) -> tuple:
-    """The eigenvector odd under both coordinate-axis mirrors from the
-    eigenspace nearest target, as (eigenvalue, vector).
+    """The eigenpair of modes' free pencil odd under both coordinate-axis
+    mirrors, as (eigenvalue, vector on all mesh nodes).
 
     The mixed quarter-domain mode lifts into a two-dimensional octagon
-    eigenspace: the quarter problem and its quarter-turn image are
-    isospectral, and the pi/4 rotation acts on the pair without fixed
-    vectors.  A direct solve therefore returns an arbitrary basis of the
-    plane; the odd-odd member is the -1 eigenvector of the real-axis
-    reflection represented on the eigenspace.  A cluster of size one (a
-    discretization that splits the pair) is handled the same way.
+    eigenspace (the quarter problem and its quarter-turn image are
+    isospectral); its odd-odd member is the ground state of the (-, -)
+    character of the two mirrors (hypfem.solve_character).  The eigenvalue
+    of modes nearest target must equal it within 1e-6 (1 + lambda), and the
+    mesh and its constrained nodes must be symmetric; GlueError otherwise.
     """
-    vals = np.asarray(modes.values, dtype=float)
-    i0 = int(np.argmin(np.abs(vals - target)))
-    lam = float(vals[i0])
-    cluster = [i for i, v in enumerate(vals) if abs(v - lam) <= 1e-6 * (1.0 + abs(lam))]
-    U = modes.vectors[:, cluster]
-
-    nodes = modes.mesh.nodes
-    what = "mesh is not symmetric under the coordinate mirrors"
-    p_real, _ = _match_nodes(nodes, np.conj(nodes), what)
-    S = U.T @ (modes.M @ U[p_real])
-    w, Q = np.linalg.eigh(0.5 * (S + S.T))
-    if w[0] > -1.0 + 1e-6:
+    nodes, free = modes.mesh.nodes, modes.free
+    constrained = ~np.isin(np.arange(len(nodes)), free)
+    Kf, Mf = hypfem.reduce_system(modes.K, modes.M, free)
+    mirrors = (reflect_in(REAL_MIRROR), reflect_in(IMAG_MIRROR))
+    try:
+        gens = [hypfem._free_symmetry(nodes, m, constrained, "the coordinate mirrors")[0] for m in mirrors]
+        (lam,), vecs, _ = hypfem.solve_character(Kf, Mf, gens, [-1, -1], 1, nodes[free])
+    except hypfem.SymmetryError as e:
+        raise GlueError(str(e)) from e
+    near = modes.values[np.argmin(np.abs(modes.values - target))]
+    if abs(near - lam) > 1e-6 * (1.0 + abs(lam)):
         raise GlueError(f"no mirror-odd eigenvector near lambda = {target}")
-    if len(w) > 1 and w[1] < -1.0 + 1e-6:
-        raise GlueError(f"mirror-odd member near lambda = {target} is ambiguous")
-    v = U @ Q[:, 0]
-    v = v / math.sqrt(float(v @ (modes.M @ v)))
-    pivot = int(np.argmax(np.abs(v)))
-    if v[pivot] < 0:
-        v = -v
-    p_imag, _ = _match_nodes(nodes, -np.conj(nodes), what)
-    err = float(np.max(np.abs(v[p_imag] + v)) / np.max(np.abs(v)))
-    if err > 1e-8:
-        raise GlueError(f"selected vector is not odd under the imaginary-axis mirror ({err:.2e})")
-    return lam, v
+    v = np.zeros(len(nodes))
+    v[free] = vecs[:, 0]
+    return float(lam), v
 
 
 def canonical_pants_surface() -> Surface:
@@ -947,10 +928,10 @@ def build_genus3(boundary_length: float = 2.0, h_target: float = 0.08) -> Extend
     the reflection in the real axis, the map the seams are glued by, and so
     is the pencil.  The ground state is simple, so the reflection maps it
     to plus or minus itself, and positive, so the sign is plus: it is even,
-    and is solved on the pencil folded onto the mirror orbits, about half
-    the dofs (solve_glued with even_under).  The mesh is
-    assembled once, for the pants system; the genus 3 charts copy that
-    system's pencil, its dofs being the base dofs.
+    and is solved on the mirror orbits, about half the dofs (solve_glued
+    with even_under, hence hypfem.solve_character).  The mesh is assembled
+    once, for the pants system; the genus 3 charts copy that system's
+    pencil, its dofs being the base dofs.
     """
     pants = pants_decagon_surface(boundary_length, boundary_length, boundary_length)
     base_mesh = mesh_polygon(pants.base, h_target)

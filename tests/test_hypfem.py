@@ -295,6 +295,64 @@ class TestPolygonFold:
             hf.solve_polygon(quarter_octagon(), 0.16, k=1)
 
 
+@pytest.fixture(scope="module")
+def octagon_pencil():
+    """Free octagon pencil at h = 0.16 and the dof maps of its real-axis,
+    imaginary-axis and pi/4-diagonal mirrors."""
+    mesh = hm.mesh_polygon(surfglue.octagon_polygon(), 0.16)
+    K, M = hf.assemble(mesh.nodes, mesh.triangles)
+    diagonal = hg.Geodesic(5 * math.pi / 4, math.pi / 4)
+    mirrors = (surfglue.REAL_MIRROR, surfglue.IMAG_MIRROR, diagonal)
+    maps = [mirror_image(mesh, hg.reflect_in(g))[0] for g in mirrors]
+    return mesh, K, M, maps
+
+
+class TestSolveCharacter:
+    """Modes of a pencil in one character of a group of commuting dof involutions."""
+
+    def test_odd_odd_block_is_the_octagon_doublet(self, monkeypatch, octagon_pencil):
+        mesh, K, M, (real, imag, _) = octagon_pencil
+        vals, vecs = hf.solve_lowest(K, M, 6, mesh.nodes)
+        sizes = []
+        solve_lowest = hf.solve_lowest
+
+        def recorded(K, M, k, points):
+            sizes.append(K.shape[0])
+            return solve_lowest(K, M, k, points)
+
+        monkeypatch.setattr(hf, "solve_lowest", recorded)
+        (lam,), v, counts = hf.solve_character(K, M, [real, imag], [-1, -1], 1, mesh.nodes)
+        assert sizes == [264] and counts == (1089, 264, 1)  # the centre is the one dof both mirrors fix
+        doublet = np.flatnonzero(np.abs(vals - lam) <= 1e-6 * (1.0 + lam))
+        assert len(doublet) == 2
+        assert np.abs(vals[doublet] - lam).max() <= 1e-12 * lam
+        U = vecs[:, doublet]
+        c = np.linalg.solve(U.T @ (M @ U), U.T @ (M @ v[:, 0]))
+        off = v[:, 0] - U @ c
+        assert math.sqrt(off @ (M @ off)) <= 1e-10
+
+    def test_one_odd_generator_gives_the_first_nonzero_level(self, octagon_pencil):
+        mesh, K, M, (real, _, _) = octagon_pencil
+        vals, _ = hf.solve_lowest(K, M, 3, mesh.nodes)
+        (lam,), _, _ = hf.solve_character(K, M, [real], [-1], 1, mesh.nodes)
+        assert abs(lam - vals[1]) <= 1e-12 * vals[1]
+
+    def test_rejects_generators_that_do_not_commute(self, octagon_pencil):
+        mesh, K, M, (real, _, diagonal) = octagon_pencil
+        with pytest.raises(hf.SymmetryError, match="do not commute"):
+            hf.solve_character(K, M, [real, diagonal], [1, 1], 1, mesh.nodes)
+
+    def test_deterministic_with_positive_representative(self, octagon_pencil):
+        mesh, K, M, (real, imag, _) = octagon_pencil
+        a = hf.solve_character(K, M, [real, imag], [-1, -1], 1, mesh.nodes)
+        b = hf.solve_character(K, M, [real, imag], [-1, -1], 1, mesh.nodes)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        v = a[1][:, 0]
+        d = np.arange(len(v))
+        reps = np.flatnonzero(np.minimum.reduce([d, real, imag, real[imag]]) == d)  # smallest dof of each orbit
+        assert v[reps[np.argmax(np.abs(v[reps]))]] > 0.0
+
+
 def plain_shift_invert(K, M, k):
     """Lowest eigenvalues by eigsh's own shift-invert (SuperLU, COLAMD order)."""
     return np.sort(eigsh(K, k=k, M=M, sigma=hf.SIGMA, v0=np.ones(K.shape[0]), return_eigenvectors=False))

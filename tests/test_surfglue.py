@@ -213,6 +213,18 @@ class TestGluedAssembly:
         with pytest.raises(surfglue.GlueError):
             surfglue.transport(system, np.ones(system.base_mesh.n_nodes))
 
+    def test_transport_matches_per_chart_accumulation(self, tiling_ext, g3):
+        # reference: chart by chart np.add.at of the signed values, then the member mean
+        for ext in (tiling_ext, g3):
+            system, u = ext.system, ext.base_vector
+            N = system.base_mesh.n_nodes
+            sums, counts = np.zeros(system.n_dofs), np.zeros(system.n_dofs)
+            for c, ch in enumerate(system.surface.charts):
+                gi = system.glue_index[c * N : (c + 1) * N]
+                np.add.at(sums, gi, ch.sign * u)
+                np.add.at(counts, gi, 1.0)
+            assert np.array_equal(surfglue.transport(system, u), sums / counts)
+
 
 def reference_glue_index(surface, mesh):
     """Dof numbering by a minimal union-find over the 1e-9 side-node matches,
@@ -571,6 +583,45 @@ class TestGenus2Workflow:
         system = surfglue.assemble_glued(surf, octagon_modes.mesh)
         with pytest.raises(surfglue.GlueError):
             surfglue.transport(system, octagon_modes.mesh.nodes.real.copy())
+
+
+class TestMirrorOddEigenvector:
+    """The octagon mode odd under both axis mirrors, the (-, -) character block."""
+
+    def axis_maps(self, mesh):
+        tree = cKDTree(np.column_stack([mesh.nodes.real, mesh.nodes.imag]))
+        maps = []
+        for image in (mesh.nodes.conj(), -mesh.nodes.conj()):
+            dist, j = tree.query(np.column_stack([image.real, image.imag]))
+            assert dist.max() <= 1e-9
+            maps.append(j)
+        return maps
+
+    def test_exactly_odd_under_both_mirrors(self, octagon_modes):
+        lam, v = surfglue.mirror_odd_eigenvector(octagon_modes, 3.8390)
+        p_real, p_imag = self.axis_maps(octagon_modes.mesh)
+        assert np.array_equal(v[p_real], -v)
+        assert np.array_equal(v[p_imag], -v)
+        on_axes = (p_real == np.arange(len(v))) | (p_imag == np.arange(len(v)))
+        assert on_axes.sum() == 129  # 65 nodes on each axis, the centre on both
+        assert np.all(v[on_axes] == 0.0)
+
+    def test_eigenvalue_is_the_doublet(self, octagon_modes):
+        lam, v = surfglue.mirror_odd_eigenvector(octagon_modes, 3.8390)
+        near = octagon_modes.values[np.argmin(np.abs(octagon_modes.values - lam))]
+        assert abs(lam - near) <= 1e-12 * lam
+        assert v @ (octagon_modes.M @ v) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_target_nearest_another_level(self, octagon_modes):
+        with pytest.raises(surfglue.GlueError, match="no mirror-odd eigenvector near lambda = 0.0"):
+            surfglue.mirror_odd_eigenvector(octagon_modes, 0.0)
+
+    def test_rejects_mesh_that_is_not_symmetric(self, octagon_modes):
+        nodes = octagon_modes.mesh.nodes.copy()
+        nodes[np.argmin(np.abs(nodes - 0.3 - 0.1j))] += 1e-6
+        modes = dataclasses.replace(octagon_modes, mesh=dataclasses.replace(octagon_modes.mesh, nodes=nodes))
+        with pytest.raises(surfglue.GlueError, match="not symmetric under the coordinate mirrors"):
+            surfglue.mirror_odd_eigenvector(modes, 3.8390)
 
 
 class TestGenus3Workflow:
