@@ -17,15 +17,16 @@ nested-dissection order computed from the dof positions: on planar meshes
 it fills the LU factors less than a general column ordering.  Each solve
 logs its size, fill, timings and operator applications at DEBUG level.
 
-solve_character is the one symmetry reduction: the modes of a pencil in a
-character of a group of commuting dof involutions that commute with it are
-those of the pencil on the group's signed orbits, a fraction of the dofs.
-solve_polygon uses it, with the polygon's mirror through 0 and chi = +1,
-for ground states (k == 1): the mesh, the labels and hence the pencil are
-symmetric (hypgeo.polygon_mirror), and the ground state is simple and
-positive, so the mirror maps it to itself.  Higher modes need not be even,
-so k > 1 solves the whole pencil.  surfglue uses it for glued pencils and
-for the octagon mode odd under both axis mirrors.
+solve_character is the one reduction: the modes of a pencil that vanish on
+its constrained dofs and lie in a character of a group of commuting dof
+involutions commuting with the pencil are its modes on the signed orbits;
+an orbit with a constrained dof and one the character forces to zero alike
+get no column.  dof_symmetry maps an isometry to its dof map.
+solve_polygon folds ground states (k == 1) by the polygon's mirror through
+0 with chi = +1: the mesh, labels and pencil are symmetric
+(hypgeo.polygon_mirror), and the ground state is simple and positive, hence
+even.  Higher modes need not be even, so k > 1 uses no generator.  surfglue
+uses it for glued pencils and the octagon mode odd under both axis mirrors.
 """
 
 from __future__ import annotations
@@ -235,9 +236,10 @@ def eigen_residuals(K, M, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def solve_character(K, M, gens, chi, k: int, points) -> tuple:
-    """Lowest k modes of K u = lambda M u with u[g(d)] = chi(g) u[d] for
-    every g of the group that the dof maps gens generate; chi[i] = +1 or -1.
+def solve_character(K, M, gens, chi, k: int, points, constrained=None) -> tuple:
+    """Lowest k modes of K u = lambda M u with u = 0 on the constrained dofs
+    (a boolean mask, default none) and u[g(d)] = chi(g) u[d] for every g of
+    the group that the dof maps gens generate; chi[i] = +1 or -1.
 
     Each generator (gens[i][d] the image of dof d) must be an involution
     that commutes with the pencil (R K R = K and R M R = M for its
@@ -245,15 +247,17 @@ def solve_character(K, M, gens, chi, k: int, points) -> tuple:
     PENCIL_SYMMETRY_TOL of the largest entry), and the generators must
     commute, or SymmetryError.  The modes are those of Q^T K Q and Q^T M Q
     for the signed orbit matrix Q: the column of the orbit with smallest dof
-    d holds chi(g) at g(d) and is solved at the point of d.  Orbits whose
-    stabiliser chi does not fix are zero and get no column.  The lift Q w
-    is M-normalized, with its largest entry at a column's d positive.
+    d holds chi(g) at g(d) and is solved at the point of d.  Orbits with a
+    constrained dof, and orbits whose stabiliser chi does not fix, are zero
+    and get no column; with no generator Q selects the free dofs.  The lift
+    Q w is M-normalized, with its largest entry at a column's d positive.
 
-    Returns (values, vectors, counts): vectors on the dofs of K, counts the
-    (dofs, columns, dofs fixed by every generator) of FOLD_RECORD.
+    Returns (values, vectors, counts): vectors on all dofs of K, counts the
+    (free dofs, columns, free dofs fixed by every generator) of FOLD_RECORD.
     """
     n = K.shape[0]
     dofs = np.arange(n)
+    free = np.ones(n, dtype=bool) if constrained is None else ~constrained
     for r in gens:
         if not np.array_equal(r[r], dofs):
             raise SymmetryError("the symmetry does not act on the dofs as an involution")
@@ -270,7 +274,8 @@ def solve_character(K, M, gens, chi, k: int, points) -> tuple:
     for r, c in zip(gens, chi):
         group += [(r[g], c * s) for g, s in group]
     rep = np.min([g for g, _ in group], axis=0)  # smallest dof of each orbit
-    sign, dead = np.zeros(n), np.zeros(n, dtype=bool)
+    sign = np.zeros(n)
+    dead = ~np.logical_and.reduce([free[g] for g, _ in group])  # orbits with a constrained dof
     for g, s in group:
         hit = g[rep] == dofs  # dofs that g reaches from their orbit's smallest dof
         dead |= hit & (sign == -s)
@@ -280,32 +285,50 @@ def solve_character(K, M, gens, chi, k: int, points) -> tuple:
     Q = sp.csr_matrix((sign[live], (live, col)), shape=(n, len(cols)))
     Qt = Q.T.tocsr()
     vals, vecs = solve_lowest(Qt @ K @ Q, Qt @ M @ Q, k, points[cols])
-    return vals, Q @ vecs, (n, len(cols), int(np.logical_and.reduce([r == dofs for r in gens]).sum()))
+    fixed = np.logical_and.reduce([g == dofs for g, _ in group]) & free
+    return vals, Q @ vecs, (int(free.sum()), len(cols), int(fixed.sum()))
 
 
-def _free_symmetry(nodes, iso, constrained, what: str) -> tuple:
-    """(r, worst): the map that iso induces on the free nodes, in free
-    numbering, and the worst node match; SymmetryError naming what unless iso
-    maps the nodes onto nodes within MATCH_TOL and keeps the constrained set."""
+def dof_symmetry(nodes, node_dof, iso, constrained, what: str) -> tuple:
+    """(r, worst): the map r[d] of the dofs that the isometry iso induces,
+    and the worst node match.
+
+    node_dof[c * N + n] is the dof of copy c of mesh node n (np.arange(N)
+    for a polygon, a glue index for a glued system); constrained is the
+    dof mask.  SymmetryError naming what unless iso maps the nodes onto
+    nodes within MATCH_TOL, the copies of one dof to one dof, and the
+    constrained dofs onto constrained dofs.
+    """
     image, worst = match_nodes(nodes, apply(iso, nodes))
-    if worst > MATCH_TOL or not np.array_equal(constrained[image], constrained):
-        raise SymmetryError(f"the mesh is not symmetric under {what} (worst match distance {worst:.3e})")
-    index = np.cumsum(~constrained) - 1  # free numbering of the free nodes
-    return index[image[~constrained]], worst
+    fail = f"the mesh is not symmetric under {what}"
+    if worst > MATCH_TOL:
+        raise SymmetryError(f"{fail}: nodes not mapped onto mesh nodes (worst match distance {worst:.3e})")
+    mapped = node_dof.reshape(-1, len(nodes))[:, image].ravel()  # dof of the image of every copy
+    r = np.empty(len(constrained), dtype=np.int64)
+    r[node_dof] = mapped
+    if not np.array_equal(r[node_dof], mapped):
+        raise SymmetryError(f"{fail}: it maps the copies of one dof to two glued dofs")
+    if not np.array_equal(constrained[r], constrained):
+        raise SymmetryError(f"{fail}: it does not preserve the constrained dofs")
+    return r, worst
 
 
 @dataclass
 class PolygonModes:
     """Eigenpairs on a meshed polygon; vectors live on all mesh nodes
-    (zeros on constrained ones), free flags the unconstrained nodes."""
+    (zeros on the constrained ones, those with an essential condition)."""
 
     mesh: Mesh
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    free: np.ndarray
+    constrained: np.ndarray
     K: sp.csr_matrix
     M: sp.csr_matrix
+
+    @property
+    def free(self) -> np.ndarray:
+        return np.flatnonzero(~self.constrained)
 
 
 def solve_polygon(
@@ -321,32 +344,28 @@ def solve_polygon(
 
     A ground state (k == 1) of a polygon with a mirror through 0
     (hypgeo.polygon_mirror) is solved on the mirror orbits of the free
-    dofs (solve_character), about half of them: the mesh, the labels and the
-    pencil are symmetric, and the ground state is simple and positive,
-    hence even.  The mesh nodes must map onto mesh nodes within MATCH_TOL
-    and the constrained nodes onto constrained nodes, or SymmetryError;
-    one DEBUG record gives FOLD_RECORD.  Higher modes need not be even, so
-    k > 1 solves the whole free pencil.  residuals are the backward errors
-    of the vectors on the free pencil either way.
+    dofs, about half of them: the mesh, the labels and the pencil are
+    symmetric, and the ground state is simple and positive, hence even.
+    The mirror's dof_symmetry map must exist, or SymmetryError; one DEBUG
+    record gives FOLD_RECORD.  Higher modes need not be even, so k > 1
+    solves the whole free pencil; either way it is one solve_character
+    call.  residuals are the backward errors on the free pencil.
     """
     mesh = mesh_polygon(poly, h_target)
     K, M = assemble(mesh.nodes, mesh.triangles)
     constrained = np.zeros(mesh.n_nodes, dtype=bool)
     for lab in essential_labels:
         constrained[mesh.nodes_on_label(lab)] = True
-    free = np.flatnonzero(~constrained)
-    Kf, Mf = reduce_system(K, M, free)
     mirror = polygon_mirror(poly) if k == 1 else None
-    if mirror is None:
-        vals, vecs = solve_lowest(Kf, Mf, k, mesh.nodes[free])
-    else:
-        r, worst = _free_symmetry(mesh.nodes, mirror, constrained, "the polygon's mirror")
-        vals, vecs, counts = solve_character(Kf, Mf, [r], [1], k, mesh.nodes[free])
+    gens = []
+    if mirror is not None:
+        r, worst = dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), mirror, constrained, "the polygon's mirror")
+        gens = [r]
+    vals, vecs, counts = solve_character(K, M, gens, [1] * len(gens), k, mesh.nodes, constrained)
+    if gens:
         _log.debug(FOLD_RECORD, *counts, worst)
-    full = np.zeros((mesh.n_nodes, vecs.shape[1]))
-    full[free] = vecs
-    res = eigen_residuals(Kf, Mf, vals, vecs)
-    return PolygonModes(mesh, vals, full, res, free, K, M)
+    res = eigen_residuals(*reduce_system(K, M, ~constrained), vals, vecs[~constrained])
+    return PolygonModes(mesh, vals, vecs, res, constrained, K, M)
 
 
 class P1Interpolator:

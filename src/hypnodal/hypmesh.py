@@ -13,10 +13,10 @@ Euclidean mean of the vertices), the Euclidean interior midpoints and the
 Jacobi means are equivariant only under isometries that fix 0: rotations
 and reflections about 0 that map the polygon to itself.  Polygons with
 such symmetries get symmetric meshes.  That exactness is load-bearing
-downstream: reflection extension, chart gluing and the symmetry reductions
-of hypfem.solve_character match nodes across isometries at tolerance
-MATCH_TOL (match_nodes).  A mesh that
-cannot meet its target or has an inverted triangle raises MeshError.
+downstream: reflection extension and chart gluing match nodes across
+isometries at tolerance MATCH_TOL (match_nodes), and hypfem.dof_symmetry is
+the node matcher of the symmetry reductions.  A mesh that cannot meet its
+target or has an inverted triangle raises MeshError.
 """
 
 from __future__ import annotations

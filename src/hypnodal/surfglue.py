@@ -113,15 +113,8 @@ class Surface:
     def n_charts(self) -> int:
         return len(self.charts)
 
-    def glued_sides(self) -> set:
-        out = set()
-        for p in self.pairings:
-            out.add((p.chart_a, p.side_a))
-            out.add((p.chart_b, p.side_b))
-        return out
-
     def unglued_sides(self) -> list:
-        glued = self.glued_sides()
+        glued = {(p.chart_a, p.side_a) for p in self.pairings} | {(p.chart_b, p.side_b) for p in self.pairings}
         return [
             (c, s)
             for c in range(self.n_charts)
@@ -258,7 +251,12 @@ def _cell_complex(n_charts: int, n: int, glued) -> TopologyReport:
 def audit_topology(surface: Surface) -> TopologyReport:
     """Euler characteristic, orientability, and boundary circles of the glued
     complex; the endpoint correspondence of each pairing is read off its
-    isometry."""
+    isometry.  A (chart, side) in two pairings, or paired with itself,
+    raises GlueError."""
+    sides = [side for p in surface.pairings for side in ((p.chart_a, p.side_a), (p.chart_b, p.side_b))]
+    for j, side in enumerate(sides):
+        if side in sides[:j]:
+            raise GlueError(f"side {side} occurs in two pairings or is paired with itself")
     glued = [
         (p.chart_a, p.side_a, p.chart_b, p.side_b, _pairing_start_to_start(surface, p))
         for p in surface.pairings
@@ -307,9 +305,9 @@ class GluedSystem:
     """Finite element pencil on a glued surface.
 
     Chart c's copy of base mesh node n is global slot c*N + n; glue_index
-    maps slots to glued dof ids.  K and M are unreduced (all glued dofs);
+    maps slots to glued dof ids.  K and M are on all glued dofs;
     constrained marks dofs on odd-parity interfaces and on unglued sides
-    labeled dirichlet, to be removed for constrained solves.
+    labeled dirichlet, held at zero by constrained solves.
     """
 
     surface: Surface
@@ -470,55 +468,31 @@ def glued_residual(system: GluedSystem, lam: float, v: np.ndarray) -> float:
     return float(num / den) if den > 0 else float(num)
 
 
-def _mirror_fold(system: GluedSystem, iso: Isometry) -> tuple:
-    """(r, worst): the map r of the free dofs, in free numbering, that the
-    base symmetry iso induces in every chart, and the worst mirror match.
-
-    iso must map the base mesh nodes onto themselves within MATCH_TOL and
-    send the slots of one glued dof to one glued dof, and r must keep the
-    constrained set; GlueError names what fails.
-    """
-    nodes, N = system.base_mesh.nodes, system.base_mesh.n_nodes
-    mirror, worst = _match_nodes(
-        nodes, apply(iso, nodes), "mesh nodes are not mapped onto mesh nodes by the symmetry"
-    )
-    gi = system.glue_index
-    image = gi.reshape(-1, N)[:, mirror].ravel()  # glued dof of the mirror of every slot
-    r = np.empty(system.n_dofs, dtype=np.int64)
-    r[gi] = image
-    if not np.array_equal(r[gi], image):
-        raise GlueError("the symmetry maps the slots of one glued dof to two glued dofs")
-    if not np.array_equal(system.constrained[r], system.constrained):
-        raise GlueError("the symmetry does not preserve the constrained dofs")
-    index = np.cumsum(~system.constrained) - 1  # free numbering of the free dofs
-    return index[r[system.free]], worst
-
-
 def solve_glued(system: GluedSystem, k: int, even_under: Isometry) -> tuple:
     """Lowest modes, even under a symmetry, of the glued pencil with the
-    constrained dofs removed.
+    constrained dofs held at zero.
 
-    even_under is a base-coordinate isometry that maps the mesh onto itself
-    and acts on the free glued dofs as an involution r commuting with the
-    pencil (_mirror_fold and hypfem.solve_character check this; GlueError
-    otherwise).  The even modes are those of the free pencil on the orbits
-    {d, r(d)}, about half the size: hypfem.solve_character with [r], [+1].
+    even_under is a base-coordinate isometry whose dof map r
+    (hypfem.dof_symmetry over the glue index) is an involution commuting
+    with the pencil; GlueError otherwise.  The even modes are those of the
+    free pencil on the orbits {d, r(d)}, about half the size: one
+    hypfem.solve_character call with [r], [+1] and system.constrained.
     One DEBUG record gives hypfem.FOLD_RECORD.
 
-    Returns (values, vectors) with vectors on all glued dofs (zeros on
-    removed ones).
+    Returns (values, vectors) with vectors on all glued dofs (zeros on the
+    constrained ones).
     """
-    free = system.free
-    Kf, Mf = hypfem.reduce_system(system.K, system.M, free)
-    r, worst = _mirror_fold(system, even_under)
     try:
-        vals, vecs, counts = hypfem.solve_character(Kf, Mf, [r], [1], k, system.dof_points[free])
+        r, worst = hypfem.dof_symmetry(
+            system.base_mesh.nodes, system.glue_index, even_under, system.constrained, "the even_under isometry"
+        )
+        vals, vecs, counts = hypfem.solve_character(
+            system.K, system.M, [r], [1], k, system.dof_points, system.constrained
+        )
     except hypfem.SymmetryError as e:
         raise GlueError(str(e)) from e
     _log.debug(hypfem.FOLD_RECORD, *counts, worst)
-    full = np.zeros((system.n_dofs, vecs.shape[1]))
-    full[free] = vecs
-    return vals, full
+    return vals, vecs
 
 
 def chart_interpolator(system: GluedSystem, v: np.ndarray) -> hypfem.P1Interpolator:
@@ -665,6 +639,9 @@ def double_surface(surface: Surface, circle_indices=None) -> Surface:
         circle_indices = list(range(len(circles)))
     if not circle_indices:
         raise GlueError("doubling requires at least one boundary circle")
+    for j, i in enumerate(circle_indices):
+        if not 0 <= i < len(circles) or i in circle_indices[:j]:
+            raise GlueError(f"circle index {i} is out of range or repeated ({len(circles)} boundary circles)")
     chosen = [circles[i] for i in circle_indices]
 
     parities = set()
@@ -800,7 +777,7 @@ def search_pants_gluing(ext: ExtendedSolution) -> list:
 
 
 def mirror_odd_eigenvector(modes: hypfem.PolygonModes, target: float) -> tuple:
-    """The eigenpair of modes' free pencil odd under both coordinate-axis
+    """The eigenpair of modes' pencil odd under both coordinate-axis
     mirrors, as (eigenvalue, vector on all mesh nodes).
 
     The mixed quarter-domain mode lifts into a two-dimensional octagon
@@ -810,21 +787,20 @@ def mirror_odd_eigenvector(modes: hypfem.PolygonModes, target: float) -> tuple:
     of modes nearest target must equal it within 1e-6 (1 + lambda), and the
     mesh and its constrained nodes must be symmetric; GlueError otherwise.
     """
-    nodes, free = modes.mesh.nodes, modes.free
-    constrained = ~np.isin(np.arange(len(nodes)), free)
-    Kf, Mf = hypfem.reduce_system(modes.K, modes.M, free)
+    nodes, constrained = modes.mesh.nodes, modes.constrained
     mirrors = (reflect_in(REAL_MIRROR), reflect_in(IMAG_MIRROR))
     try:
-        gens = [hypfem._free_symmetry(nodes, m, constrained, "the coordinate mirrors")[0] for m in mirrors]
-        (lam,), vecs, _ = hypfem.solve_character(Kf, Mf, gens, [-1, -1], 1, nodes[free])
+        gens = [
+            hypfem.dof_symmetry(nodes, np.arange(len(nodes)), m, constrained, "the coordinate mirrors")[0]
+            for m in mirrors
+        ]
+        (lam,), vecs, _ = hypfem.solve_character(modes.K, modes.M, gens, [-1, -1], 1, nodes, constrained)
     except hypfem.SymmetryError as e:
         raise GlueError(str(e)) from e
     near = modes.values[np.argmin(np.abs(modes.values - target))]
     if abs(near - lam) > 1e-6 * (1.0 + abs(lam)):
         raise GlueError(f"no mirror-odd eigenvector near lambda = {target}")
-    v = np.zeros(len(nodes))
-    v[free] = vecs[:, 0]
-    return float(lam), v
+    return float(lam), vecs[:, 0]
 
 
 def canonical_pants_surface() -> Surface:
@@ -928,10 +904,11 @@ def build_genus3(boundary_length: float = 2.0, h_target: float = 0.08) -> Extend
     the reflection in the real axis, the map the seams are glued by, and so
     is the pencil.  The ground state is simple, so the reflection maps it
     to plus or minus itself, and positive, so the sign is plus: it is even,
-    and is solved on the mirror orbits, about half the dofs (solve_glued
-    with even_under, hence hypfem.solve_character).  The mesh is assembled
-    once, for the pants system; the genus 3 charts copy that system's
-    pencil, its dofs being the base dofs.
+    and is solved on the mirror orbits of the free dofs, about half of them
+    (solve_glued with even_under: one hypfem.solve_character call, whose
+    orbit matrix also holds the Dirichlet circle at zero).  The mesh is
+    assembled once, for the pants system; the genus 3 charts copy that
+    system's pencil, its dofs being the base dofs.
     """
     pants = pants_decagon_surface(boundary_length, boundary_length, boundary_length)
     base_mesh = mesh_polygon(pants.base, h_target)

@@ -353,6 +353,102 @@ class TestSolveCharacter:
         assert v[reps[np.argmax(np.abs(v[reps]))]] > 0.0
 
 
+def free_numbering_fold(K, M, gens, chi, k, points, constrained):
+    """Reference for a constrained character solve: reduce to the free
+    pencil, renumber the dof maps into free numbering, solve, lift onto all
+    dofs."""
+    free = np.flatnonzero(~constrained)
+    index = np.cumsum(~constrained) - 1  # free numbering of the free dofs
+    Kf, Mf = hf.reduce_system(K, M, free)
+    vals, vecs, counts = hf.solve_character(Kf, Mf, [index[r[free]] for r in gens], chi, k, points[free])
+    full = np.zeros((len(constrained), vecs.shape[1]))
+    full[free] = vecs
+    return vals, full, counts
+
+
+def quarter_pencil(h):
+    """Mesh, unreduced pencil and Dirichlet mask of the mixed quarter octagon."""
+    mesh = hm.mesh_polygon(quarter_octagon(), h)
+    K, M = hf.assemble(mesh.nodes, mesh.triangles)
+    constrained = np.zeros(mesh.n_nodes, dtype=bool)
+    constrained[mesh.nodes_on_label("dirichlet")] = True
+    return mesh, K, M, constrained
+
+
+class TestOneOrbitMatrix:
+    """Constrained dofs are zero orbits of the same orbit matrix as the
+    symmetry classes: no reduction and lift of their own."""
+
+    @pytest.mark.parametrize("h", [0.16, 0.08, 0.04, 0.02])
+    def test_constrained_fold_is_the_free_numbering_fold(self, h):
+        mesh, K, M, constrained = quarter_pencil(h)
+        r, _ = hf.dof_symmetry(
+            mesh.nodes, np.arange(mesh.n_nodes), hg.polygon_mirror(quarter_octagon()), constrained, "the mirror"
+        )
+        vals, vecs, counts = hf.solve_character(K, M, [r], [1], 1, mesh.nodes, constrained)
+        ref_vals, ref_vecs, ref_counts = free_numbering_fold(K, M, [r], [1], 1, mesh.nodes, constrained)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+        assert counts == ref_counts
+        modes = hf.solve_polygon(quarter_octagon(), h, k=1)
+        assert np.array_equal(modes.values, vals) and np.array_equal(modes.vectors, vecs)
+
+    def test_no_generator_is_reduce_solve_lift(self):
+        mesh, K, M, constrained = quarter_pencil(0.16)
+        vals, vecs, counts = hf.solve_character(K, M, [], [], 3, mesh.nodes, constrained)
+        free = np.flatnonzero(~constrained)
+        ref_vals, ref_vecs = hf.solve_lowest(*hf.reduce_system(K, M, free), 3, mesh.nodes[free])
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs[free], ref_vecs) and np.all(vecs[constrained] == 0.0)
+        assert counts == (1024, 1024, 1024)
+
+    def test_higher_modes_are_the_plain_solve(self):
+        vals, vecs = plain_solve(quarter_octagon(), 0.16, k=2)
+        modes = hf.solve_polygon(quarter_octagon(), 0.16, k=2)
+        assert np.array_equal(modes.values, vals) and np.array_equal(modes.vectors, vecs)
+
+    def test_octagon_solves_are_the_unreduced_solves(self, octagon_pencil):
+        mesh, K, M, (real, imag, _) = octagon_pencil
+        modes = hf.solve_polygon(surfglue.octagon_polygon(), 0.16, k=6, essential_labels=())
+        vals, vecs = hf.solve_lowest(*hf.reduce_system(K, M, np.arange(mesh.n_nodes)), 6, mesh.nodes)
+        assert np.array_equal(modes.values, vals) and np.array_equal(modes.vectors, vecs)
+        lam, v = surfglue.mirror_odd_eigenvector(modes, MIXED_QUARTER_LIMIT)
+        none = np.zeros(mesh.n_nodes, dtype=bool)
+        (ref,), ref_vecs, _ = free_numbering_fold(K, M, [real, imag], [-1, -1], 1, mesh.nodes, none)
+        assert lam == ref and np.array_equal(v, ref_vecs[:, 0])
+
+    def test_constrained_orbits_get_no_column(self):
+        mesh, K, M, constrained = quarter_pencil(0.16)
+        r, _ = hf.dof_symmetry(
+            mesh.nodes, np.arange(mesh.n_nodes), hg.polygon_mirror(quarter_octagon()), constrained, "the mirror"
+        )
+        broken = constrained.copy()
+        broken[np.flatnonzero(constrained & (r != np.arange(mesh.n_nodes)))[0]] = False  # its mirror image stays
+        _, vecs, (free, cols, _) = hf.solve_character(K, M, [r], [1], 1, mesh.nodes, broken)
+        assert np.all(vecs[constrained] == 0.0)
+        assert (free, cols) == (1025, 528)
+
+    def test_dof_symmetry_keeps_the_constrained_dofs(self):
+        mesh, _, _, constrained = quarter_pencil(0.16)
+        iso = hg.polygon_mirror(quarter_octagon())
+        r, worst = hf.dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), iso, constrained, "the mirror")
+        image, ref_worst = mirror_image(mesh, iso)
+        assert np.array_equal(r, image) and worst == ref_worst
+        assert np.array_equal(constrained[r], constrained)
+
+    @pytest.mark.parametrize("defect, match", [("moved node", "not mapped onto mesh nodes"), ("mask", "constrained")])
+    def test_dof_symmetry_names_the_failed_check(self, defect, match):
+        mesh, _, _, constrained = quarter_pencil(0.16)
+        nodes = mesh.nodes.copy()
+        if defect == "moved node":
+            nodes[np.argmin(np.abs(nodes - 0.3 - 0.1j))] += 1e-6
+        else:
+            constrained[np.flatnonzero(constrained)[1]] = False
+        with pytest.raises(hf.SymmetryError, match=f"not symmetric under the mirror: .*{match}"):
+            hf.dof_symmetry(
+                nodes, np.arange(len(nodes)), hg.polygon_mirror(quarter_octagon()), constrained, "the mirror"
+            )
+
+
 def plain_shift_invert(K, M, k):
     """Lowest eigenvalues by eigsh's own shift-invert (SuperLU, COLAMD order)."""
     return np.sort(eigsh(K, k=k, M=M, sigma=hf.SIGMA, v0=np.ones(K.shape[0]), return_eigenvectors=False))

@@ -34,6 +34,14 @@ def genus2_nodal(octagon_modes):
     return octagon_modes.mesh, v, ns
 
 
+@pytest.mark.parametrize("extra", [50, -1])
+def test_vector_that_does_not_fit_the_mesh_rejected(octagon_modes, extra):
+    u = octagon_modes.vectors[:, 1]
+    u = np.concatenate([u, np.ones(extra)]) if extra > 0 else u[:extra]
+    with pytest.raises(nodal.NodalError, match=f"one value per mesh node: {len(octagon_modes.mesh.nodes)} nodes"):
+        nodal.extract_nodal(octagon_modes.mesh, u)
+
+
 class TestExtractSingleTriangles:
     def test_zero_vertex_to_opposite_edge_midpoint(self):
         m = soup([0.0, 1.0, 1j], [(0, 1, 2)])

@@ -19,6 +19,7 @@ from hypnodal import hypfem, surfglue
 from hypnodal.hypgeo import Geodesic, apply, hyp_distance, reflect_in, rotation
 from hypnodal.hypmesh import mesh_polygon
 
+from test_hypfem import free_numbering_fold
 from test_hypgeo import relabeled
 
 QUARTER_AREA = math.pi / 2
@@ -612,6 +613,16 @@ class TestMirrorOddEigenvector:
         assert abs(lam - near) <= 1e-12 * lam
         assert v @ (octagon_modes.M @ v) == pytest.approx(1.0, abs=1e-12)
 
+    def test_zero_on_the_constrained_nodes(self):
+        octagon = surfglue.octagon_polygon()
+        modes = hypfem.solve_polygon(relabeled(octagon, ["dirichlet"] * 8), 0.16, k=6)
+        p_real, p_imag = self.axis_maps(modes.mesh)
+        # levels 3 and 4 are the cos 2 theta / sin 2 theta doublet; sin 2 theta is odd under both axes
+        lam, v = surfglue.mirror_odd_eigenvector(modes, modes.values[3])
+        assert np.abs(modes.values[3:5] - lam).max() <= 1e-10 * lam
+        assert modes.constrained.sum() == 128 and np.all(v[modes.constrained] == 0.0)
+        assert np.array_equal(v[p_real], -v) and np.array_equal(v[p_imag], -v)
+
     def test_rejects_target_nearest_another_level(self, octagon_modes):
         with pytest.raises(surfglue.GlueError, match="no mirror-odd eigenvector near lambda = 0.0"):
             surfglue.mirror_odd_eigenvector(octagon_modes, 0.0)
@@ -846,6 +857,67 @@ class TestMirrorFold:
         worst = np.abs(nodes[mirror_nodes(pants_system.base_mesh)] - nodes.conj()).max()
         assert msg == f"mirror fold: 7199 -> 3696 dofs, 193 fixed, worst mirror match {worst:.3e}"
         assert 0.0 < worst <= surfglue.MATCH_TOL
+
+
+class TestOneOrbitMatrixGlued:
+    """Glued solves hold the constrained dofs at zero through the orbit
+    matrix itself, bit-identical to reduce, fold in free numbering, lift."""
+
+    @pytest.fixture(scope="class")
+    def pants_system(self):
+        pants = surfglue.pants_decagon_surface()
+        return surfglue.assemble_glued(pants, mesh_polygon(pants.base, 0.24))
+
+    def mirror_map(self, system):
+        return hypfem.dof_symmetry(
+            system.base_mesh.nodes, system.glue_index, MIRROR, system.constrained, "the mirror"
+        )[0]
+
+    def test_constrained_fold_is_the_free_numbering_fold(self, pants_system):
+        s, r = pants_system, self.mirror_map(pants_system)
+        vals, vecs, counts = hypfem.solve_character(s.K, s.M, [r], [1], 1, s.dof_points, s.constrained)
+        ref_vals, ref_vecs, ref_counts = free_numbering_fold(s.K, s.M, [r], [1], 1, s.dof_points, s.constrained)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+        assert counts == ref_counts
+        even_vals, even_vecs = surfglue.solve_glued(s, k=1, even_under=MIRROR)
+        assert np.array_equal(even_vals, vals) and np.array_equal(even_vecs, vecs)
+
+    def test_dof_symmetry_over_the_glue_index(self, pants_system):
+        r = self.mirror_map(pants_system)
+        gi = pants_system.glue_index
+        assert len(r) == pants_system.n_dofs < len(gi)  # the seam twins share a dof
+        assert np.array_equal(r[gi], gi[mirror_nodes(pants_system.base_mesh)])
+        assert np.array_equal(r[r], np.arange(pants_system.n_dofs))
+        assert np.array_equal(pants_system.constrained[r], pants_system.constrained)
+
+    def test_build_genus3_is_the_free_numbering_build(self):
+        ext = surfglue.build_genus3(2.0, h_target=0.16)
+        psys = surfglue.assemble_glued(surfglue.pants_decagon_surface(), ext.base.mesh)
+        r = self.mirror_map(psys)
+        (lam,), vecs, _ = free_numbering_fold(psys.K, psys.M, [r], [1], 1, psys.dof_points, psys.constrained)
+        u = vecs[:, 0][psys.glue_index]
+        assert ext.lam == lam and np.array_equal(ext.base_vector, u)
+        assert np.array_equal(ext.vector, surfglue.transport(ext.system, u))
+
+
+class TestSurfaceInputChecks:
+    @pytest.mark.parametrize("indices, bad", [([0, 0], 0), ([-1], -1), ([5], 5)])
+    def test_double_rejects_bad_circle_index(self, indices, bad):
+        with pytest.raises(surfglue.GlueError, match=rf"circle index {bad} .*\(3 boundary circles\)"):
+            surfglue.double_surface(surfglue.pants_decagon_surface(), indices)
+
+    def test_audit_rejects_a_side_in_two_pairings(self):
+        surf = surfglue.genus2_surface()
+        p = surf.pairings[0]
+        twice = surfglue.Surface(surf.base, surf.charts, surf.pairings + [p])
+        with pytest.raises(surfglue.GlueError, match=rf"side \({p.chart_a}, {p.side_a}\) occurs in two pairings"):
+            surfglue.audit_topology(twice)
+
+    def test_audit_rejects_a_side_paired_with_itself(self):
+        surf = surfglue.canonical_pants_surface()
+        own = surfglue.Pairing(0, 2, 0, 2, surfglue.IDENTITY)
+        with pytest.raises(surfglue.GlueError, match=r"side \(0, 2\) .*paired with itself"):
+            surfglue.audit_topology(surfglue.Surface(surf.base, surf.charts, surf.pairings + [own]))
 
 
 class TestChartInterpolator:
