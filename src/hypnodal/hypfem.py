@@ -384,6 +384,11 @@ class P1Interpolator:
         self.points = np.asarray(points, dtype=np.complex128)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
+        n, t = len(self.points), self.triangles
+        if self.values.shape != (n,):
+            raise ValueError(f"P1Interpolator needs one value per point: {n} points, values of shape {self.values.shape}")
+        if t.ndim != 2 or t.shape[1] != 3 or (t.size and (t.min() < 0 or t.max() >= n)):
+            raise ValueError(f"P1Interpolator needs (T, 3) triangles indexing {n} points, got shape {t.shape}")
         z = self.points[self.triangles]
         cent = z.mean(axis=1)
         self._tree = cKDTree(np.column_stack([cent.real, cent.imag]))

@@ -258,7 +258,6 @@ class Side:
 
     start: complex
     end: complex
-    geodesic: Geodesic
     label: str = "neumann"
 
     @property
@@ -295,6 +294,12 @@ class HyperbolicPolygon:
             raise GeometryError("one label per side required")
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
+        for i, v in enumerate(verts):
+            if not abs(v) < 1.0:
+                raise GeometryError(f"vertex {i} = {v} is not inside the unit disk")
+            j = (i + 1) % len(verts)
+            if abs(verts[j] - v) < 1e-14:
+                raise GeometryError(f"consecutive vertices {i} = {v} and {j} = {verts[j]} coincide")
 
     @property
     def n(self) -> int:
@@ -306,7 +311,7 @@ class HyperbolicPolygon:
 
     def side(self, i: int) -> Side:
         p, q = self.vertices[i], self.vertices[(i + 1) % self.n]
-        return Side(p, q, geodesic_between(p, q), self.labels[i])
+        return Side(p, q, self.labels[i])
 
     def transformed(self, iso: Isometry) -> "HyperbolicPolygon":
         verts = tuple(apply(iso, v) for v in self.vertices)
@@ -318,33 +323,18 @@ class HyperbolicPolygon:
         return HyperbolicPolygon(verts, self.labels)
 
 
-def _tangent_at(g: Geodesic, at: complex, toward: complex) -> complex:
-    """Unit Euclidean tangent of g at point 'at', directed toward 'toward'."""
-    if g.is_diameter:
-        t = cmath.exp(1j * g.theta_q)
-    else:
-        c, _ = g.center_radius()
-        t = 1j * (at - c)
-        t /= abs(t)
-    if (t.real * (toward - at).real + t.imag * (toward - at).imag) < 0.0:
-        t = -t
-    return t
-
-
 def interior_angles(poly: HyperbolicPolygon) -> list:
-    """Interior angle at each vertex (conformal metric, so Euclidean angles between arcs)."""
-    n = poly.n
+    """Interior angle at each vertex v.  The metric is conformal, so it is
+    the Euclidean angle between the two sides at v; translate_to_zero(v)
+    keeps that angle and makes both sides diameters, which point at the
+    images of the neighbouring vertices.  The interior of a CCW polygon
+    lies counterclockwise from the side to the next vertex, so the angle is
+    measured that way round, in [0, 2 pi): reflex vertices exceed pi."""
     angles = []
-    for i in range(n):
-        v = poly.vertices[i]
-        prev = poly.vertices[i - 1]
-        nxt = poly.vertices[(i + 1) % n]
-        g_in = geodesic_between(prev, v)
-        g_out = geodesic_between(v, nxt)
-        t_in = _tangent_at(g_in, v, prev)
-        t_out = _tangent_at(g_out, v, nxt)
-        dot = t_in.real * t_out.real + t_in.imag * t_out.imag
-        angles.append(math.acos(max(-1.0, min(1.0, dot))))
+    for i, v in enumerate(poly.vertices):
+        T = translate_to_zero(v)
+        prev, nxt = poly.vertices[i - 1], poly.vertices[(i + 1) % poly.n]
+        angles.append(cmath.phase(apply(T, prev) / apply(T, nxt)) % (2.0 * math.pi))
     return angles
 
 

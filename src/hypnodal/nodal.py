@@ -87,8 +87,8 @@ def _cluster_lines(angles, tol: float = 1e-2):
     return clusters
 
 
-def _crossing_angle(dirs) -> float:
-    lines = _cluster_lines([_line_angle(d) for d in dirs])
+def _crossing_angle(lines) -> float:
+    """Smallest angle between the lines (clusters of _cluster_lines) through a crossing."""
     reps = sorted(sum(a for a, _ in c) / len(c) % math.pi for c in lines)
     if len(reps) < 2:
         return 0.0
@@ -173,9 +173,8 @@ def _nodal_set(pts: dict, segs: set, chart: int) -> NodalSet:
         nbrs = sorted(adj[k])
         pairs = [nbrs] if len(nbrs) == 2 else []
         if len(nbrs) >= 3:
-            dirs = [pts[n] - pts[k] for n in nbrs]
-            crossings.append((pts[k], _crossing_angle(dirs)))
-            lines = _cluster_lines([_line_angle(d) for d in dirs])
+            lines = _cluster_lines([_line_angle(pts[n] - pts[k]) for n in nbrs])
+            crossings.append((pts[k], _crossing_angle(lines)))
             pairs = [[nbrs[i] for _, i in line] for line in lines if len(line) == 2]
         for a, b in pairs:
             through[k, a], through[k, b] = b, a

@@ -5,16 +5,17 @@ polygon, each with a transport sign for eigenfunction extension), and a
 list of pairings identifying chart sides through explicit isometries.
 Unpaired sides keep their polygon labels as outer boundary conditions.
 
-One combinatorial core counts the glued cell complex (Euler
-characteristic, orientability, boundary circles); audit_topology feeds it
-the endpoint correspondences read off a surface's isometries, the octagon
-pants search feeds it each pattern's flags directly.  One mirror-copy
-builder serves both reflection extension of eigenfunctions across a
-geodesic mirror line (schwarz_extend) and reflection doubling across whole
-boundary circles (double_surface), which differ only in where the copies
-are placed.  The module also stages the closed genus 2 and genus 3
-surfaces and glues finite element systems across charts by exact node
-matching, through one node matcher.
+One union-find over chart corners, chart sheets (the two orientations of
+each face) and boundary sides counts the glued cell complex: vertex
+classes, orientability and boundary circles come from one merge pass.
+audit_topology feeds it the endpoint correspondences read off a surface's
+isometries, the octagon pants search feeds it each pattern's flags
+directly.  One mirror-copy builder serves both reflection extension of
+eigenfunctions across a geodesic mirror line (schwarz_extend) and
+reflection doubling across whole boundary circles (double_surface), which
+differ only in where the copies are placed.  The module also stages the
+closed genus 2 and genus 3 surfaces and glues finite element systems
+across charts by exact node matching, through one node matcher.
 
 The charts of a glued surface copy a base: a finite element pencil on base
 dofs plus the map from base mesh node to base dof.  Each base mesh is
@@ -123,14 +124,14 @@ class Surface:
         ]
 
 
-def _pairing_start_to_start(surface: Surface, p: Pairing, tol: float = MATCH_TOL) -> bool:
+def _pairing_start_to_start(surface: Surface, p: Pairing) -> bool:
     """True if the pairing maps side_a's start vertex to side_b's start vertex."""
     sa = surface.base.side(p.side_a)
     sb = surface.base.side(p.side_b)
     im = apply(p.mu, sa.start)
-    if abs(im - sb.start) <= tol:
+    if abs(im - sb.start) <= MATCH_TOL:
         return True
-    if abs(im - sb.end) <= tol:
+    if abs(im - sb.end) <= MATCH_TOL:
         return False
     raise GlueError(
         f"pairing ({p.chart_a},{p.side_a})-({p.chart_b},{p.side_b}) does not match side endpoints"
@@ -160,13 +161,23 @@ def _cell_complex(n_charts: int, n: int, glued) -> TopologyReport:
     """Invariants of n_charts n-gons with sides identified by glued, a list
     of (chart_a, side_a, chart_b, side_b, start_to_start) tuples.
 
-    Vertices are chart polygon corners identified through pairing endpoint
-    matches; every pairing merges two sides into one edge; faces are charts.
-    Orientability assigns each chart a flag: a pairing that matches start
-    vertex to start vertex forces opposite flags (the sides are traversed
-    parallel), start to end forces equal flags.
+    One union-find answers every question.  Its items are the chart
+    corners (corner k of chart c is c * n + k) and the two sheets of each
+    chart (sheet f of chart c is C * n + 2 c + f, for C charts), the
+    orientations of its face.  A pairing merges its sides' end corners,
+    start with start or start with end, and merges the sheets of its two
+    charts: a start-to-start pairing traverses its sides in parallel, so
+    it merges sheet f with sheet 1 - f, a start-to-end pairing equal
+    sheets.  The vertices are the corner classes, every pairing merges two
+    sides into one edge and the faces are the charts; the complex is
+    orientable unless some chart's two sheets share a class.  Each boundary
+    vertex class must touch exactly two unglued sides; merging the two end
+    corners of every unglued side then makes each boundary circle one
+    class.  Circles are listed in the order of their first side, their
+    sides in (chart, side) order.
     """
-    parent = list(range(n_charts * n))  # corner k of chart c is c * n + k
+    C = n_charts
+    parent = list(range(C * n + 2 * C))
 
     def find(x):
         while parent[x] != x:
@@ -174,76 +185,42 @@ def _cell_complex(n_charts: int, n: int, glued) -> TopologyReport:
             x = parent[x]
         return x
 
-    adj = [[] for _ in range(n_charts)]  # (neighbour chart, must_flip)
+    def union(x, y):
+        parent[find(x)] = find(y)
+
     for ca, sa, cb, sb, s2s in glued:
         ends_b = (sb, sb + 1) if s2s else (sb + 1, sb)
         for ka, kb in zip((sa, sa + 1), ends_b):
-            parent[find(ca * n + ka % n)] = find(cb * n + kb % n)
-        adj[ca].append((cb, s2s))
-        adj[cb].append((ca, s2s))
-    root = [find(x) for x in range(n_charts * n)]
+            union(ca * n + ka % n, cb * n + kb % n)
+        for f in (0, 1):
+            union(C * n + 2 * ca + f, C * n + 2 * cb + (1 - f if s2s else f))
+    V = len({find(x) for x in range(C * n)})
+    E = C * n - len(glued)
+    orientable = all(find(C * n + 2 * c) != find(C * n + 2 * c + 1) for c in range(C))
 
-    V = len(set(root))
-    E = n_charts * n - len(glued)
-    chi = V - E + n_charts
-
-    # orientability: propagate face flags, contradiction means non-orientable
-    orient = [0] * n_charts
-    orientable = True
-    for start in range(n_charts):
-        if orient[start]:
-            continue
-        orient[start] = 1
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            for d, must_flip in adj[c]:
-                want = -orient[c] if must_flip else orient[c]
-                if not orient[d]:
-                    orient[d] = want
-                    stack.append(d)
-                elif orient[d] != want:
-                    orientable = False
-
-    # boundary circles: unglued sides chained through vertex classes
     glued_sides = {(ca, sa) for ca, sa, *_ in glued} | {(cb, sb) for _, _, cb, sb, _ in glued}
-    unglued = [(c, s) for c in range(n_charts) for s in range(n) if (c, s) not in glued_sides]
-    ends = {(c, s): (root[c * n + s], root[c * n + (s + 1) % n]) for c, s in unglued}
-    bnd_adj = {}
-    for side, (r0, r1) in ends.items():
-        bnd_adj.setdefault(r0, []).append(side)
-        bnd_adj.setdefault(r1, []).append(side)
-    for r, sides in bnd_adj.items():
-        if len(sides) != 2:
-            raise GlueError(
-                f"boundary vertex class {divmod(r, n)} touches {len(sides)} unglued sides; expected 2"
-            )
-    circles = []
-    seen = set()
+    unglued = [(c, s) for c in range(C) for s in range(n) if (c, s) not in glued_sides]
+    touches = {}  # unglued sides at each boundary vertex class
     for c, s in unglued:
-        if (c, s) in seen:
-            continue
-        circle = [(c, s)]
-        seen.add((c, s))
-        cursor = ends[c, s][1]
-        while True:
-            nxt = [e for e in bnd_adj[cursor] if e not in seen]
-            if not nxt:
-                break
-            e = nxt[0]
-            circle.append(e)
-            seen.add(e)
-            r0, r1 = ends[e]
-            cursor = r1 if r0 == cursor else r0
-        circles.append(circle)
+        for k in (s, (s + 1) % n):
+            r = find(c * n + k)
+            touches[r] = touches.get(r, 0) + 1
+    for r, m in touches.items():
+        if m != 2:
+            raise GlueError(f"boundary vertex class {divmod(r, n)} touches {m} unglued sides; expected 2")
+    for c, s in unglued:
+        union(c * n + s, c * n + (s + 1) % n)
+    circles = {}
+    for c, s in unglued:
+        circles.setdefault(find(c * n + s), []).append((c, s))
 
     return TopologyReport(
         n_vertices=V,
         n_edges=E,
-        n_faces=n_charts,
-        chi=chi,
+        n_faces=C,
+        chi=V - E + C,
         orientable=orientable,
-        boundary_circles=circles,
+        boundary_circles=list(circles.values()),
         closed=not unglued,
     )
 
@@ -318,10 +295,6 @@ class GluedSystem:
     M: object
     constrained: np.ndarray
     dirichlet_boundary: np.ndarray  # dofs on unglued dirichlet sides only
-
-    @property
-    def free(self) -> np.ndarray:
-        return np.flatnonzero(~self.constrained)
 
     @property
     def eigen_rows(self) -> np.ndarray:

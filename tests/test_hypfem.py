@@ -572,6 +572,22 @@ class TestInterpolator:
         soup(np.array([0.95 + 0j, -0.9j, 0.05 + 0.02j]))
         assert soup.fallbacks == before + 2
 
+    @pytest.mark.parametrize(
+        "triangles, values, what",
+        [
+            ([[0, 1, 2]], [1.0, 2.0, 3.0, 4.0], "one value per point"),
+            ([[0, 1, 2]], [1.0, 2.0], "one value per point"),
+            ([[0, 1, 2]], [[1.0, 2.0, 3.0]], "one value per point"),
+            ([0, 1, 2], [1.0, 2.0, 3.0], r"\(T, 3\) triangles"),
+            ([[0, 1, 3]], [1.0, 2.0, 3.0], r"\(T, 3\) triangles"),
+            ([[0, -1, 2]], [1.0, 2.0, 3.0], r"\(T, 3\) triangles"),
+        ],
+    )
+    def test_rejects_inputs_that_do_not_fit(self, triangles, values, what):
+        points = np.array([0j, 0.1 + 0j, 0.1j])
+        with pytest.raises(ValueError, match=what):
+            hf.P1Interpolator(points, np.array(triangles), np.array(values))
+
 
 class TestRichardson:
     def test_quarter_sweep_levels_are_consecutive(self):

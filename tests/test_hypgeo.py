@@ -146,7 +146,7 @@ class TestIsometry:
 
 def point_along(p, q, s):
     """Point at arclength s from p toward q, through the side projector."""
-    return hg.Side(p, q, hg.geodesic_between(p, q)).point_at(s)
+    return hg.Side(p, q).point_at(s)
 
 
 class TestReflection:
@@ -193,7 +193,7 @@ class TestArcParameters:
         assert hg.foot_parameter(p, q, q) == pytest.approx(L, abs=1e-12)
 
     def test_point_at_takes_floats_and_arrays(self):
-        side = hg.Side(0.1 + 0.3j, -0.4 - 0.2j, hg.geodesic_between(0.1 + 0.3j, -0.4 - 0.2j))
+        side = hg.Side(0.1 + 0.3j, -0.4 - 0.2j)
         s = np.linspace(0.0, side.length, 7)
         many = side.point_at(s)
         assert many.shape == s.shape
@@ -435,3 +435,58 @@ class TestPolygonBasics:
         moved = poly.transformed(R)
         # area computation only works for CCW simple polygons
         assert hg.polygon_area(moved) == pytest.approx(hg.polygon_area(poly), abs=1e-9)
+
+    def test_area_of_a_polygon_with_a_reflex_vertex(self):
+        # vertex 3 = 0.1j points inwards; the chord from vertex 1 cuts the
+        # dart into two convex pieces whose areas must add up
+        v = (-0.5 - 0.4j, 0.5 - 0.4j, 0.5 + 0.4j, 0.1j, -0.5 + 0.4j)
+        angles = hg.interior_angles(hg.HyperbolicPolygon(v))
+        assert angles[3] > math.pi and max(angles[:3] + angles[4:]) < math.pi
+        pieces = hg.polygon_area(hg.HyperbolicPolygon((v[0], v[1], v[3], v[4])))
+        pieces += hg.polygon_area(hg.HyperbolicPolygon((v[1], v[2], v[3])))
+        assert hg.polygon_area(hg.HyperbolicPolygon(v)) == pytest.approx(pieces, abs=1e-12)
+
+    def test_rejects_vertex_outside_disk(self):
+        # the angle defect of these reads 0.6435 and 0.9273 if they are let through
+        for bad in (1.5j, 1j):
+            with pytest.raises(hg.GeometryError, match=r"vertex 2 = .* not inside the unit disk"):
+                hg.HyperbolicPolygon((0j, 0.5 + 0j, bad))
+
+    def test_rejects_coincident_consecutive_vertices(self):
+        with pytest.raises(hg.GeometryError, match=r"consecutive vertices 1 = .* and 2 = .* coincide"):
+            hg.HyperbolicPolygon((0j, 0.5 + 0j, 0.5 + 1e-15j, 0.3j))
+
+
+def reference_interior_angles(poly):
+    """Interior angles from the Euclidean unit tangents of the two side arcs
+    at each vertex, the form that interior_angles replaced (in [0, pi], so
+    right for convex polygons only)."""
+
+    def tangent(g, at, toward):
+        if g.is_diameter:
+            t = cmath.exp(1j * g.theta_q)
+        else:
+            c, _ = g.center_radius()
+            t = 1j * (at - c) / abs(at - c)
+        return -t if (t.conjugate() * (toward - at)).real < 0.0 else t
+
+    out = []
+    for i, v in enumerate(poly.vertices):
+        prev, nxt = poly.vertices[i - 1], poly.vertices[(i + 1) % poly.n]
+        t_in = tangent(hg.geodesic_between(prev, v), v, prev)
+        t_out = tangent(hg.geodesic_between(v, nxt), v, nxt)
+        out.append(math.acos(max(-1.0, min(1.0, (t_in.conjugate() * t_out).real))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        hg.regular_right_polygon(8, math.pi / 2),
+        hg.regular_right_polygon(5, math.pi / 3),
+        hg.right_angled_hexagon(0.8, 1.1, 1.4),
+        hg.HyperbolicPolygon((0j, 0.6 + 0j, 0.5 + 0.5j, 0.1 + 0.7j, -0.4 + 0.2j)),
+    ],
+)
+def test_interior_angles_match_tangent_reference(poly):
+    assert np.allclose(hg.interior_angles(poly), reference_interior_angles(poly), rtol=0.0, atol=1e-13)

@@ -7,12 +7,15 @@ from the angle-defect areas of the base polygons.
 """
 
 import dataclasses
+import functools
 import itertools
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from hypnodal import hypfem, surfglue
@@ -156,6 +159,221 @@ class TestTopologyAudit:
         )
         with pytest.raises(surfglue.GlueError):
             surfglue.build_pattern_surface(pat)
+
+
+def reference_cell_complex(n_charts: int, n: int, glued) -> surfglue.TopologyReport:
+    """surfglue._cell_complex as three algorithms (a union-find for the
+    vertices, a face-flag DFS for orientability, a chain walk for the
+    boundary circles), kept as the reference of the one union-find.
+
+    Invariants of n_charts n-gons with sides identified by glued, a list
+    of (chart_a, side_a, chart_b, side_b, start_to_start) tuples.
+
+    Vertices are chart polygon corners identified through pairing endpoint
+    matches; every pairing merges two sides into one edge; faces are charts.
+    Orientability assigns each chart a flag: a pairing that matches start
+    vertex to start vertex forces opposite flags (the sides are traversed
+    parallel), start to end forces equal flags.
+    """
+    parent = list(range(n_charts * n))  # corner k of chart c is c * n + k
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adj = [[] for _ in range(n_charts)]  # (neighbour chart, must_flip)
+    for ca, sa, cb, sb, s2s in glued:
+        ends_b = (sb, sb + 1) if s2s else (sb + 1, sb)
+        for ka, kb in zip((sa, sa + 1), ends_b):
+            parent[find(ca * n + ka % n)] = find(cb * n + kb % n)
+        adj[ca].append((cb, s2s))
+        adj[cb].append((ca, s2s))
+    root = [find(x) for x in range(n_charts * n)]
+
+    V = len(set(root))
+    E = n_charts * n - len(glued)
+    chi = V - E + n_charts
+
+    # orientability: propagate face flags, contradiction means non-orientable
+    orient = [0] * n_charts
+    orientable = True
+    for start in range(n_charts):
+        if orient[start]:
+            continue
+        orient[start] = 1
+        stack = [start]
+        while stack:
+            c = stack.pop()
+            for d, must_flip in adj[c]:
+                want = -orient[c] if must_flip else orient[c]
+                if not orient[d]:
+                    orient[d] = want
+                    stack.append(d)
+                elif orient[d] != want:
+                    orientable = False
+
+    # boundary circles: unglued sides chained through vertex classes
+    glued_sides = {(ca, sa) for ca, sa, *_ in glued} | {(cb, sb) for _, _, cb, sb, _ in glued}
+    unglued = [(c, s) for c in range(n_charts) for s in range(n) if (c, s) not in glued_sides]
+    ends = {(c, s): (root[c * n + s], root[c * n + (s + 1) % n]) for c, s in unglued}
+    bnd_adj = {}
+    for side, (r0, r1) in ends.items():
+        bnd_adj.setdefault(r0, []).append(side)
+        bnd_adj.setdefault(r1, []).append(side)
+    for r, sides in bnd_adj.items():
+        if len(sides) != 2:
+            raise surfglue.GlueError(
+                f"boundary vertex class {divmod(r, n)} touches {len(sides)} unglued sides; expected 2"
+            )
+    circles = []
+    seen = set()
+    for c, s in unglued:
+        if (c, s) in seen:
+            continue
+        circle = [(c, s)]
+        seen.add((c, s))
+        cursor = ends[c, s][1]
+        while True:
+            nxt = [e for e in bnd_adj[cursor] if e not in seen]
+            if not nxt:
+                break
+            e = nxt[0]
+            circle.append(e)
+            seen.add(e)
+            r0, r1 = ends[e]
+            cursor = r1 if r0 == cursor else r0
+        circles.append(circle)
+
+    return surfglue.TopologyReport(
+        n_vertices=V,
+        n_edges=E,
+        n_faces=n_charts,
+        chi=chi,
+        orientable=orientable,
+        boundary_circles=circles,
+        closed=not unglued,
+    )
+
+
+def pairing_flags(surface):
+    """The (chart_a, side_a, chart_b, side_b, start_to_start) list audit_topology counts."""
+    return [
+        (p.chart_a, p.side_a, p.chart_b, p.side_b, surfglue._pairing_start_to_start(surface, p))
+        for p in surface.pairings
+    ]
+
+
+def count_or_error(count, n_charts, n, glued):
+    """The TopologyReport of count, or the message of the GlueError it raises."""
+    try:
+        return count(n_charts, n, glued)
+    except surfglue.GlueError as e:
+        return str(e)
+
+
+def assert_matches_reference(n_charts, n, glued):
+    """_cell_complex and reference_cell_complex agree on every invariant and
+    on the circles as side sets, or raise the same GlueError; the sides of
+    each circle come in (chart, side) order."""
+    got = count_or_error(surfglue._cell_complex, n_charts, n, glued)
+    ref = count_or_error(reference_cell_complex, n_charts, n, glued)
+    if isinstance(ref, str):
+        assert got == ref
+        return got
+    fields = ("n_vertices", "n_edges", "n_faces", "chi", "orientable", "closed")
+    assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
+    assert [set(c) for c in got.boundary_circles] == [set(c) for c in ref.boundary_circles]
+    assert all(c == sorted(c) for c in got.boundary_circles)
+    return got
+
+
+def built_surfaces():
+    """Every surface the code builds except the four-chart tiling (a fixture)."""
+    pants = surfglue.pants_decagon_surface()
+    circles = surfglue.audit_topology(pants).boundary_circles
+    neumann_ids = [i for i, c in enumerate(circles) if all(pants.base.labels[s] == "neumann" for _, s in c)]
+    return {
+        "canonical pants": surfglue.canonical_pants_surface(),
+        "genus 2": surfglue.genus2_surface(),
+        "pants decagon": pants,
+        "genus 3 stage A": surfglue.double_surface(pants, neumann_ids),
+        "genus 3": surfglue.genus3_surface(),
+    }
+
+
+@st.composite
+def glued_complexes(draw):
+    """1-4 charts of one 4- to 10-gon with random disjoint side pairs, within
+    and across charts, and random endpoint flags."""
+    C, n = draw(st.integers(1, 4)), draw(st.integers(4, 10))
+    sides = draw(st.permutations([(c, s) for c in range(C) for s in range(n)]))
+    k = draw(st.integers(0, len(sides) // 2))
+    flags = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return C, n, [(*sides[2 * i], *sides[2 * i + 1], flags[i]) for i in range(k)]
+
+
+class TestOneUnionFind:
+    """The one union-find count of the glued complex against the three-algorithm reference."""
+
+    def test_every_octagon_pattern(self):
+        for pairs, flags in octagon_patterns():
+            assert_matches_reference(1, 8, [(0, i, 0, j, s2s) for (i, j), s2s in zip(pairs, flags)])
+
+    def test_every_built_surface(self, tiling_ext):
+        surfaces = {"tiling": tiling_ext.surface, **built_surfaces()}
+        for surface in surfaces.values():
+            assert_matches_reference(surface.n_charts, surface.base.n, pairing_flags(surface))
+
+    @given(glued_complexes())
+    @settings(max_examples=300, deadline=None)
+    def test_random_complexes(self, complex_):
+        assert_matches_reference(*complex_)
+
+    def test_two_chart_mobius_band(self):
+        # two squares glued side 0 to side 0 start-to-end and side 2 to side 2
+        # start-to-start: a strip with a half twist, whose corner classes are
+        # {0, 5}, {1, 4}, {2, 6}, {3, 7} and whose four free sides form one circle
+        rep = assert_matches_reference(2, 4, [(0, 0, 1, 0, False), (0, 2, 1, 2, True)])
+        assert (rep.n_vertices, rep.n_edges, rep.n_faces, rep.chi) == (4, 6, 2, 0)
+        assert not rep.orientable and not rep.closed
+        assert rep.boundary_circles == [[(0, 1), (0, 3), (1, 1), (1, 3)]]
+        annulus = assert_matches_reference(2, 4, [(0, 0, 1, 0, False), (0, 2, 1, 2, False)])
+        assert annulus.orientable and len(annulus.boundary_circles) == 2
+
+
+class TestOneUnionFindIsBitIdentical:
+    """The pipelines give bit-identical outputs with the reference count."""
+
+    def test_build_genus3(self, monkeypatch):
+        ext = surfglue.build_genus3(2.0, h_target=0.16)
+        monkeypatch.setattr(surfglue, "_cell_complex", reference_cell_complex)
+        ref = surfglue.build_genus3(2.0, h_target=0.16)
+        assert ext.lam == ref.lam and ext.residual == ref.residual
+        assert np.array_equal(ext.vector, ref.vector)
+        assert np.array_equal(ext.system.glue_index, ref.system.glue_index)
+        assert ext.surface.pairings == ref.surface.pairings
+
+    def test_built_surfaces_and_circles(self, monkeypatch):
+        got = built_surfaces()
+        circles = {name: surfglue.audit_topology(got[name]).boundary_circles for name in got}
+        monkeypatch.setattr(surfglue, "_cell_complex", reference_cell_complex)
+        ref = built_surfaces()
+        for name, surface in got.items():
+            assert surface.pairings == ref[name].pairings, name
+        for name in ("canonical pants", "pants decagon"):
+            assert circles[name] == surfglue.audit_topology(ref[name]).boundary_circles, name
+
+    def test_quarter_extension_and_pants_search(self, tiling_ext, monkeypatch):
+        patterns = surfglue._pair_patterns(8)
+        accepted = surfglue.search_pants_gluing(tiling_ext)
+        monkeypatch.setattr(surfglue, "_cell_complex", reference_cell_complex)
+        monkeypatch.setattr(surfglue, "_pair_patterns", functools.cache(surfglue._pair_patterns.__wrapped__))
+        ref = surfglue.extend_quarter_mode(0.16)
+        assert np.array_equal(ref.vector, tiling_ext.vector) and ref.residual == tiling_ext.residual
+        assert surfglue._pair_patterns(8) == patterns
+        assert surfglue.search_pants_gluing(ref) == accepted
 
 
 class TestGluedAssembly:
@@ -737,7 +955,7 @@ def mirror_nodes(mesh):
 
 def plain_solve(system, k):
     """Lowest modes of the whole free pencil: reduce, solve, lift."""
-    free = system.free
+    free = np.flatnonzero(~system.constrained)
     Kf, Mf = hypfem.reduce_system(system.K, system.M, free)
     vals, vecs = hypfem.solve_lowest(Kf, Mf, k, system.dof_points[free])
     full = np.zeros((system.n_dofs, vecs.shape[1]))
