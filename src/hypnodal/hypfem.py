@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .hypgeo import apply, polygon_mirror
+from .hypgeo import LABELS, apply, polygon_mirror
 from .hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
 
 # phi[node, midpoint] for midpoints (01, 12, 20) of the reference triangle
@@ -170,13 +170,13 @@ def solve_lowest(K, M, k: int, points) -> tuple:
 
     points holds the complex position of each dof, for the nested-dissection
     ordering of K - SIGMA M; the LU factors in that order invert the shift
-    for Lanczos.  At most n - 1 pairs of an n-dof system.  The sign
+    for Lanczos.  1 <= k < n for an n-dof system, or ValueError.  The sign
     convention makes the largest-magnitude component positive, so repeated
     runs return identical vectors (up to degeneracies).
     """
     n = K.shape[0]
-    if n < 2:
-        raise ValueError(f"solve_lowest needs at least 2 dofs, got {n}")
+    if not 1 <= k < n:
+        raise ValueError(f"solve_lowest needs at least 2 dofs and 1 <= k < n: k = {k}, n = {n} dofs")
     points = np.asarray(points)
     if points.shape != (n,):
         raise ValueError(f"solve_lowest needs one point per dof: {n} dofs, points of shape {points.shape}")
@@ -203,9 +203,8 @@ def solve_lowest(K, M, k: int, points) -> tuple:
         return y
 
     op = LinearOperator((n, n), matvec=shift_inverse, dtype=np.float64)
-    k_eff = min(k, n - 1)
-    ncv = min(n, max(2 * k_eff + 1, LANCZOS_VECTORS))
-    vals, vecs = eigsh(K, k=k_eff, M=M, sigma=SIGMA, v0=np.ones(n), OPinv=op, ncv=ncv)
+    ncv = min(n, max(2 * k + 1, LANCZOS_VECTORS))
+    vals, vecs = eigsh(K, k=k, M=M, sigma=SIGMA, v0=np.ones(n), OPinv=op, ncv=ncv)
     # lu.nnz counts the stored (supernodal) L and U entries; lu.L and lu.U would copy the factors
     _log.debug(
         "solve_lowest: %d dofs, k=%d, LU nnz %d, ordering %.3f s, factorisation %.3f s, "
@@ -339,8 +338,8 @@ def solve_polygon(
 ) -> PolygonModes:
     """Mesh a polygon and solve for its lowest Laplace modes.
 
-    Sides whose label is in essential_labels get homogeneous essential
-    conditions; all other sides are natural (no constraint).
+    Sides whose label is in essential_labels (hypgeo.LABELS, or ValueError)
+    get homogeneous essential conditions; all other sides are natural.
 
     A ground state (k == 1) of a polygon with a mirror through 0
     (hypgeo.polygon_mirror) is solved on the mirror orbits of the free
@@ -351,6 +350,8 @@ def solve_polygon(
     solves the whole free pencil; either way it is one solve_character
     call.  residuals are the backward errors on the free pencil.
     """
+    if not set(essential_labels) <= set(LABELS):
+        raise ValueError(f"essential_labels {essential_labels} are not all in {LABELS}")
     mesh = mesh_polygon(poly, h_target)
     K, M = assemble(mesh.nodes, mesh.triangles)
     constrained = np.zeros(mesh.n_nodes, dtype=bool)

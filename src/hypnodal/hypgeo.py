@@ -21,6 +21,7 @@ import numpy as np
 
 GEOM_TOL = 1e-9
 MIRROR_TOL = 1e-12  # vertex mismatch allowed for a mirror of a polygon (polygon_mirror)
+LABELS = ("dirichlet", "neumann")  # the side conditions: held at zero, or free (natural)
 
 
 class FeasibilityError(ValueError):
@@ -254,11 +255,10 @@ def foot_parameter(p, q, x):
 
 @dataclass(frozen=True)
 class Side:
-    """Polygon side: geodesic segment between consecutive vertices, with a condition label."""
+    """Polygon side: geodesic segment between consecutive vertices (the polygon holds its label)."""
 
     start: complex
     end: complex
-    label: str = "neumann"
 
     @property
     def length(self) -> float:
@@ -278,7 +278,7 @@ class Side:
 
 @dataclass(frozen=True)
 class HyperbolicPolygon:
-    """Simple geodesic polygon given by vertices in counterclockwise order."""
+    """Simple geodesic polygon: vertices in counterclockwise order, one label from LABELS per side."""
 
     vertices: tuple
     labels: tuple = None
@@ -292,6 +292,9 @@ class HyperbolicPolygon:
             object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != len(verts):
             raise GeometryError("one label per side required")
+        for i, lab in enumerate(self.labels):
+            if lab not in LABELS:
+                raise GeometryError(f"side {i} is labeled {lab!r}; labels are {LABELS}")
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         for i, v in enumerate(verts):
@@ -311,7 +314,7 @@ class HyperbolicPolygon:
 
     def side(self, i: int) -> Side:
         p, q = self.vertices[i], self.vertices[(i + 1) % self.n]
-        return Side(p, q, self.labels[i])
+        return Side(p, q)
 
     def transformed(self, iso: Isometry) -> "HyperbolicPolygon":
         verts = tuple(apply(iso, v) for v in self.vertices)

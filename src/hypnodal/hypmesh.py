@@ -13,9 +13,9 @@ Euclidean mean of the vertices), the Euclidean interior midpoints and the
 Jacobi means are equivariant only under isometries that fix 0: rotations
 and reflections about 0 that map the polygon to itself.  Polygons with
 such symmetries get symmetric meshes.  That exactness is load-bearing
-downstream: reflection extension and chart gluing match nodes across
-isometries at tolerance MATCH_TOL (match_nodes), and hypfem.dof_symmetry is
-the node matcher of the symmetry reductions.  A mesh that cannot meet its
+downstream: reflection extension and chart gluing pair side nodes across
+isometries at tolerance MATCH_TOL, and hypfem.dof_symmetry matches nodes
+(match_nodes) for the symmetry reductions.  A mesh that cannot meet its
 target or has an inverted triangle raises MeshError.
 """
 

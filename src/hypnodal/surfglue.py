@@ -3,7 +3,9 @@
 A Surface is a base geodesic polygon, a list of charts (placements of that
 polygon, each with a transport sign for eigenfunction extension), and a
 list of pairings identifying chart sides through explicit isometries.
-Unpaired sides keep their polygon labels as outer boundary conditions.
+The side labels are the boundary conditions: a dirichlet side is held at
+zero, glued or not, and a reflection across it is odd, so the reflected
+eigenfunction vanishes on the closed geodesic the side becomes.
 
 One union-find over chart corners, chart sheets (the two orientations of
 each face) and boundary sides counts the glued cell complex: vertex
@@ -15,7 +17,7 @@ eigenfunctions across a geodesic mirror line (schwarz_extend) and
 reflection doubling across whole boundary circles (double_surface), which
 differ only in where the copies are placed.  The module also stages the
 closed genus 2 and genus 3 surfaces and glues finite element systems
-across charts by exact node matching, through one node matcher.
+across charts, pairing the nodes of two paired sides in arclength order.
 
 The charts of a glued surface copy a base: a finite element pencil on base
 dofs plus the map from base mesh node to base dof.  Each base mesh is
@@ -61,15 +63,6 @@ class GlueError(ValueError):
     """A gluing is geometrically or combinatorially inconsistent."""
 
 
-def _match_nodes(points: np.ndarray, targets: np.ndarray, what: str) -> tuple:
-    """(index of the point within MATCH_TOL of each target, worst match
-    distance); GlueError saying what failed to match otherwise."""
-    j, worst = match_nodes(points, targets)
-    if worst > MATCH_TOL:
-        raise GlueError(f"{what} (worst match distance {worst:.3e})")
-    return j, worst
-
-
 @dataclass(frozen=True)
 class Chart:
     """One placed copy of the base polygon.
@@ -89,9 +82,8 @@ class Pairing:
     chart chart_b through the base-coordinate isometry mu, which takes base
     side side_a onto base side side_b.
 
-    parity is +1 for an even (mirror/Neumann) interface, -1 for an odd
-    (Dirichlet) one, and None for a generic gluing with no reflection
-    symmetry attached.
+    The side nodes pair in arclength order, reversed unless mu maps start
+    vertex to start vertex; the sides' labels are the interface condition.
     """
 
     chart_a: int
@@ -99,12 +91,11 @@ class Pairing:
     chart_b: int
     side_b: int
     mu: Isometry
-    parity: int = None
 
 
 @dataclass
 class Surface:
-    """Charts over one base polygon plus side pairings."""
+    """Charts over one base polygon, whose side labels hold in every chart, plus side pairings."""
 
     base: HyperbolicPolygon
     charts: list
@@ -283,8 +274,8 @@ class GluedSystem:
 
     Chart c's copy of base mesh node n is global slot c*N + n; glue_index
     maps slots to glued dof ids.  K and M are on all glued dofs;
-    constrained marks dofs on odd-parity interfaces and on unglued sides
-    labeled dirichlet, held at zero by constrained solves.
+    constrained marks the dofs on dirichlet sides of every chart, glued
+    (odd interfaces) or not, held at zero by constrained solves.
     """
 
     surface: Surface
@@ -330,41 +321,46 @@ class Base:
 
 
 def assemble_glued(surface: Surface, base) -> GluedSystem:
-    """Glue chart copies of a base system by exact side-node matching.
+    """Glue chart copies of a base system along the side pairings.
 
-    base is a Base, or a Mesh, which is assembled here and is its own base
-    (every node its own dof).  Nodes are merged only along pairings (never
-    by picture position: mirror placements overlap everywhere).  Every side
-    node of a paired side must land on a partner node within 1e-9 under the
-    pairing's base correspondence, which holds when the base mesh is
-    symmetric under the composite side maps.  The base pencil is then
-    scattered over the charts; all nodes of one base dof must land on one
-    glued dof in every chart, or GlueError.
+    base is a Base, or a Mesh, which is assembled here and is its own base;
+    its mesh must be of surface.base, labels included, or GlueError.  Nodes
+    are merged only along pairings (never by picture position: mirror
+    placements overlap everywhere).  Paired side nodes pair in arclength
+    order (see Pairing); each image under mu must lie within MATCH_TOL of
+    its partner, which holds when the base mesh is symmetric under the
+    composite side maps, or GlueError with the worst distance.  The base
+    pencil is then scattered over the charts; all nodes of one base dof
+    must land on one glued dof in every chart, or GlueError.  Every dof on
+    a dirichlet side of any chart is constrained.
     """
     if isinstance(base, Mesh):
         K0, M0 = hypfem.assemble(base.nodes, base.triangles)
         base = Base(base, K0, M0, np.arange(base.n_nodes))
     base_mesh = base.mesh
+    if base_mesh.polygon != surface.base:
+        raise GlueError("the base mesh is not a mesh of the surface's base polygon (vertices and labels)")
     N = base_mesh.n_nodes
     C = surface.n_charts
     slots_a, slots_b = [], []
-    odd_slots = []
     for p in surface.pairings:
         na = base_mesh.side_nodes[p.side_a]
         nb = base_mesh.side_nodes[p.side_b]
-        j, _ = _match_nodes(
-            base_mesh.nodes[nb],
-            apply(p.mu, base_mesh.nodes[na]),
-            f"pairing ({p.chart_a},{p.side_a})-({p.chart_b},{p.side_b}): side nodes do not match "
-            "(mesh not symmetric under the gluing)",
-        )
-        if len(np.unique(j)) != len(nb):
-            raise GlueError("pairing side-node matching is not one-to-one")
+        if not _pairing_start_to_start(surface, p):
+            nb = nb[::-1]
+        za, zb = apply(p.mu, base_mesh.nodes[na]), base_mesh.nodes[nb]
+        if len(na) == len(nb):
+            worst = float(np.max(np.abs(za - zb)))
+        else:  # no partners: the farthest node of either side from the other side
+            worst = max(match_nodes(zb, za)[1], match_nodes(za, zb)[1])
+        if len(na) != len(nb) or worst > MATCH_TOL:
+            raise GlueError(
+                f"pairing ({p.chart_a},{p.side_a})-({p.chart_b},{p.side_b}): side nodes do not match "
+                f"(mesh not symmetric under the gluing; {len(na)} and {len(nb)} nodes, "
+                f"worst match distance {worst:.3e})"
+            )
         slots_a.append(p.chart_a * N + na)
-        slots_b.append(p.chart_b * N + nb[j])
-        if p.parity == -1:
-            odd_slots.extend(p.chart_a * N + na)
-            odd_slots.extend(p.chart_b * N + nb)
+        slots_b.append(p.chart_b * N + nb)
 
     # glued dofs are the connected components of the matched slot pairs,
     # numbered in the order of each class's smallest slot
@@ -393,9 +389,8 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     for c, s in surface.unglued_sides():
         if surface.base.labels[s] == "dirichlet":
             dirichlet_boundary[glue_index[c * N + base_mesh.side_nodes[s]]] = True
-    constrained = dirichlet_boundary.copy()
-    if odd_slots:
-        constrained[glue_index[np.array(odd_slots)]] = True
+    constrained = np.zeros(G, dtype=bool)
+    constrained[slot_dof[:, base_mesh.nodes_on_label("dirichlet")]] = True
 
     return GluedSystem(
         surface=surface,
@@ -525,69 +520,62 @@ def as_extended(modes: hypfem.PolygonModes) -> ExtendedSolution:
     return _extended(surface, base, float(modes.values[0]), modes.vectors[:, 0])
 
 
-def _mirror_copies(surface: Surface, place, parity: int, twins) -> Surface:
+def _mirror_copies(surface: Surface, place, twins) -> Surface:
     """The surface with a mirror copy of every chart appended.
 
-    Copy c + C of chart c has placement place(P) of its placement P and sign
-    parity * sign; the pairings are replicated on the copies, and every
-    (chart, side) in twins is glued to its copy's same side by the identity
-    base correspondence, with the given parity.
+    Copy c + C of chart c has placement place(P) of its placement P; the
+    pairings are replicated on the copies, and every (chart, side) in twins
+    is glued to its copy's same side by the identity base correspondence.
+    The copies keep the signs across neumann twins, flip them across
+    dirichlet twins; mixed labels raise GlueError.
     """
+    labels = {surface.base.labels[s] for _, s in twins}
+    if len(labels) != 1:
+        raise GlueError(f"the sides reflected across mix labels {sorted(labels)}; reflect in stages")
+    parity = -1 if labels == {"dirichlet"} else 1
     C = surface.n_charts
     charts = list(surface.charts) + [
         Chart(place(ch.placement), parity * ch.sign) for ch in surface.charts
     ]
     pairings = list(surface.pairings)
     pairings += [replace(p, chart_a=p.chart_a + C, chart_b=p.chart_b + C) for p in surface.pairings]
-    pairings += [Pairing(c, s, c + C, s, IDENTITY, parity) for c, s in twins]
+    pairings += [Pairing(c, s, c + C, s, IDENTITY) for c, s in twins]
     return Surface(base=surface.base, charts=charts, pairings=pairings)
 
 
-def schwarz_extend(ext: ExtendedSolution, mirror: Geodesic, parity: str) -> ExtendedSolution:
+def schwarz_extend(ext: ExtendedSolution, mirror: Geodesic) -> ExtendedSolution:
     """Reflect an extended solution across a geodesic mirror line.
 
-    Every unglued chart side lying on the mirror must carry the boundary
-    label matching the parity (dirichlet for odd, neumann for even); the
-    surface gains a reflected copy of every chart, with value signs flipped
-    for the odd extension, and the mirror sides become interface pairings.
+    The surface gains a reflected copy of every chart, and the unglued
+    chart sides on the mirror become interface pairings: odd (signs flip)
+    across dirichlet sides, even across neumann sides, GlueError if mixed.
     The transported vector solves the enlarged system exactly up to
     roundoff: at odd interfaces the one-sided fluxes of the two adjacent
     charts cancel, at even interfaces they add to the interior equation.
     """
-    if parity not in ("odd", "even"):
-        raise GlueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    sigma = -1 if parity == "odd" else 1
-    want = "dirichlet" if parity == "odd" else "neumann"
     surface = ext.surface
-    r_m = reflect_in(mirror)
-
     on_mirror = []
     for c, s in surface.unglued_sides():
         side = surface.base.side(s)
         p = surface.charts[c].placement
-        za, zb = apply(p, side.start), apply(p, side.end)
-        if mirror.contains(za) and mirror.contains(zb):
-            if surface.base.labels[s] != want:
-                raise GlueError(
-                    f"side ({c},{s}) on the mirror is labeled {surface.base.labels[s]}, "
-                    f"but {parity} extension requires {want}"
-                )
+        if mirror.contains(apply(p, side.start)) and mirror.contains(apply(p, side.end)):
             on_mirror.append((c, s))
     if not on_mirror:
         raise GlueError("no unglued side lies on the requested mirror")
-
-    new_surface = _mirror_copies(surface, lambda P: compose(r_m, P), sigma, on_mirror)
+    r_m = reflect_in(mirror)
+    new_surface = _mirror_copies(surface, lambda P: compose(r_m, P), on_mirror)
     return _extended(new_surface, ext.base, ext.lam, ext.base_vector)
 
 
 def extend_quarter_mode(h_target: float) -> ExtendedSolution:
     """Solve the mixed quarter-octagon problem and extend its ground state
-    over the full right-angled octagon by two odd reflections (real mirror,
-    then imaginary mirror): four charts with signs +1, -1, -1, +1."""
+    over the full right-angled octagon by two reflections across its
+    dirichlet sides (real mirror, then imaginary mirror), both odd: four
+    charts with signs +1, -1, -1, +1."""
     modes = hypfem.solve_polygon(quarter_octagon(), h_target, k=1)
     ext = as_extended(modes)
-    ext = schwarz_extend(ext, REAL_MIRROR, "odd")
-    ext = schwarz_extend(ext, IMAG_MIRROR, "odd")
+    ext = schwarz_extend(ext, REAL_MIRROR)
+    ext = schwarz_extend(ext, IMAG_MIRROR)
     return ext
 
 
@@ -597,10 +585,10 @@ def double_surface(surface: Surface, circle_indices=None) -> Surface:
     Appends a mirror copy of every chart (placement composed with the base
     reflection in the real axis) and glues each doubled boundary side to its
     mirror twin by the identity correspondence.  circle_indices selects
-    which boundary circles to double (default all).  All doubled circles
-    must carry one parity: sides labeled neumann give the even double
-    (mirror signs keep the chart sign), dirichlet the odd double (mirror
-    signs flip).
+    which boundary circles to double (default all).  Their labels give the
+    parity: neumann the even double (mirror signs keep the chart sign),
+    dirichlet the odd double (mirror signs flip); mixed labels raise
+    GlueError, so mixed circles are doubled in stages.
     """
     report = audit_topology(surface)
     if report.chi > 0:
@@ -615,21 +603,9 @@ def double_surface(surface: Surface, circle_indices=None) -> Surface:
     for j, i in enumerate(circle_indices):
         if not 0 <= i < len(circles) or i in circle_indices[:j]:
             raise GlueError(f"circle index {i} is out of range or repeated ({len(circles)} boundary circles)")
-    chosen = [circles[i] for i in circle_indices]
-
-    parities = set()
-    for circle in chosen:
-        labs = {surface.base.labels[s] for _, s in circle}
-        if len(labs) != 1:
-            raise GlueError(f"boundary circle {circle} mixes side labels {labs}")
-        parities.add(labs.pop())
-    if len(parities) != 1:
-        raise GlueError(f"doubled circles mix parities {parities}; double them in stages")
-    parity = 1 if parities.pop() == "neumann" else -1
-
     r0 = reflect_in(REAL_MIRROR)
-    twins = [side for circle in chosen for side in circle]
-    return _mirror_copies(surface, lambda P: compose(P, r0), parity, twins)
+    twins = [side for i in circle_indices for side in circles[i]]
+    return _mirror_copies(surface, lambda P: compose(P, r0), twins)
 
 
 # ---------------------------------------------------------------------------

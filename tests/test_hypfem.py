@@ -122,6 +122,19 @@ class TestSolverPaths:
         with pytest.raises(ValueError, match="at least 2 dofs"):
             hf.solve_lowest(one, one, 1, np.zeros(1))
 
+    @pytest.mark.parametrize("k", [0, 1089, 1090])
+    def test_rejects_k_outside_one_to_n_minus_one(self, k):
+        # k >= n used to return n - 1 pairs without a word
+        mesh = hm.mesh_polygon(quarter_octagon(), 0.16)
+        K, M = hf.assemble(mesh.nodes, mesh.triangles)
+        with pytest.raises(ValueError, match=rf"1 <= k < n: k = {k}, n = 1089 dofs"):
+            hf.solve_lowest(K, M, k, mesh.nodes)
+
+    def test_rejects_essential_labels_outside_the_vocabulary(self):
+        # an unchecked "Dirichlet" constrained nothing: the quarter solved as all-Neumann, lambda_0 = 0
+        with pytest.raises(ValueError, match=r"essential_labels \('Dirichlet',\) are not all in"):
+            hf.solve_polygon(quarter_octagon(), 0.16, k=1, essential_labels=("Dirichlet",))
+
     def test_m_normalized_and_sign_fixed(self):
         modes = hf.solve_polygon(quarter_octagon(), 0.16, k=2)
         for j in range(2):

@@ -456,6 +456,15 @@ class TestPolygonBasics:
         with pytest.raises(hg.GeometryError, match=r"consecutive vertices 1 = .* and 2 = .* coincide"):
             hg.HyperbolicPolygon((0j, 0.5 + 0j, 0.5 + 1e-15j, 0.3j))
 
+    def test_rejects_labels_outside_the_vocabulary(self):
+        # a quarter octagon with "Dirichlet" mirror sides used to solve as all-Neumann (lambda_0 = 0)
+        from hypnodal.surfglue import quarter_octagon
+
+        labels = ("Dirichlet", "neumann", "neumann", "neumann", "Dirichlet")
+        msg = r"side 0 is labeled 'Dirichlet'; labels are \('dirichlet', 'neumann'\)"
+        with pytest.raises(hg.GeometryError, match=msg):
+            hg.HyperbolicPolygon(quarter_octagon().vertices, labels)
+
 
 def reference_interior_angles(poly):
     """Interior angles from the Euclidean unit tangents of the two side arcs

@@ -14,13 +14,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from hypnodal import hypfem, surfglue
 from hypnodal.hypgeo import Geodesic, apply, hyp_distance, reflect_in, rotation
-from hypnodal.hypmesh import mesh_polygon
+from hypnodal.hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
 
 from test_hypfem import free_numbering_fold
 from test_hypgeo import relabeled
@@ -45,7 +46,8 @@ def picture_symmetry_error(system, v, mapping, sign: float) -> float:
     set (tiling placements only)."""
     pts = system.picture_nodes().ravel()
     vals = v[system.glue_index]
-    j, _ = surfglue._match_nodes(pts, mapping(pts), "picture nodes are not invariant under the requested mapping")
+    j, worst = match_nodes(pts, mapping(pts))
+    assert worst <= MATCH_TOL, f"picture nodes are not invariant under the mapping (worst {worst:.3e})"
     return float(np.max(np.abs(vals[j] - sign * vals)) / np.max(np.abs(vals)))
 
 
@@ -124,7 +126,7 @@ class TestTopologyAudit:
 
     def test_double_rejects_mixed_parities(self):
         surf = surfglue.pants_decagon_surface(2.0, 2.0, 2.0)
-        with pytest.raises(surfglue.GlueError):
+        with pytest.raises(surfglue.GlueError, match="mix labels"):
             surfglue.double_surface(surf)  # one dirichlet + two neumann circles
 
     def test_double_rejects_mixed_circle(self):
@@ -140,7 +142,7 @@ class TestTopologyAudit:
             for i, circ in enumerate(rep.boundary_circles)
             if len({mixed.base.labels[s] for _, s in circ}) == 2
         ]
-        with pytest.raises(surfglue.GlueError):
+        with pytest.raises(surfglue.GlueError, match="mix labels"):
             surfglue.double_surface(mixed, bad)
 
     def test_side_glued_twice_raises(self):
@@ -409,11 +411,19 @@ class TestGluedAssembly:
         with pytest.raises(surfglue.GlueError):
             surfglue.assemble_glued(surf, mesh)
 
+    def test_rejects_a_mesh_of_another_polygon(self):
+        # the labels of the mesh's polygon set the constraints: they must be the surface's
+        quarter = surfglue.quarter_octagon()
+        free = relabeled(quarter, ["neumann"] * 5)
+        with pytest.raises(surfglue.GlueError, match="not a mesh of the surface's base polygon"):
+            surfglue.assemble_glued(surfglue.Surface(free, [surfglue.Chart()], []), mesh_polygon(quarter, 0.24))
+
     def test_match_failure_reports_the_true_worst_distance(self):
-        # the bounded tree query finds no point near 0.2; the message still gives its distance
+        # the bounded tree query finds no point near 0.2; the worst distance is still its own
         points, targets = np.array([0j, 0.5 + 0j]), np.array([1e-12 + 0j, 0.2 + 0j])
-        with pytest.raises(surfglue.GlueError, match=r"^no match \(worst match distance 2\.000e-01\)$"):
-            surfglue._match_nodes(points, targets, "no match")
+        j, worst = match_nodes(points, targets)
+        assert j.tolist() == [0, 0]
+        assert worst == 0.2
 
     def test_rejects_more_glued_dofs_than_int32_indexes(self, monkeypatch):
         poly = surfglue.quarter_octagon()
@@ -424,7 +434,7 @@ class TestGluedAssembly:
             surfglue.assemble_glued(surfglue.Surface(poly, [surfglue.Chart()], []), mesh)
 
     def test_symmetry_error_rejects_non_symmetry(self, tiling_ext):
-        with pytest.raises(surfglue.GlueError):
+        with pytest.raises(AssertionError, match="not invariant"):
             picture_symmetry_error(tiling_ext.system, tiling_ext.vector, lambda z: np.exp(0.1j) * z, 1.0)
 
     def test_transport_rejects_wrong_symmetry(self, tiling_ext):
@@ -445,11 +455,22 @@ class TestGluedAssembly:
             assert np.array_equal(surfglue.transport(system, u), sums / counts)
 
 
-def reference_glue_index(surface, mesh):
-    """Dof numbering by a minimal union-find over the 1e-9 side-node matches,
-    classes numbered by their smallest slot: the reference for assemble_glued."""
+def reference_glued(surface, base, odd=()):
+    """assemble_glued by the rules it replaced, kept as its reference.
+
+    Side nodes are matched by a kd-tree within 1e-9, one to one; dofs are
+    numbered by a minimal union-find, classes in the order of their
+    smallest slot; the constrained dofs are those on unglued dirichlet
+    sides plus both sides of every pairing whose index is in odd (the
+    parity-tagged odd interfaces).  K and M scatter the base entries chart
+    by chart in storage order.  base is a Mesh or a surfglue.Base; returns
+    (glue_index, constrained, dirichlet_boundary, K, M).
+    """
+    if isinstance(base, Mesh):
+        base = surfglue.Base(base, *hypfem.assemble(base.nodes, base.triangles), np.arange(base.n_nodes))
+    mesh, C = base.mesh, surface.n_charts
     N = mesh.n_nodes
-    parent = list(range(surface.n_charts * N))
+    parent = list(range(C * N))
 
     def find(i):
         while parent[i] != i:
@@ -457,33 +478,126 @@ def reference_glue_index(surface, mesh):
             i = parent[i]
         return i
 
-    for p in surface.pairings:
+    odd_slots = []
+    for i, p in enumerate(surface.pairings):
         na, nb = mesh.side_nodes[p.side_a], mesh.side_nodes[p.side_b]
         za, zb = apply(p.mu, mesh.nodes[na]), mesh.nodes[nb]
         dist, j = cKDTree(np.column_stack([zb.real, zb.imag])).query(np.column_stack([za.real, za.imag]))
         assert dist.max() <= 1e-9
+        assert len(np.unique(j)) == len(nb)
         for a, b in zip((p.chart_a * N + na).tolist(), (p.chart_b * N + nb[j]).tolist()):
             ra, rb = find(a), find(b)
             parent[max(ra, rb)] = min(ra, rb)
+        if i in odd:
+            odd_slots += [p.chart_a * N + na, p.chart_b * N + nb]
     uniq, index = np.unique([find(i) for i in range(len(parent))], return_inverse=True)
-    return index, len(uniq)
+    G = len(uniq)
+
+    dirichlet = np.zeros(G, dtype=bool)
+    for c, s in surface.unglued_sides():
+        if surface.base.labels[s] == "dirichlet":
+            dirichlet[index[c * N + mesh.side_nodes[s]]] = True
+    constrained = dirichlet.copy()
+    for slots in odd_slots:
+        constrained[index[slots]] = True
+
+    chart_dof = np.zeros((C, base.K.shape[0]), dtype=np.int64)
+    chart_dof[:, base.dof] = index.reshape(C, N)
+    Kc, Mc = base.K.tocoo(), base.M.tocoo()
+    rc = (chart_dof[:, Kc.row].ravel(), chart_dof[:, Kc.col].ravel())
+    K = sp.coo_matrix((np.tile(Kc.data, C), rc), shape=(G, G)).tocsr()
+    M = sp.coo_matrix((np.tile(Mc.data, C), rc), shape=(G, G)).tocsr()
+    return index, constrained, dirichlet, K, M
+
+
+@pytest.fixture(scope="module")
+def reference_cases():
+    """(surface, base, indices of its odd pairings) for every surface the
+    code glues: the quarter tiling at 1, 2 and 4 charts, the pants at two
+    levels, the genus-3 stages over the pants system, genus 2 and the
+    canonical pants."""
+    one = surfglue.as_extended(hypfem.solve_polygon(surfglue.quarter_octagon(), 0.16, k=1))
+    two = surfglue.schwarz_extend(one, surfglue.REAL_MIRROR)
+    four = surfglue.schwarz_extend(two, surfglue.IMAG_MIRROR)
+    # both mirrors carry the quarter's dirichlet sides: every tiling interface is odd
+    cases = {f"tiling-{e.surface.n_charts}": (e.surface, e.base, range(len(e.surface.pairings)))
+             for e in (one, two, four)}
+    pants = surfglue.pants_decagon_surface()
+    for h in (0.24, 0.16):
+        cases[f"pants-{h}"] = (pants, mesh_polygon(pants.base, h), ())
+    psys = surfglue.assemble_glued(pants, cases["pants-0.16"][1])
+    base = surfglue.Base(psys.base_mesh, psys.K, psys.M, psys.glue_index)
+    circles = surfglue.audit_topology(pants).boundary_circles
+    neumann = [i for i, c in enumerate(circles) if pants.base.labels[c[0][1]] == "neumann"]
+    stage_a = surfglue.double_surface(pants, neumann)
+    g3 = surfglue.double_surface(stage_a)
+    assert g3 == surfglue.genus3_surface()
+    cases["genus3-stage-a"] = (stage_a, base, ())
+    cases["genus3"] = (g3, base, range(2 * len(stage_a.pairings), len(g3.pairings)))  # the odd double's twins
+    octagon = mesh_polygon(surfglue.octagon_polygon(), 0.16)
+    cases["genus2"] = (surfglue.genus2_surface(), octagon, ())
+    cases["canonical-pants"] = (surfglue.canonical_pants_surface(), octagon, ())
+    return cases
 
 
 class TestGlueIndexReference:
     def test_genus2(self, octagon_modes):
         surf = surfglue.genus2_surface()
         system = surfglue.assemble_glued(surf, octagon_modes.mesh)
-        index, n_dofs = reference_glue_index(surf, octagon_modes.mesh)
-        assert system.n_dofs == n_dofs
+        index, *_ = reference_glued(surf, octagon_modes.mesh)
+        assert system.n_dofs == index.max() + 1
         assert np.array_equal(system.glue_index, index)
 
     def test_genus3_coarsest(self):
         surf = surfglue.genus3_surface(2.0)
         mesh = mesh_polygon(surf.base, 0.25)
         system = surfglue.assemble_glued(surf, mesh)
-        index, n_dofs = reference_glue_index(surf, mesh)
-        assert system.n_dofs == n_dofs
+        index, *_ = reference_glued(surf, mesh)
+        assert system.n_dofs == index.max() + 1
         assert np.array_equal(system.glue_index, index)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["tiling-1", "tiling-2", "tiling-4", "pants-0.24", "pants-0.16", "genus3-stage-a", "genus3",
+         "genus2", "canonical-pants"],
+    )
+    def test_equals_kd_tree_and_parity_reference(self, reference_cases, case):
+        surface, base, odd = reference_cases[case]
+        system = surfglue.assemble_glued(surface, base)
+        got = (system.glue_index, system.constrained, system.dirichlet_boundary, system.K, system.M)
+        for a, b in zip(got, reference_glued(surface, base, odd)):
+            if sp.issparse(a):
+                a, b = a.tocoo(), b.tocoo()
+                assert np.array_equal(a.row, b.row) and np.array_equal(a.col, b.col)
+                a, b = a.data, b.data
+            assert np.array_equal(a, b)
+
+    def test_side_with_fewer_nodes_raises(self):
+        # side_b loses a node: its partner's image is as far from side_b as
+        # the nearest remaining node, the worst distance of either side to the other
+        pants = surfglue.pants_decagon_surface()
+        mesh = mesh_polygon(pants.base, 0.24)
+        p = pants.pairings[0]
+        na, nb = mesh.side_nodes[p.side_a], np.delete(mesh.side_nodes[p.side_b], 2)
+        side_nodes = [nb if i == p.side_b else sn for i, sn in enumerate(mesh.side_nodes)]
+        d = np.abs(apply(p.mu, mesh.nodes[na])[:, None] - mesh.nodes[nb][None, :])
+        worst = max(d.min(axis=0).max(), d.min(axis=1).max())
+        assert worst > 1e-3
+        msg = rf"\(0,1\)-\(0,8\): side nodes do not match .*; {len(na)} and {len(nb)} nodes, "
+        msg += rf"worst match distance {worst:.3e}\)$"
+        with pytest.raises(surfglue.GlueError, match=msg):
+            surfglue.assemble_glued(pants, dataclasses.replace(mesh, side_nodes=side_nodes))
+
+    def test_moved_side_node_raises(self):
+        pants = surfglue.pants_decagon_surface()
+        mesh = mesh_polygon(pants.base, 0.24)
+        p = pants.pairings[1]
+        nodes = mesh.nodes.copy()
+        nodes[mesh.side_nodes[p.side_b][3]] += 1e-6j
+        n = len(mesh.side_nodes[p.side_b])
+        msg = rf"\(0,3\)-\(0,6\): side nodes do not match .*; {n} and {n} nodes, worst match distance 1\.000e-06\)$"
+        with pytest.raises(surfglue.GlueError, match=msg):
+            surfglue.assemble_glued(pants, dataclasses.replace(mesh, nodes=nodes))
 
 
 class TestSchwarzExtend:
@@ -521,7 +635,7 @@ class TestSchwarzExtend:
         modes = hypfem.solve_polygon(surfglue.quarter_octagon(), 0.16, k=1)
         ext = surfglue.as_extended(modes)
         assert ext.residual < 1e-10
-        half = surfglue.schwarz_extend(ext, surfglue.REAL_MIRROR, "odd")
+        half = surfglue.schwarz_extend(ext, surfglue.REAL_MIRROR)
         assert half.surface.n_charts == 2
         assert half.residual < 1e-10
         rep = surfglue.audit_topology(half.surface)
@@ -531,24 +645,20 @@ class TestSchwarzExtend:
         poly = relabeled(surfglue.quarter_octagon(), ["neumann"] * 5)
         modes = hypfem.solve_polygon(poly, 0.16, k=1, essential_labels=())
         ext = surfglue.as_extended(modes)
-        ext = surfglue.schwarz_extend(ext, surfglue.REAL_MIRROR, "even")
-        ext = surfglue.schwarz_extend(ext, surfglue.IMAG_MIRROR, "even")
+        ext = surfglue.schwarz_extend(ext, surfglue.REAL_MIRROR)
+        ext = surfglue.schwarz_extend(ext, surfglue.IMAG_MIRROR)
+        assert [ch.sign for ch in ext.surface.charts] == [1.0] * 4
+        assert not ext.system.constrained.any()
         err = picture_symmetry_error(ext.system, ext.vector, np.conj, 1.0)
         assert err < 1e-10
         assert abs(ext.lam) < 1e-8
-
-    def test_parity_label_mismatch_raises(self):
-        modes = hypfem.solve_polygon(surfglue.quarter_octagon(), 0.16, k=1)
-        ext = surfglue.as_extended(modes)
-        with pytest.raises(surfglue.GlueError):
-            surfglue.schwarz_extend(ext, surfglue.REAL_MIRROR, "even")
 
     def test_mirror_missing_sides_raises(self, tiling_ext):
         modes = hypfem.solve_polygon(surfglue.quarter_octagon(), 0.16, k=1)
         ext = surfglue.as_extended(modes)
         diag = Geodesic(math.pi / 4, math.pi / 4 + math.pi)
         with pytest.raises(surfglue.GlueError):
-            surfglue.schwarz_extend(ext, diag, "odd")
+            surfglue.schwarz_extend(ext, diag)
 
     def test_non_eigenvector_has_large_residual(self, tiling_ext):
         system = tiling_ext.system
