@@ -222,16 +222,22 @@ def solve_lowest(K, M, k: int, points) -> tuple:
     return vals, vecs
 
 
-def eigen_residuals(K, M, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+def eigen_residuals(K, M, vals: np.ndarray, vecs: np.ndarray, free=None) -> np.ndarray:
     """Normwise backward errors ||K v - lambda M v|| / ((||K||_1 + |lambda| ||M||_1) ||v||).
 
     The scale does not vanish for the Neumann zero mode, where K v does.
+    With a boolean mask free (default all dofs), they are those of the
+    pencil restricted to the free dofs, taken on the unreduced K and M:
+    the vectors must vanish on the other dofs, the residual is taken on
+    the free rows, and ||K_ff||_1 is the largest column sum of |K| over
+    the free rows, among the free columns.
     """
-    k1, m1 = sp.linalg.norm(K, 1), sp.linalg.norm(M, 1)
+    free = np.ones(K.shape[0], dtype=bool) if free is None else free
+    k1, m1 = ((abs(A).T @ free.astype(np.float64))[free].max() for A in (K, M))
     out = []
     for lam, v in zip(vals, vecs.T):
-        r = np.linalg.norm(K @ v - lam * (M @ v))
-        out.append(r / ((k1 + abs(lam) * m1) * np.linalg.norm(v)))
+        r = np.linalg.norm((K @ v - lam * (M @ v))[free])
+        out.append(r / ((k1 + abs(lam) * m1) * np.linalg.norm(v[free])))
     return np.array(out)
 
 
@@ -365,7 +371,7 @@ def solve_polygon(
     vals, vecs, counts = solve_character(K, M, gens, [1] * len(gens), k, mesh.nodes, constrained)
     if gens:
         _log.debug(FOLD_RECORD, *counts, worst)
-    res = eigen_residuals(*reduce_system(K, M, ~constrained), vals, vecs[~constrained])
+    res = eigen_residuals(K, M, vals, vecs, ~constrained)
     return PolygonModes(mesh, vals, vecs, res, constrained, K, M)
 
 

@@ -71,14 +71,20 @@ class Isometry:
 IDENTITY = Isometry(1.0 + 0.0j, 0.0j, False)
 
 
+def _moebius(a, b, w):
+    """w -> (a w + b) / (conj(b) w + conj(a)): complex arithmetic on a complex
+    w, elementwise on an ndarray w (a and b scalars or arrays of its shape)."""
+    if isinstance(w, np.ndarray):
+        return (a * w + b) / (np.conjugate(b) * w + np.conjugate(a))
+    return (a * w + b) / (b.conjugate() * w + a.conjugate())
+
+
 def apply(iso: Isometry, p):
     """Apply an isometry to a complex point (returns a complex) or an ndarray of them."""
     if isinstance(p, np.ndarray):
-        w = np.conjugate(p) if iso.reverses else p
-        return (iso.a * w + iso.b) / (np.conjugate(iso.b) * w + np.conjugate(iso.a))
+        return _moebius(iso.a, iso.b, np.conjugate(p) if iso.reverses else p)
     zp = complex(p)
-    w = zp.conjugate() if iso.reverses else zp
-    return (iso.a * w + iso.b) / (iso.b.conjugate() * w + iso.a.conjugate())
+    return _moebius(iso.a, iso.b, zp.conjugate() if iso.reverses else zp)
 
 
 def compose(f: Isometry, g: Isometry) -> Isometry:
@@ -244,13 +250,42 @@ def foot_parameter(p, q, x):
     array).  Intrinsic (isometry-equivariant), so symmetric meshes stay
     symmetric when boundary nodes are retracted with it.
     """
-    many = isinstance(x, np.ndarray)
-    w = np.asarray(apply(axis_map(p, q), x))
+    A = axis_map(p, q)
+    s = axis_foot(A.a, A.b, x)
+    return s if isinstance(x, np.ndarray) else float(s)
+
+
+def axis_foot(a, b, x):
+    """Arclength foot of x on the geodesic that the isometry with coefficients
+    (a, b) maps onto the real axis, from the preimage of 0 toward that of 1:
+    the foot parameter with a, b those of axis_map(p, q).  Elementwise over
+    an ndarray x, with a and b scalars or arrays of its shape (per point)."""
+    w = np.asarray(_moebius(a, b, x if isinstance(x, np.ndarray) else complex(x)))
     # t = tanh(s / 2) is the root in [-1, 1] of t^2 - 2 c t + 1 with c = (1 + |w|^2) / (2 Re w);
     # c - 1 = |w - 1|^2 / (2 Re w) and c + 1 = |w + 1|^2 / (2 Re w) give it without cancellation
     t = 2.0 * w.real / (1.0 + np.abs(w) ** 2 + np.abs(w - 1.0) * np.abs(w + 1.0))
-    s = 2.0 * np.arctanh(np.clip(t, -1.0 + 1e-15, 1.0 - 1e-15))
-    return s if many else float(s)
+    return 2.0 * np.arctanh(np.clip(t, -1.0 + 1e-15, 1.0 - 1e-15))
+
+
+def axis_point(a, b, s):
+    """Image of the real-axis point at arclength s from 0 under the isometry
+    with coefficients (a, b): the point at arclength s along a side with a, b
+    those of its _from_axis.  A float s gives a complex; an ndarray s works
+    elementwise, with a and b scalars or arrays of its shape (per point)."""
+    if isinstance(s, np.ndarray):
+        return _moebius(a, b, np.tanh(s / 2.0).astype(np.complex128))
+    return _moebius(a, b, complex(math.tanh(s / 2.0)))
+
+
+def side_maps(sides) -> tuple:
+    """(to_axis, from_axis): complex arrays of shape (2, len(sides)) holding
+    the coefficients a, b of each side's axis_map(start, end) and of its
+    inverse (Side._from_axis).  Indexed by a side per point, they give
+    axis_foot and axis_point: foot_parameter and Side.point_at per point."""
+    to_axis = [axis_map(sd.start, sd.end) for sd in sides]
+    from_axis = [sd._from_axis for sd in sides]
+    return tuple(np.array([[m.a for m in maps], [m.b for m in maps]], dtype=np.complex128)
+                 for maps in (to_axis, from_axis))
 
 
 @dataclass(frozen=True)
@@ -271,9 +306,7 @@ class Side:
     def point_at(self, s):
         """Point at hyperbolic arclength s (a float, or an ndarray of them)
         from start along the side's geodesic toward end."""
-        if isinstance(s, np.ndarray):
-            return apply(self._from_axis, np.tanh(s / 2.0).astype(np.complex128))
-        return apply(self._from_axis, complex(math.tanh(s / 2.0)))
+        return axis_point(self._from_axis.a, self._from_axis.b, s)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,14 @@ arclength-uniform boundary subdivisions, uniform 1:4 refinement until every
 edge is hyperbolically shorter than the target, and Jacobi smoothing with
 boundary nodes retracted onto their geodesic side by orthogonal projection.
 All stages are array operations: the unique edges are computed once per
-refinement level and shared by the edge-length check and the smoother, and
-boundary nodes are projected side by side, one array per side and sweep.
+refinement level and shared by the edge-length check and the smoother.  A
+smoothing sweep is one sparse product and one retraction: the neighbour
+sums are the product of a CSR matrix of ones, whose rows list each node's
+neighbours in np.add.at order, with the real view of the nodes, and every
+non-corner boundary node is retracted at once with the map coefficients of
+its side (hypgeo.side_maps, axis_foot, axis_point).  mesh_polygon logs one
+DEBUG record: nodes, triangles, refinement level, smoothing rounds and the
+seconds they took.
 
 Boundary placement and projection are intrinsic, but the hub (the
 Euclidean mean of the vertices), the Euclidean interior midpoints and the
@@ -21,18 +27,23 @@ target or has an inverted triangle raises MeshError.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .hypgeo import HyperbolicPolygon, foot_parameter
+from .hypgeo import HyperbolicPolygon, axis_foot, axis_point, side_maps
 
 
 MATCH_TOL = 1e-9  # a node matches the image of a node under a mesh symmetry when this close
 SMOOTH_SWEEPS = 40  # Jacobi relaxation passes (interior and tangential-boundary)
 MAX_REFINEMENTS = 14  # at most this many 1:4 refinement levels, and refine + smooth rounds
+
+_log = logging.getLogger(__name__)
 
 
 class MeshError(ValueError):
@@ -47,6 +58,7 @@ class Mesh:
     corners[k] is the node at polygon vertex k.  side_nodes[i] lists the
     nodes on side i ordered by arclength from the side's start corner
     (both corners included); side_params[i] are the matching arclengths.
+    level is the number of 1:4 refinements of the macro fan.
     """
 
     nodes: np.ndarray
@@ -56,6 +68,7 @@ class Mesh:
     side_params: list
     polygon: HyperbolicPolygon
     h_target: float
+    level: int
 
     @property
     def n_nodes(self) -> int:
@@ -100,6 +113,22 @@ def _unique_edges(tris: np.ndarray) -> np.ndarray:
     return np.stack([codes // n, codes % n], axis=1)
 
 
+def _neighbour_matrix(e: np.ndarray, n: int) -> sp.csr_matrix:
+    """n x n CSR matrix of ones with an entry (i, j) and (j, i) per edge (i, j) of e.
+
+    Each row holds its entries in the order in which np.add.at(acc, e[:, 0],
+    x[e[:, 1]]) followed by np.add.at(acc, e[:, 1], x[e[:, 0]]) adds into
+    node i: its edges' second ends in edge order, then their first ends.
+    The product with a real (n, k) array starts from zero and adds 1.0 * x
+    in that order, so it equals those sums bit for bit.
+    """
+    rows = np.concatenate([e[:, 0], e[:, 1]])
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([e[:, 1], e[:, 0]])[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
+
+
 def match_nodes(points: np.ndarray, targets: np.ndarray) -> tuple:
     """(index of the point nearest to each target, worst nearest distance).
 
@@ -135,6 +164,7 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
         raise ValueError(f"h_target must be positive and finite, got {h_target!r}")
     sides = poly.sides
     lengths = np.array([s.length for s in sides])
+    to_axis, from_axis = side_maps(sides)
     lmin = float(lengths.min())
 
     # macro boundary subdivision, arclength-uniform per side.  Boundary
@@ -184,9 +214,7 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
         a, b, side = bedges.T
         k = np.searchsorted(codes, np.minimum(a, b) * n + np.maximum(a, b))
         sm = 0.5 * (arclength(a, side) + arclength(b, side))
-        for i, sd in enumerate(sides):
-            on = side == i
-            mids[k[on]] = sd.point_at(sm[on])
+        mids[k] = axis_point(*from_axis[:, side], sm)
         m = n + k
         side_of = np.concatenate([side_of, np.full(len(e), -1)])
         par = np.concatenate([par, np.zeros(len(e))])
@@ -208,23 +236,24 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
 
     def smooth(z, e):
         """Jacobi sweeps over the level's unique edges e: interior nodes to
-        the neighbor mean, boundary nodes to the orthogonal projection of
-        the mean onto their side (one array per side), corners pinned."""
+        the neighbour mean, the other boundary nodes to the orthogonal
+        projection of the mean onto their side, corners pinned.  A sweep is
+        one product with the neighbour matrix on the real view of z and one
+        retraction of every boundary node, each with its side's map
+        coefficients and length."""
         n = len(z)
-        ei, ej = e[:, 0], e[:, 1]
-        cnt = np.maximum(np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n), 1.0)
+        adj = _neighbour_matrix(e, n)
+        cnt = np.maximum(np.diff(adj.indptr), 1.0)
         interior = side_of < 0
         interior[corners] = False
-        on_side = [np.flatnonzero(side_of == i) for i in range(poly.n)]
+        bnd = np.flatnonzero(side_of >= 0)
+        sb = side_of[bnd]
+        to_sb, from_sb, len_sb = to_axis[:, sb], from_axis[:, sb], lengths[sb]
         for _ in range(SMOOTH_SWEEPS):
-            acc = np.zeros(n, dtype=np.complex128)
-            np.add.at(acc, ei, z[ej])
-            np.add.at(acc, ej, z[ei])
-            mean = acc / cnt
+            mean = (adj @ z.view(np.float64).reshape(n, 2)).view(np.complex128)[:, 0] / cnt
             znew = np.where(interior, mean, z)
-            for idx, sd, L in zip(on_side, sides, lengths):
-                par[idx] = np.clip(foot_parameter(sd.start, sd.end, mean[idx]), 0.0, L)
-                znew[idx] = sd.point_at(par[idx])
+            par[bnd] = np.clip(axis_foot(*to_sb, mean[bnd]), 0.0, len_sb)
+            znew[bnd] = axis_point(*from_sb, par[bnd])
             z = znew
         return z
 
@@ -235,14 +264,16 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
     # refine + smooth until the smoothed mesh meets the edge criterion
     # (smoothing can stretch edges, so the check runs on the final positions)
     e = _unique_edges(tris)
-    level = 0
+    level, rounds, smooth_s = 0, 0, 0.0
     for _ in range(MAX_REFINEMENTS):
         while max_edge(z, e) > h_target:
             if level == MAX_REFINEMENTS:
                 raise MeshError(f"{level} refinement levels leave an edge longer than h_target = {h_target}")
             z, tris = refine(z, tris, e)
             e, level = _unique_edges(tris), level + 1
+        t0 = time.perf_counter()
         z = smooth(z, e)
+        rounds, smooth_s = rounds + 1, smooth_s + time.perf_counter() - t0
         if max_edge(z, e) <= h_target:
             break
     else:
@@ -259,6 +290,10 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
         side_nodes.append(np.concatenate([[corners[i]], own, [corners[(i + 1) % poly.n]]]))
         side_params.append(np.concatenate([[0.0], par[own], [lengths[i]]]))
 
+    _log.debug(
+        "mesh_polygon: %d nodes, %d triangles, level %d, %d smoothing rounds in %.3f s",
+        len(z), len(tris), level, rounds, smooth_s,
+    )
     return Mesh(
         nodes=z,
         triangles=tris,
@@ -267,4 +302,5 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
         side_params=side_params,
         polygon=poly,
         h_target=h_target,
+        level=level,
     )

@@ -28,6 +28,14 @@ from test_hypmesh import quarter_octagon
 MIXED_QUARTER_LIMIT = 3.8390  # frozen from an independent discretization study
 
 
+def reference_residuals(K, M, vals, vecs):
+    """Backward errors with scipy's 1-norms of the whole given pencil: the
+    reference for eigen_residuals."""
+    k1, m1 = sp.linalg.norm(K, 1), sp.linalg.norm(M, 1)
+    scale = [(k1 + abs(lam) * m1) * np.linalg.norm(v) for lam, v in zip(vals, vecs.T)]
+    return np.array([np.linalg.norm(K @ v - lam * (M @ v)) for lam, v in zip(vals, vecs.T)]) / scale
+
+
 @pytest.fixture(scope="module")
 def octagon():
     return hg.regular_right_polygon(8, math.pi / 2)
@@ -145,6 +153,19 @@ class TestSolverPaths:
     def test_residuals_small(self):
         modes = hf.solve_polygon(quarter_octagon(), 0.12, k=3)
         assert modes.residuals.max() < 1e-8
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_residuals_are_those_of_the_reduced_pencil(self, k):
+        # taken on the free rows and columns of the unreduced pencil, without a reduce_system copy
+        modes = hf.solve_polygon(quarter_octagon(), 0.16, k=k)
+        free = modes.free
+        want = reference_residuals(*hf.reduce_system(modes.K, modes.M, free), modes.values, modes.vectors[free])
+        np.testing.assert_allclose(modes.residuals, want, rtol=1e-12, atol=0.0)
+
+    def test_residuals_without_a_mask_take_the_whole_pencil(self, octagon_modes):
+        m = octagon_modes
+        want = reference_residuals(m.K, m.M, m.values, m.vectors)
+        np.testing.assert_allclose(hf.eigen_residuals(m.K, m.M, m.values, m.vectors), want, rtol=1e-12, atol=0.0)
 
     def test_deterministic(self):
         a = hf.solve_polygon(quarter_octagon(), 0.16, k=2)
@@ -607,6 +628,7 @@ class TestRichardson:
         # richardson assumes each level halves h: the sweep's meshes must be consecutive 1:4 levels
         meshes = [hm.mesh_polygon(quarter_octagon(), h) for h in (0.16, 0.08, 0.04, 0.02)]
         assert [m.n_nodes for m in meshes] == [1089, 4225, 16641, 66049]
+        assert [m.level - meshes[0].level for m in meshes] == [0, 1, 2, 3]
         for coarse, fine in zip(meshes, meshes[1:]):
             assert fine.n_triangles == 4 * coarse.n_triangles
 

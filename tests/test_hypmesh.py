@@ -1,10 +1,13 @@
 """Mesher oracle tests: quality, symmetry, boundary fidelity, determinism."""
 
 import cmath
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypnodal import hypgeo as hg
 from hypnodal import hypmesh as hm
@@ -126,6 +129,53 @@ class TestSymmetry:
         zs = np.sort_complex(np.round(z, 12) + 0.0)
         ws = np.sort_complex(np.round(w, 12) + 0.0)
         assert np.max(np.abs(zs - ws)) < 1e-11
+
+
+class TestRecord:
+    def test_one_debug_record_per_mesh(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypmesh"):
+            mesh = hm.mesh_polygon(quarter_octagon(), 0.16)
+        (rec,) = [r for r in caplog.records if r.name == "hypnodal.hypmesh"]
+        assert rec.levelno == logging.DEBUG
+        assert mesh.level == 4
+        assert rec.getMessage().startswith("mesh_polygon: 1089 nodes, 2048 triangles, level 4, 2 smoothing rounds in ")
+
+
+# the polygons (and coarse targets) of the kernel and equivariance tests: every side-count and label mix in use
+POLYGON_CASES = {
+    "pants-decagon": (surfglue.pants_decagon(2.0, 2.0, 2.0), 0.24),
+    "quarter-octagon": (quarter_octagon(), 0.16),
+    "octagon": (surfglue.octagon_polygon(), 0.16),
+    "hexagon": (hg.right_angled_hexagon(1.0, 1.0, 1.0), 0.2),
+}
+
+
+class TestEquivariance:
+    """The mesher commutes with rotations and reflections about 0."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(case=st.sampled_from(sorted(POLYGON_CASES)), phi=st.floats(-math.pi, math.pi))
+    def test_rotation_about_zero(self, case, phi):
+        poly, h = POLYGON_CASES[case]
+        mesh = hm.mesh_polygon(poly, h)
+        turned = hm.mesh_polygon(poly.transformed(hg.rotation(phi)), h)
+        assert np.array_equal(turned.triangles, mesh.triangles)
+        assert np.abs(turned.nodes - cmath.exp(1j * phi) * mesh.nodes).max() <= 1e-12
+
+    @settings(max_examples=12, deadline=None)
+    @given(case=st.sampled_from(sorted(POLYGON_CASES)), phi=st.floats(-math.pi, math.pi))
+    @example(case="hexagon", phi=0.0)
+    def test_reflection_about_zero(self, case, phi):
+        # z -> exp(i phi) conj(z) is the reflection in the line at angle phi / 2 (phi = 0: the real axis);
+        # the image polygon lists its vertices in reverse, so only the node sets match
+        poly, h = POLYGON_CASES[case]
+        mirror = hg.Isometry(cmath.exp(1j * phi), 0j, True)
+        mesh = hm.mesh_polygon(poly, h)
+        image = hm.mesh_polygon(poly.transformed(mirror), h)
+        assert image.n_nodes == mesh.n_nodes and image.n_triangles == mesh.n_triangles
+        j, worst = hm.match_nodes(image.nodes, hg.apply(mirror, mesh.nodes))
+        assert worst <= 1e-12
+        assert len(np.unique(j)) == mesh.n_nodes
 
 
 class TestDeterminism:
@@ -300,17 +350,49 @@ class TestArrayKernels:
         tris = pent_mesh.triangles
         assert np.array_equal(hm._unique_edges(tris), reference_unique_edges(tris))
 
-    @pytest.mark.parametrize(
-        "poly, h",
-        [
-            (surfglue.pants_decagon(2.0, 2.0, 2.0), 0.24),
-            (quarter_octagon(), 0.16),
-            (surfglue.octagon_polygon(), 0.16),
-            (hg.right_angled_hexagon(1.0, 1.0, 1.0), 0.2),
-        ],
-        ids=["pants-decagon", "quarter-octagon", "octagon", "hexagon"],
-    )
-    def test_matches_scalar_boundary_loop(self, poly, h):
+    @staticmethod
+    def neighbour_sums(e, z):
+        """Both add.at passes and the neighbour-matrix product on the real view of z."""
+        acc = np.zeros(len(z), dtype=np.complex128)
+        np.add.at(acc, e[:, 0], z[e[:, 1]])
+        np.add.at(acc, e[:, 1], z[e[:, 0]])
+        adj = hm._neighbour_matrix(e, len(z))
+        return acc, (adj @ z.view(np.float64).reshape(-1, 2)).view(np.complex128)[:, 0], adj
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_neighbour_sums_match_add_at(self, seed):
+        # any edge list, repeated and unsorted edges and isolated nodes included
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        e = rng.integers(0, n - 1, size=(int(rng.integers(1, 600)), 2))  # node n - 1 is isolated
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        acc, got, adj = self.neighbour_sums(e, z)
+        assert np.array_equal(got, acc)
+        assert np.array_equal(np.diff(adj.indptr), np.bincount(e.ravel(), minlength=n))
+
+    def test_neighbour_sums_of_a_mesh(self):
+        mesh = hm.mesh_polygon(*POLYGON_CASES["pants-decagon"])
+        acc, got, _ = self.neighbour_sums(mesh.edges(), mesh.nodes)
+        assert np.array_equal(got, acc)
+
+    @pytest.mark.parametrize("case", sorted(POLYGON_CASES))
+    def test_side_maps_match_per_side_calls(self, case):
+        poly = POLYGON_CASES[case][0]
+        sides = poly.sides
+        rng = np.random.default_rng(len(sides))
+        side = rng.integers(0, len(sides), 500)
+        x = 0.8 * np.sqrt(rng.uniform(0.0, 1.0, 500)) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 500))
+        to_axis, from_axis = hg.side_maps(sides)
+        s = hg.axis_foot(*to_axis[:, side], x)
+        z = hg.axis_point(*from_axis[:, side], s)
+        for i, sd in enumerate(sides):
+            on = side == i
+            assert np.array_equal(s[on], hg.foot_parameter(sd.start, sd.end, x[on]))
+            assert np.array_equal(z[on], sd.point_at(s[on]))
+
+    @pytest.mark.parametrize("case", sorted(POLYGON_CASES))
+    def test_matches_scalar_boundary_loop(self, case):
+        poly, h = POLYGON_CASES[case]
         z, tris, corners, side_nodes, side_params = reference_mesh(poly, h)
         mesh = hm.mesh_polygon(poly, h)
         assert np.array_equal(mesh.triangles, tris)
