@@ -7,6 +7,11 @@ w(z) = 4 / (1 - |z|^2)^2 enters only the mass matrix, integrated by the
 edge-midpoint rule, which is exact for quadratics against a constant weight
 and second-order accurate here.
 
+assemble builds one sorted CSR pattern for K and M from Mesh.edges by
+index arithmetic, computes the 3 diagonal and 3 edge values of each element
+matrix, and sums them into the pattern with np.bincount over the triangle
+corners and over Mesh.triangle_edges.
+
 Eigenpairs of K u = lambda M u are computed by shift-invert Lanczos with a
 fixed start vector, so repeated solves are deterministic.  The Lanczos
 basis is small (LANCZOS_VECTORS, or 2k + 1 vectors for k pairs): a ground
@@ -44,9 +49,6 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from .hypgeo import LABELS, apply, polygon_mirror
 from .hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
 
-# phi[node, midpoint] for midpoints (01, 12, 20) of the reference triangle
-_PHI_MID = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
-
 SIGMA = -1.0  # shift for shift-invert; negative keeps K - SIGMA M positive definite
 
 PENCIL_SYMMETRY_TOL = 1e-10  # entry mismatch of a pencil and its mirror image, relative to its largest entry
@@ -68,41 +70,62 @@ class SymmetryError(ValueError):
     """A map of the dofs that should be a symmetry of a pencil is not one."""
 
 
-def assemble(nodes: np.ndarray, triangles: np.ndarray) -> tuple:
-    """Stiffness and mass matrices (CSR) for the hyperbolic metric.
+def assemble(mesh: Mesh) -> tuple:
+    """Stiffness and mass matrices (CSR, one sorted pattern) for the hyperbolic metric.
 
-    nodes are complex disk coordinates, triangles CCW index triples.
+    The pattern comes from mesh.edges: row i holds its lower neighbours, i
+    and its upper neighbours.  Of each element matrix only the 3 diagonal
+    and the 3 edge entries are computed (it is symmetric; local edge j joins
+    corners j and j + 1).  Two np.bincount calls per matrix sum them per
+    node and per edge (mesh.triangle_edges) into precomputed positions of
+    the pattern.  K and M share one indices array, so copy a matrix before
+    changing its pattern in place.  ValueError, with the count, unless every
+    triangle is CCW.
     """
-    z = nodes[triangles]
-    x, y = z.real, z.imag
-    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
-    y0, y1, y2 = y[:, 0], y[:, 1], y[:, 2]
+    tri, edges = mesh.triangles, mesh.edges
+    n, n_edges = mesh.n_nodes, len(edges)
+    z = mesh.nodes[tri]
+    x0, x1, x2 = z.real.T
+    y0, y1, y2 = z.imag.T
     det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    if det.min() <= 0.0:
-        raise ValueError("assemble requires positively oriented triangles")
+    flipped = int(np.count_nonzero(det <= 0.0))
+    if flipped:
+        raise ValueError(f"assemble requires CCW triangles: {flipped} of {len(tri)} triangles have det <= 0")
 
     b = np.stack([y1 - y2, y2 - y0, y0 - y1], axis=1)
     c = np.stack([x2 - x1, x0 - x2, x1 - x0], axis=1)
-    k_loc = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        2.0 * det[:, None, None]
-    )
+    nxt, prev = [1, 2, 0], [2, 0, 1]
+    two_det = 2.0 * det[:, None]
+    k_diag = (b * b + c * c) / two_det
+    k_edge = (b * b[:, nxt] + c * c[:, nxt]) / two_det
+    # edge-midpoint rule: local edge j's midpoint carries weight 1/2 at both of its corners
+    w = 4.0 / (1.0 - np.abs(0.5 * (z + z[:, nxt])) ** 2) ** 2
+    area_12 = (det / 24.0)[:, None]
+    m_edge = area_12 * w
+    m_diag = area_12 * (w + w[:, prev])
 
-    zm = np.stack(
-        [0.5 * (z[:, 0] + z[:, 1]), 0.5 * (z[:, 1] + z[:, 2]), 0.5 * (z[:, 2] + z[:, 0])],
-        axis=1,
-    )
-    w = 4.0 / (1.0 - np.abs(zm) ** 2) ** 2
-    area = det / 2.0
-    # M_ab = area/3 * sum_m phi[a,m] phi[b,m] w_m
-    pw = _PHI_MID[None, :, :] * w[:, None, :]
-    m_loc = (area / 3.0)[:, None, None] * np.einsum("tam,bm->tab", pw, _PHI_MID)
+    lower = np.bincount(edges[:, 1], minlength=n)
+    upper = np.bincount(edges[:, 0], minlength=n)
+    rows = np.arange(n)
+    indptr = np.concatenate([[0], np.cumsum(lower + upper + 1)])
+    diag = indptr[:-1] + lower
+    # edge k = (i, j) sits in row i at its place among i's edges, which are
+    # consecutive in lexicographic order, and in row j at its rank among the
+    # edges ending at j, which a stable argsort of the upper ends gives
+    up_pos = (np.cumsum(lower) + rows + 1)[edges[:, 0]] + np.arange(n_edges)
+    by_upper = np.argsort(edges[:, 1], kind="stable")
+    lo_pos = np.empty(n_edges, dtype=np.int64)
+    lo_pos[by_upper] = (np.cumsum(upper) - upper + rows)[edges[by_upper, 1]] + np.arange(n_edges)
+    indices = np.empty(n + 2 * n_edges, dtype=np.int32)
+    indices[diag], indices[up_pos], indices[lo_pos] = rows, edges[:, 1], edges[:, 0]
 
-    rows = np.repeat(triangles, 3, axis=1).ravel()
-    cols = np.tile(triangles, (1, 3)).ravel()
-    n = len(nodes)
-    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return K, M
+    def fill(d, e):
+        data = np.empty(len(indices))
+        data[diag] = np.bincount(tri.ravel(), d.ravel(), minlength=n)
+        data[up_pos] = data[lo_pos] = np.bincount(mesh.triangle_edges.ravel(), e.ravel(), minlength=n_edges)
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    return fill(k_diag, k_edge), fill(m_diag, m_edge)
 
 
 def total_mass(M) -> float:
@@ -359,7 +382,7 @@ def solve_polygon(
     if not set(essential_labels) <= set(LABELS):
         raise ValueError(f"essential_labels {essential_labels} are not all in {LABELS}")
     mesh = mesh_polygon(poly, h_target)
-    K, M = assemble(mesh.nodes, mesh.triangles)
+    K, M = assemble(mesh)
     constrained = np.zeros(mesh.n_nodes, dtype=bool)
     for lab in essential_labels:
         constrained[mesh.nodes_on_label(lab)] = True

@@ -4,15 +4,19 @@ The mesh is built in three stages: a macro fan from an interior hub to
 arclength-uniform boundary subdivisions, uniform 1:4 refinement until every
 edge is hyperbolically shorter than the target, and Jacobi smoothing with
 boundary nodes retracted onto their geodesic side by orthogonal projection.
-All stages are array operations: the unique edges are computed once per
-refinement level and shared by the edge-length check and the smoother.  A
-smoothing sweep is one sparse product and one retraction: the neighbour
-sums are the product of a CSR matrix of ones, whose rows list each node's
-neighbours in np.add.at order, with the real view of the nodes, and every
-non-corner boundary node is retracted at once with the map coefficients of
-its side (hypgeo.side_maps, axis_foot, axis_point).  mesh_polygon logs one
-DEBUG record: nodes, triangles, refinement level, smoothing rounds and the
-seconds they took.
+All stages are array operations.  One argsort per refinement level gives
+the unique edges and the inverse map from triangle sides to edges
+(_unique_edges): the edge-length check and the smoother share the edges,
+and refinement numbers its midpoints through the inverse.  The final
+level's edges and inverse stay on the Mesh as edges and triangle_edges
+(int32; more edges than int32 holds raise MeshError), the pattern of
+hypfem.assemble.  A smoothing sweep is one sparse product and one
+retraction: the neighbour sums are the product of a CSR matrix of ones,
+whose rows list each node's neighbours in np.add.at order, with the real
+view of the nodes, and every non-corner boundary node is retracted at once
+with the map coefficients of its side (hypgeo.side_maps, axis_foot,
+axis_point).  mesh_polygon logs one DEBUG record: nodes, triangles,
+refinement level, smoothing rounds and the seconds they took.
 
 Boundary placement and projection are intrinsic, but the hub (the
 Euclidean mean of the vertices), the Euclidean interior midpoints and the
@@ -55,14 +59,20 @@ class Mesh:
     """Triangle mesh of one geodesic polygon.
 
     nodes are complex disk coordinates; triangles index into nodes, CCW.
-    corners[k] is the node at polygon vertex k.  side_nodes[i] lists the
-    nodes on side i ordered by arclength from the side's start corner
-    (both corners included); side_params[i] are the matching arclengths.
-    level is the number of 1:4 refinements of the macro fan.
+    edges are the unique edges (lo, hi) in lexicographic order, and
+    triangle_edges[t, j] indexes the edge joining corners j and j + 1 of
+    triangle t; both are int32, the inverse of the final level's
+    _unique_edges, and the pattern of hypfem.assemble.  corners[k] is the
+    node at polygon vertex k.  side_nodes[i] lists the nodes on side i
+    ordered by arclength from the side's start corner (both corners
+    included); side_params[i] are the matching arclengths.  level is the
+    number of 1:4 refinements of the macro fan.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
+    edges: np.ndarray
+    triangle_edges: np.ndarray
     corners: np.ndarray
     side_nodes: list
     side_params: list
@@ -85,11 +95,8 @@ class Mesh:
             return np.array([], dtype=np.int64)
         return np.unique(np.concatenate(picked))
 
-    def edges(self) -> np.ndarray:
-        return _unique_edges(self.triangles)
-
     def hyp_edge_lengths(self) -> np.ndarray:
-        e = self.edges()
+        e = self.edges
         return _hyp_len(self.nodes[e[:, 0]], self.nodes[e[:, 1]])
 
 
@@ -98,19 +105,25 @@ def _hyp_len(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return 2.0 * np.arcsinh(np.abs(z1 - z2) / np.sqrt(den))
 
 
-def _unique_edges(tris: np.ndarray) -> np.ndarray:
-    """Unique edges (lo, hi) of a triangle array in lexicographic order.
+def _unique_edges(tris: np.ndarray) -> tuple:
+    """(edges, inverse): the unique edges (lo, hi) of a triangle array in
+    lexicographic order, and the (T, 3) map from each triangle's local edge
+    j, which joins its corners j and j + 1, to its index in edges; both int32.
 
-    Deduplicates the integer codes lo * n + hi, which sort in the same
-    order as the pairs (sort and mask: np.unique hashes integer input and
-    is many times slower on these arrays).
+    One argsort of the integer codes lo * n + hi, which sort in the same
+    order as the pairs, gives both (np.unique hashes integer input and is
+    many times slower on these arrays).
     """
-    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]).astype(np.int64)
-    e.sort(axis=1)
-    n = int(e.max()) + 1 if len(e) else 1
-    codes = np.sort(e[:, 0] * n + e[:, 1])
-    codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
-    return np.stack([codes // n, codes % n], axis=1)
+    a, b = tris, tris[:, [1, 2, 0]]
+    n = int(tris.max()) + 1
+    codes = (np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)).ravel()
+    order = np.argsort(codes)
+    codes = codes[order]
+    new = np.concatenate([[True], codes[1:] != codes[:-1]])
+    inverse = np.empty(len(codes), dtype=np.int32)
+    inverse[order] = np.cumsum(new) - 1
+    codes = codes[new]
+    return np.stack([codes // n, codes % n], axis=1).astype(np.int32), inverse.reshape(-1, 3)
 
 
 def _neighbour_matrix(e: np.ndarray, n: int) -> sp.csr_matrix:
@@ -199,16 +212,14 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
         """Arclength of boundary node x along side (corners are nodes 0..n-1)."""
         return np.where(x == side, 0.0, np.where(x == (side + 1) % poly.n, lengths[side], par[x]))
 
-    def refine(z, tris, e):
+    def refine(z, tris, e, tri_e):
         """One uniform 1:4 split; e is the level's unique edges, whose k-th
-        midpoint becomes node n + k.  Boundary midpoints are placed at the
-        arclength midpoint of their side segment, interior midpoints
-        Euclidean."""
+        midpoint becomes node n + k, and tri_e the edges of each triangle.
+        Boundary midpoints are placed at the arclength midpoint of their
+        side segment, interior midpoints Euclidean."""
         nonlocal side_of, par, bedges
         n = len(z)
-        codes = e[:, 0] * n + e[:, 1]
-        raw = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
-        inv = np.searchsorted(codes, raw[:, 0] * n + raw[:, 1])
+        codes = e[:, 0].astype(np.int64) * n + e[:, 1]
         mids = 0.5 * (z[e[:, 0]] + z[e[:, 1]])
 
         a, b, side = bedges.T
@@ -222,7 +233,7 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
         bedges = np.column_stack([a, m, side, m, b, side]).reshape(-1, 3)
 
         z = np.concatenate([z, mids])
-        m01, m12, m20 = (n + inv).reshape(3, -1)
+        m01, m12, m20 = (n + tri_e.astype(np.int64)).T
         a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
         tris = np.concatenate(
             [
@@ -261,16 +272,23 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
         """Longest hyperbolic edge; e is the level's unique edge list, computed once per level."""
         return _hyp_len(z[e[:, 0]], z[e[:, 1]]).max()
 
+    def level_edges(tris):
+        """_unique_edges of a level, whose count must fit their int32 index."""
+        e, tri_e = _unique_edges(tris)
+        if len(e) > np.iinfo(np.int32).max:
+            raise MeshError(f"{len(e)} edges do not fit the int32 edge index")
+        return e, tri_e
+
     # refine + smooth until the smoothed mesh meets the edge criterion
     # (smoothing can stretch edges, so the check runs on the final positions)
-    e = _unique_edges(tris)
+    e, tri_e = level_edges(tris)
     level, rounds, smooth_s = 0, 0, 0.0
     for _ in range(MAX_REFINEMENTS):
         while max_edge(z, e) > h_target:
             if level == MAX_REFINEMENTS:
                 raise MeshError(f"{level} refinement levels leave an edge longer than h_target = {h_target}")
-            z, tris = refine(z, tris, e)
-            e, level = _unique_edges(tris), level + 1
+            z, tris = refine(z, tris, e, tri_e)
+            (e, tri_e), level = level_edges(tris), level + 1
         t0 = time.perf_counter()
         z = smooth(z, e)
         rounds, smooth_s = rounds + 1, smooth_s + time.perf_counter() - t0
@@ -297,6 +315,8 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
     return Mesh(
         nodes=z,
         triangles=tris,
+        edges=e,
+        triangle_edges=tri_e,
         corners=corners,
         side_nodes=side_nodes,
         side_params=side_params,

@@ -335,7 +335,7 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     a dirichlet side of any chart is constrained.
     """
     if isinstance(base, Mesh):
-        K0, M0 = hypfem.assemble(base.nodes, base.triangles)
+        K0, M0 = hypfem.assemble(base)
         base = Base(base, K0, M0, np.arange(base.n_nodes))
     base_mesh = base.mesh
     if base_mesh.polygon != surface.base:

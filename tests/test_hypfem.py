@@ -23,7 +23,7 @@ from hypnodal import hypmesh as hm
 from hypnodal import surfglue
 
 from test_hypgeo import relabeled
-from test_hypmesh import quarter_octagon
+from test_hypmesh import quarter_octagon, with_triangles
 
 MIXED_QUARTER_LIMIT = 3.8390  # frozen from an independent discretization study
 
@@ -46,21 +46,83 @@ class TestMass:
         errs = []
         for h in (0.16, 0.08):
             m = hm.mesh_polygon(octagon, h)
-            _, M = hf.assemble(m.nodes, m.triangles)
+            _, M = hf.assemble(m)
             errs.append(abs(hf.total_mass(M) - 2.0 * math.pi) / (2.0 * math.pi))
         assert errs[1] < 1e-3
         assert errs[0] / errs[1] > 3.0  # second order
 
     def test_pentagon_area(self):
         m = hm.mesh_polygon(quarter_octagon(), 0.08)
-        _, M = hf.assemble(m.nodes, m.triangles)
+        _, M = hf.assemble(m)
         assert hf.total_mass(M) == pytest.approx(math.pi / 2.0, rel=5e-4)
 
     def test_rejects_flipped_triangle(self):
-        nodes = np.array([0j, 0.1 + 0j, 0.05 + 0.1j])
-        tris = np.array([[0, 2, 1]])
-        with pytest.raises(ValueError):
-            hf.assemble(nodes, tris)
+        # three flipped and one degenerate
+        mesh = hm.mesh_polygon(quarter_octagon(), 0.16)
+        tris = mesh.triangles.copy()
+        tris[:3] = tris[:3, ::-1]
+        tris[3, 1] = tris[3, 0]
+        with pytest.raises(ValueError, match="4 of 2048 triangles have det <= 0"):
+            hf.assemble(with_triangles(mesh, tris))
+
+
+# phi[node, midpoint] for midpoints (01, 12, 20) of the reference triangle
+_PHI_MID = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+
+
+def reference_assemble(nodes, triangles):
+    """The COO assembly that assemble replaced, kept as its reference: full
+    3 x 3 element matrices (the mass by an einsum over the edge midpoints),
+    9 triplets per triangle, one COO -> CSR conversion per matrix."""
+    z = nodes[triangles]
+    x, y = z.real, z.imag
+    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+    y0, y1, y2 = y[:, 0], y[:, 1], y[:, 2]
+    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    if det.min() <= 0.0:
+        raise ValueError("assemble requires positively oriented triangles")
+
+    b = np.stack([y1 - y2, y2 - y0, y0 - y1], axis=1)
+    c = np.stack([x2 - x1, x0 - x2, x1 - x0], axis=1)
+    k_loc = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+        2.0 * det[:, None, None]
+    )
+
+    zm = np.stack(
+        [0.5 * (z[:, 0] + z[:, 1]), 0.5 * (z[:, 1] + z[:, 2]), 0.5 * (z[:, 2] + z[:, 0])],
+        axis=1,
+    )
+    w = 4.0 / (1.0 - np.abs(zm) ** 2) ** 2
+    area = det / 2.0
+    # M_ab = area/3 * sum_m phi[a,m] phi[b,m] w_m
+    pw = _PHI_MID[None, :, :] * w[:, None, :]
+    m_loc = (area / 3.0)[:, None, None] * np.einsum("tam,bm->tab", pw, _PHI_MID)
+
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
+    n = len(nodes)
+    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return K, M
+
+
+ASSEMBLY_CASES = {
+    "quarter-0.16": (quarter_octagon(), 0.16),
+    "quarter-0.08": (quarter_octagon(), 0.08),
+    "neumann-octagon-0.16": (surfglue.octagon_polygon(), 0.16),
+    "pants-decagon-0.24": (surfglue.pants_decagon(2.0, 2.0, 2.0), 0.24),
+}
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+    def test_matches_coo_assembly(self, case):
+        mesh = hm.mesh_polygon(*ASSEMBLY_CASES[case])
+        for got, want in zip(hf.assemble(mesh), reference_assemble(mesh.nodes, mesh.triangles)):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            # the element values are the same; the diagonal sums add them in another order
+            assert np.all(np.abs(got.data - want.data) <= 1e-15 * np.abs(want.data))
 
 
 class TestNeumannGroundState:
@@ -120,7 +182,7 @@ class TestSolverPaths:
     def test_dense_sparse_agree(self):
         poly = quarter_octagon()
         mesh = hm.mesh_polygon(poly, 0.16)
-        K, M = hf.assemble(mesh.nodes, mesh.triangles)
+        K, M = hf.assemble(mesh)
         v_dense = scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=[0, 3], eigvals_only=True)
         v_sparse, _ = hf.solve_lowest(K, M, 4, mesh.nodes)
         assert np.allclose(v_dense, v_sparse, rtol=1e-9, atol=1e-8)
@@ -134,7 +196,7 @@ class TestSolverPaths:
     def test_rejects_k_outside_one_to_n_minus_one(self, k):
         # k >= n used to return n - 1 pairs without a word
         mesh = hm.mesh_polygon(quarter_octagon(), 0.16)
-        K, M = hf.assemble(mesh.nodes, mesh.triangles)
+        K, M = hf.assemble(mesh)
         with pytest.raises(ValueError, match=rf"1 <= k < n: k = {k}, n = 1089 dofs"):
             hf.solve_lowest(K, M, k, mesh.nodes)
 
@@ -175,14 +237,14 @@ class TestSolverPaths:
 
     def test_rejects_points_not_one_per_dof(self):
         mesh = hm.mesh_polygon(quarter_octagon(), 0.16)
-        K, M = hf.assemble(mesh.nodes, mesh.triangles)
+        K, M = hf.assemble(mesh)
         for bad in (mesh.nodes[:-1], np.stack([mesh.nodes.real, mesh.nodes.imag], axis=1)):
             with pytest.raises(ValueError, match="one point per dof"):
                 hf.solve_lowest(K, M, 2, bad)
 
     def test_rejects_nonfinite_points(self):
         mesh = hm.mesh_polygon(quarter_octagon(), 0.16)
-        K, M = hf.assemble(mesh.nodes, mesh.triangles)
+        K, M = hf.assemble(mesh)
         pts = mesh.nodes.copy()
         pts[7] = complex(np.nan, 0.0)
         with pytest.raises(ValueError, match="1 of 1089 are not"):
@@ -216,7 +278,7 @@ def plain_solve(poly, h, k=1):
     """Lowest modes of the whole free pencil: reduce, solve, lift (the
     reference of the folded ground state solve)."""
     mesh = hm.mesh_polygon(poly, h)
-    K, M = hf.assemble(mesh.nodes, mesh.triangles)
+    K, M = hf.assemble(mesh)
     free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.nodes_on_label("dirichlet"))
     vals, vecs = hf.solve_lowest(*hf.reduce_system(K, M, free), k, mesh.nodes[free])
     full = np.zeros((mesh.n_nodes, vecs.shape[1]))
@@ -334,7 +396,7 @@ def octagon_pencil():
     """Free octagon pencil at h = 0.16 and the dof maps of its real-axis,
     imaginary-axis and pi/4-diagonal mirrors."""
     mesh = hm.mesh_polygon(surfglue.octagon_polygon(), 0.16)
-    K, M = hf.assemble(mesh.nodes, mesh.triangles)
+    K, M = hf.assemble(mesh)
     diagonal = hg.Geodesic(5 * math.pi / 4, math.pi / 4)
     mirrors = (surfglue.REAL_MIRROR, surfglue.IMAG_MIRROR, diagonal)
     maps = [mirror_image(mesh, hg.reflect_in(g))[0] for g in mirrors]
@@ -403,7 +465,7 @@ def free_numbering_fold(K, M, gens, chi, k, points, constrained):
 def quarter_pencil(h):
     """Mesh, unreduced pencil and Dirichlet mask of the mixed quarter octagon."""
     mesh = hm.mesh_polygon(quarter_octagon(), h)
-    K, M = hf.assemble(mesh.nodes, mesh.triangles)
+    K, M = hf.assemble(mesh)
     constrained = np.zeros(mesh.n_nodes, dtype=bool)
     constrained[mesh.nodes_on_label("dirichlet")] = True
     return mesh, K, M, constrained
@@ -502,7 +564,7 @@ def pencil(request):
         mesh = hm.mesh_polygon(surfglue.octagon_polygon(), 0.16)
         free = np.arange(mesh.n_nodes)
         k = 6
-    K, M = hf.reduce_system(*hf.assemble(mesh.nodes, mesh.triangles), free)
+    K, M = hf.reduce_system(*hf.assemble(mesh), free)
     return K, M, mesh.nodes[free], k
 
 

@@ -1,6 +1,7 @@
 """Mesher oracle tests: quality, symmetry, boundary fidelity, determinism."""
 
 import cmath
+import dataclasses
 import logging
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypnodal import hypfem as hf
 from hypnodal import hypgeo as hg
 from hypnodal import hypmesh as hm
 from hypnodal import surfglue
@@ -32,6 +34,12 @@ def quarter_octagon():
     )
     labels = ("dirichlet", "neumann", "neumann", "neumann", "dirichlet")
     return hg.HyperbolicPolygon(verts, labels)
+
+
+def with_triangles(mesh, triangles):
+    """mesh with other triangles, and the edges and triangle_edges that go with them."""
+    edges, triangle_edges = hm._unique_edges(triangles)
+    return dataclasses.replace(mesh, triangles=triangles, edges=edges, triangle_edges=triangle_edges)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +159,8 @@ POLYGON_CASES = {
 
 
 class TestEquivariance:
-    """The mesher commutes with rotations and reflections about 0."""
+    """The mesher commutes with rotations and reflections about 0, and the
+    eigenvalues of solve_polygon do not change under them."""
 
     @settings(max_examples=12, deadline=None)
     @given(case=st.sampled_from(sorted(POLYGON_CASES)), phi=st.floats(-math.pi, math.pi))
@@ -176,6 +185,31 @@ class TestEquivariance:
         j, worst = hm.match_nodes(image.nodes, hg.apply(mirror, mesh.nodes))
         assert worst <= 1e-12
         assert len(np.unique(j)) == mesh.n_nodes
+
+    # the mixed quarter's ground state (a mirror-folded solve) and the Neumann octagon's six lowest modes
+    SOLVES = {
+        "quarter-octagon": (quarter_octagon(), 1, ("dirichlet",)),
+        "octagon": (surfglue.octagon_polygon(), 6, ()),
+    }
+
+    @classmethod
+    def assert_same_spectrum(cls, case, image):
+        poly, k, essential = cls.SOLVES[case]
+        want = hf.solve_polygon(poly, 0.16, k, essential).values
+        got = hf.solve_polygon(image, 0.16, k, essential).values
+        # relative, except against 1 for the octagon's zero mode
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+    @settings(max_examples=6, deadline=None)
+    @given(case=st.sampled_from(sorted(SOLVES)), phi=st.floats(-math.pi, math.pi))
+    def test_eigenvalues_under_rotation(self, case, phi):
+        self.assert_same_spectrum(case, self.SOLVES[case][0].transformed(hg.rotation(phi)))
+
+    @settings(max_examples=6, deadline=None)
+    @given(case=st.sampled_from(sorted(SOLVES)), phi=st.floats(-math.pi, math.pi))
+    def test_eigenvalues_under_reflection(self, case, phi):
+        mirror = hg.Isometry(cmath.exp(1j * phi), 0j, True)
+        self.assert_same_spectrum(case, self.SOLVES[case][0].transformed(mirror))
 
 
 class TestDeterminism:
@@ -210,6 +244,17 @@ class TestMeshError:
         with pytest.raises(hm.MeshError, match="0 refine \\+ smooth rounds"):
             hm.mesh_polygon(quarter_octagon(), 0.2)
 
+    def test_rejects_more_edges_than_int32_indexes(self, monkeypatch):
+        unique_edges = hm._unique_edges
+
+        def huge(tris):  # 2**31 edges as a zero-stride view, without their memory
+            e, tri_e = unique_edges(tris)
+            return np.broadcast_to(e[:1], (2**31, 2)), tri_e
+
+        monkeypatch.setattr(hm, "_unique_edges", huge)
+        with pytest.raises(hm.MeshError, match="2147483648 edges do not fit the int32 edge index"):
+            hm.mesh_polygon(quarter_octagon(), 0.2)
+
 
 class TestHexagonMesh:
     def test_basic(self):
@@ -221,9 +266,11 @@ class TestHexagonMesh:
 
 
 def reference_unique_edges(tris):
-    """Edge deduplication by row-wise unique: the reference for _unique_edges."""
+    """Edge deduplication by row-wise unique: the reference for _unique_edges,
+    with the (T, 3) inverse of the edge joining corners j and j + 1."""
     e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    return np.unique(np.sort(e, axis=1), axis=0)
+    edges, inverse = np.unique(np.sort(e, axis=1), axis=0, return_inverse=True)
+    return edges, inverse.reshape(3, -1).T
 
 
 def reference_mesh(poly, h_target):
@@ -285,7 +332,7 @@ def reference_mesh(poly, h_target):
         return np.concatenate([z, mids]), tris
 
     def smooth(z, tris):
-        e = reference_unique_edges(tris)
+        e, _ = reference_unique_edges(tris)
         ei, ej = e[:, 0], e[:, 1]
         interior = np.ones(len(z), dtype=bool)
         interior[corners] = False
@@ -311,7 +358,7 @@ def reference_mesh(poly, h_target):
         return z
 
     def max_edge(z, tris):
-        e = reference_unique_edges(tris)
+        e, _ = reference_unique_edges(tris)
         return hm._hyp_len(z[e[:, 0]], z[e[:, 1]]).max()
 
     def param_of(m, side_i):
@@ -344,11 +391,26 @@ class TestArrayKernels:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 200))
         tris = rng.integers(0, n, size=(int(rng.integers(1, 400)), 3))
-        assert np.array_equal(hm._unique_edges(tris), reference_unique_edges(tris))
+        (edges, inverse), (want, want_inverse) = hm._unique_edges(tris), reference_unique_edges(tris)
+        assert np.array_equal(edges, want)
+        assert np.array_equal(inverse, want_inverse)
+        assert edges.dtype == inverse.dtype == np.int32
 
     def test_unique_edges_of_a_mesh(self, pent_mesh):
         tris = pent_mesh.triangles
-        assert np.array_equal(hm._unique_edges(tris), reference_unique_edges(tris))
+        for got, want in zip(hm._unique_edges(tris), reference_unique_edges(tris)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", sorted(POLYGON_CASES))
+    def test_mesh_edges(self, case):
+        # the final level's edges, and the edge of every triangle side: each edge is some triangle's side
+        mesh = hm.mesh_polygon(*POLYGON_CASES[case])
+        tris, edges, tri_e = mesh.triangles, mesh.edges, mesh.triangle_edges
+        assert np.array_equal(edges, reference_unique_edges(tris)[0])
+        assert edges.dtype == tri_e.dtype == np.int32 and tri_e.shape == tris.shape
+        sides = np.sort(np.stack([tris, tris[:, [1, 2, 0]]], axis=2), axis=2)
+        assert np.array_equal(edges[tri_e], sides)
+        assert np.array_equal(np.unique(tri_e), np.arange(len(edges)))
 
     @staticmethod
     def neighbour_sums(e, z):
@@ -372,7 +434,7 @@ class TestArrayKernels:
 
     def test_neighbour_sums_of_a_mesh(self):
         mesh = hm.mesh_polygon(*POLYGON_CASES["pants-decagon"])
-        acc, got, _ = self.neighbour_sums(mesh.edges(), mesh.nodes)
+        acc, got, _ = self.neighbour_sums(mesh.edges, mesh.nodes)
         assert np.array_equal(got, acc)
 
     @pytest.mark.parametrize("case", sorted(POLYGON_CASES))

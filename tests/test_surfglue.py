@@ -25,6 +25,7 @@ from hypnodal.hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
 
 from test_hypfem import free_numbering_fold
 from test_hypgeo import relabeled
+from test_hypmesh import with_triangles
 
 QUARTER_AREA = math.pi / 2
 OCTAGON_AREA = 2 * math.pi
@@ -381,7 +382,7 @@ class TestOneUnionFindIsBitIdentical:
 class TestGluedAssembly:
     def test_tiling_mass_is_four_quarters(self, tiling_ext):
         system = tiling_ext.system
-        base_K, base_M = hypfem.assemble(system.base_mesh.nodes, system.base_mesh.triangles)
+        base_K, base_M = hypfem.assemble(system.base_mesh)
         total = hypfem.total_mass(system.M)
         assert abs(total - 4 * hypfem.total_mass(base_M)) < 1e-12 * total
         assert abs(total - OCTAGON_AREA) / OCTAGON_AREA < 5e-3
@@ -467,7 +468,7 @@ def reference_glued(surface, base, odd=()):
     (glue_index, constrained, dirichlet_boundary, K, M).
     """
     if isinstance(base, Mesh):
-        base = surfglue.Base(base, *hypfem.assemble(base.nodes, base.triangles), np.arange(base.n_nodes))
+        base = surfglue.Base(base, *hypfem.assemble(base), np.arange(base.n_nodes))
     mesh, C = base.mesh, surface.n_charts
     N = mesh.n_nodes
     parent = list(range(C * N))
@@ -1019,7 +1020,7 @@ class TestOneAssemblyPerBase:
         assemble = hypfem.assemble
 
         def counted(*args):
-            calls.append(len(args[0]))
+            calls.append(args[0].n_nodes)
             return assemble(*args)
 
         monkeypatch.setattr(hypfem, "assemble", counted)
@@ -1094,7 +1095,7 @@ def flip_one_diagonal(mesh):
         if min(z[[a, b, c, d]].imag) > 0.1 and all(ccw(t) for t in new):
             out = tris.copy()
             out[n], out[m] = new
-            return dataclasses.replace(mesh, triangles=out)
+            return with_triangles(mesh, out)
     raise AssertionError("no flippable quad above the real axis")
 
 
