@@ -403,9 +403,8 @@ class P1Interpolator:
 
     Works on any collection of triangles (several charts laid side by side
     included); lookup is nearest-centroid candidates plus a barycentric
-    containment test, with graceful clipping for points that sit on the
-    curved boundary just outside every chord triangle.  fallbacks counts
-    the points evaluated by that clipping.
+    containment test.  A point that lies in no triangle is an error: the
+    function is not defined there.
     """
 
     def __init__(self, points: np.ndarray, triangles: np.ndarray, values: np.ndarray):
@@ -423,7 +422,6 @@ class P1Interpolator:
         cent = z.mean(axis=1)
         self._tree = cKDTree(np.column_stack([cent.real, cent.imag]))
         self._z = z
-        self.fallbacks = 0
 
     def _bary(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Barycentric weights (..., 3) of points x in triangles t (broadcast shapes)."""
@@ -439,8 +437,9 @@ class P1Interpolator:
         array of its shape.
 
         Each point takes the first of its 8 nearest-centroid triangles (64
-        if none of those) that contains it within 1e-9; failing that, the
-        clipped weights of the candidate it violates least.
+        if none of those) that contains it within 1e-9.  Raises ValueError
+        when some point lies in none of them, naming how many points missed
+        and the worst barycentric violation among them.
         """
         q = np.asarray(x, dtype=np.complex128)
         pts = q.reshape(-1)
@@ -456,16 +455,17 @@ class P1Interpolator:
             viol = -lam.min(axis=2)
             inside = viol <= 1e-9
             hit = inside.any(axis=1)
-            pick = np.where(hit, inside.argmax(axis=1), viol.argmin(axis=1))
-            done = hit | (k_eff == n_tri or k == 64)
-            lam, tri = lam[done, pick[done]], self.triangles[idx[done, pick[done]]]
-            # boundary fallback: clip the weights of the least violated candidate
-            clip = ~hit[done]
-            lam[clip] = np.clip(lam[clip], 0.0, None)
-            lam[clip] /= lam[clip].sum(axis=1, keepdims=True)
-            self.fallbacks += int(clip.sum())
-            out[todo[done]] = np.vecdot(lam, self.values[tri])
-            todo = todo[~done]
+            pick = inside.argmax(axis=1)[hit]
+            out[todo[hit]] = np.vecdot(lam[hit, pick], self.values[self.triangles[idx[hit, pick]]])
+            todo = todo[~hit]
+            if not len(todo) or k_eff == n_tri:
+                break
+        if len(todo):
+            worst = viol[~hit].min(axis=1).max()
+            raise ValueError(
+                f"P1Interpolator: {len(todo)} of {len(pts)} points lie in no triangle "
+                f"(worst barycentric violation {worst:.3g})"
+            )
         return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
 

@@ -2,7 +2,11 @@
 
 Everything lives in the open unit disk with the constant-curvature -1 metric
 4|dz|^2/(1-|z|^2)^2.  Geodesics are diameters or circular arcs meeting the
-unit circle orthogonally.  Orientation-preserving isometries are stored as
+unit circle orthogonally, and they have one representation: the isometry
+axis_map(p, q) that takes the geodesic through p and q onto the real axis.
+Sides, feet, reflections and distances to a geodesic are all asked of the
+real axis after that map, so no circle centre is formed and diameters need
+no branch of their own.  Orientation-preserving isometries are stored as
 SU(1,1) coefficients (a, b) with |a|^2 - |b|^2 = 1 acting by
 
     z -> (a z + b) / (conj(b) z + conj(a)),
@@ -69,6 +73,7 @@ class Isometry:
 
 
 IDENTITY = Isometry(1.0 + 0.0j, 0.0j, False)
+CONJUGATION = Isometry(1.0 + 0.0j, 0.0j, True)  # z -> conj(z), the reflection in the real axis
 
 
 def _moebius(a, b, w):
@@ -122,125 +127,68 @@ def translate_to_zero(p) -> Isometry:
     return Isometry(1.0 / s + 0.0j, -zp / s, False)
 
 
-@dataclass(frozen=True)
-class Geodesic:
-    """Complete geodesic, stored by its two ideal endpoint angles.
-
-    Oriented from endpoint at angle theta_p toward endpoint at theta_q.
-    Center/radius of the orthogonal circle are derived; diameters are the
-    case of antipodal endpoints.
-    """
-
-    theta_p: float
-    theta_q: float
-
-    @property
-    def endpoints(self) -> tuple[complex, complex]:
-        return cmath.exp(1j * self.theta_p), cmath.exp(1j * self.theta_q)
-
-    @property
-    def is_diameter(self) -> bool:
-        d = (self.theta_p - self.theta_q) % (2.0 * math.pi)
-        return abs(d - math.pi) < 1e-12
-
-    def _bisector(self) -> tuple[complex, float]:
-        """Unit vector toward the circle center and cos(half angular gap).
-
-        Angle arithmetic keeps relative precision for near-diameters, where
-        unit-vector sums would round the transverse component away.
-        """
-        d_raw = (self.theta_q - self.theta_p) % (2.0 * math.pi)
-        if d_raw <= math.pi:
-            gamma = self.theta_p + d_raw / 2.0
-            delta = d_raw / 2.0
-        else:
-            gamma = self.theta_p + d_raw / 2.0 + math.pi
-            delta = math.pi - d_raw / 2.0
-        return cmath.exp(1j * gamma), math.cos(delta)
-
-    def center_radius(self) -> tuple[complex, float]:
-        """Euclidean center and radius of the orthogonal circle carrying the arc.
-
-        Raises for diameters, which have no finite center.
-        """
-        if self.is_diameter:
-            raise GeometryError("diameter geodesic has no finite circle center")
-        e, cd = self._bisector()
-        c = e / cd
-        r = math.sqrt(max(0.0, abs(c) ** 2 - 1.0))
-        return c, r
-
-    def euclidean_residual(self, p) -> float:
-        """Euclidean distance from p to the circle/line carrying this geodesic.
-
-        Uses |f| / |grad f| for f(z) = cos(d) (|z|^2 + 1) - 2 Re(z conj(e)),
-        whose zero set is the carrier; stable even for near-diameter arcs
-        whose circle center runs off to infinity (diameters are the cd -> 0
-        limit of the same formula).
-        """
-        zp = complex(p)
-        e, cd = self._bisector()
-        f = cd * (abs(zp) ** 2 + 1.0) - 2.0 * (zp.real * e.real + zp.imag * e.imag)
-        grad = 2.0 * abs(zp * cd - e)
-        return abs(f) / grad
-
-    def contains(self, p, tol: float = GEOM_TOL) -> bool:
-        return self.euclidean_residual(p) <= tol
-
-
-def geodesic_between(p, q) -> Geodesic:
-    """The unique geodesic through two distinct interior points, oriented p -> q."""
-    zp, zq = complex(p), complex(q)
-    if abs(zp - zq) < 1e-14:
-        raise GeometryError("geodesic_between requires distinct points")
-    cross = zp.real * zq.imag - zp.imag * zq.real
-    # collinear with the center (or through it): a diameter
-    if abs(cross) < 1e-14 * max(1.0, abs(zp) * abs(zq)):
-        ang = cmath.phase(zq - zp)
-        return Geodesic(ang + math.pi, ang)
-    # center c of the orthogonal circle solves 2 c.p = 1+|p|^2, 2 c.q = 1+|q|^2
-    bp = (1.0 + abs(zp) ** 2) / 2.0
-    bq = (1.0 + abs(zq) ** 2) / 2.0
-    det = cross
-    cx = (bp * zq.imag - bq * zp.imag) / det
-    cy = (bq * zp.real - bp * zq.real) / det
-    c = complex(cx, cy)
-    gamma = cmath.phase(c)
-    delta = math.acos(min(1.0, 1.0 / abs(c)))
-    u1 = gamma - delta
-    u2 = gamma + delta
-    # orient so travel theta_p -> theta_q passes p before q
-    e1, e2 = cmath.exp(1j * u1), cmath.exp(1j * u2)
-    sp = abs(zp - e1) / abs(zp - e2)
-    sq = abs(zq - e1) / abs(zq - e2)
-    if sp <= sq:
-        return Geodesic(u1, u2)
-    return Geodesic(u2, u1)
-
-
-def reflect_in(g: Geodesic) -> Isometry:
-    """Reflection (orientation-reversing involution) fixing g pointwise."""
-    if g.is_diameter:
-        return Isometry(cmath.exp(1j * g.theta_q), 0.0j, True)
-    c, r = g.center_radius()
-    return Isometry(-1j * c / r, 1j / r, True)
-
-
-def point_to_geodesic_distance(p, g: Geodesic) -> float:
-    """Hyperbolic distance from p to the complete geodesic g.
-
-    The geodesic from p to its mirror image crosses g orthogonally at its
-    midpoint, so the distance is half the distance to the reflection.
-    """
-    zp = complex(p)
-    return 0.5 * hyp_distance(zp, apply(reflect_in(g), zp))
-
-
 def axis_map(p, q) -> Isometry:
     """Isometry taking the geodesic through p, q to the real axis, p to 0, q to the positive ray."""
     T = translate_to_zero(p)
     psi = cmath.phase(apply(T, q))
     return compose(rotation(-psi), T)
+
+
+@dataclass(frozen=True)
+class Geodesic:
+    """Complete geodesic through two distinct interior points p and q,
+    oriented from p toward q.
+
+    Its one representation is to_axis = axis_map(p, q), the isometry that
+    maps it onto the real axis (p to 0, q to the positive ray): every
+    question about the geodesic, diameter or arc alike, is asked of the real
+    axis after that map.
+    """
+
+    p: complex
+    q: complex
+
+    def __post_init__(self):
+        zp, zq = complex(self.p), complex(self.q)
+        if not (abs(zp) < 1.0 and abs(zq) < 1.0):
+            raise GeometryError(f"geodesic points {zp} and {zq} must lie inside the unit disk")
+        if abs(zp - zq) < 1e-14:
+            raise GeometryError("a geodesic needs two distinct points")
+        object.__setattr__(self, "p", zp)
+        object.__setattr__(self, "q", zq)
+
+    @functools.cached_property
+    def to_axis(self) -> Isometry:
+        return axis_map(self.p, self.q)
+
+    def contains(self, x, tol: float = GEOM_TOL) -> bool:
+        """Whether x lies within hyperbolic distance tol of the geodesic."""
+        return point_to_geodesic_distance(x, self) <= tol
+
+
+def geodesic_between(p, q) -> Geodesic:
+    """The unique geodesic through two distinct interior points, oriented p -> q."""
+    return Geodesic(p, q)
+
+
+def reflect_in(g: Geodesic) -> Isometry:
+    """Reflection (orientation-reversing involution) fixing g pointwise: the
+    reflection in the real axis conjugated by g.to_axis."""
+    A = g.to_axis
+    return compose(inverse(A), compose(CONJUGATION, A))
+
+
+def point_to_geodesic_distance(x, g: Geodesic):
+    """Hyperbolic distance from x to the complete geodesic g: with
+    w = g.to_axis(x), the distance d from w to the real axis has
+    sinh d = 2 |Im w| / (1 - |w|^2).  x is one point (returns a float) or an
+    ndarray of points (returns an array of its shape)."""
+    a, b = g.to_axis.a, g.to_axis.b
+    num, den = a * x + b, np.conjugate(b) * x + np.conjugate(a)
+    # w = num / den and 1 - |w|^2 = (1 - |x|^2) / |den|^2, so 1 - |w|^2, which cancels
+    # when w nears the unit circle, is never formed
+    d = np.arcsinh(2.0 * np.abs(np.imag(num * np.conjugate(den))) / (1.0 - np.abs(x) ** 2))
+    return d if isinstance(x, np.ndarray) else float(d)
 
 
 def foot_parameter(p, q, x):

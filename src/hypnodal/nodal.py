@@ -225,10 +225,10 @@ def _normalize_cycle(pl):
 
 def geodesic_deviation(component, g: Geodesic) -> float:
     """Maximum hyperbolic distance from the polyline vertices to g."""
-    pts = component.points if isinstance(component, NodalComponent) else np.asarray(component)
+    pts = np.asarray(component.points if isinstance(component, NodalComponent) else component, dtype=np.complex128)
     if len(pts) == 0:
         raise NodalError("geodesic deviation of an empty polyline")
-    return max(point_to_geodesic_distance(complex(p), g) for p in pts)
+    return float(point_to_geodesic_distance(pts, g).max())
 
 
 def self_intersections(ns: NodalSet):

@@ -260,8 +260,8 @@ def quarter_octagon() -> HyperbolicPolygon:
     return HyperbolicPolygon(verts, labels)
 
 
-REAL_MIRROR = Geodesic(math.pi, 0.0)
-IMAG_MIRROR = Geodesic(3 * math.pi / 2, math.pi / 2)
+REAL_MIRROR = Geodesic(0j, 0.5)  # the real axis, oriented toward +1
+IMAG_MIRROR = Geodesic(0j, 0.5j)  # the imaginary axis, oriented toward +i
 
 
 # ---------------------------------------------------------------------------

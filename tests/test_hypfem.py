@@ -9,6 +9,7 @@ eigenvalue was cross-validated by two independent discretizations
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -397,7 +398,7 @@ def octagon_pencil():
     imaginary-axis and pi/4-diagonal mirrors."""
     mesh = hm.mesh_polygon(surfglue.octagon_polygon(), 0.16)
     K, M = hf.assemble(mesh)
-    diagonal = hg.Geodesic(5 * math.pi / 4, math.pi / 4)
+    diagonal = hg.Geodesic(0j, 0.3 + 0.3j)
     mirrors = (surfglue.REAL_MIRROR, surfglue.IMAG_MIRROR, diagonal)
     maps = [mirror_image(mesh, hg.reflect_in(g))[0] for g in mirrors]
     return mesh, K, M, maps
@@ -600,7 +601,8 @@ class TestNestedDissection:
 
 def reference_interp(f, x, tol=1e-9):
     """Point-by-point interpolation as the scalar loop did it; returns the
-    value and the path taken (8 or 64 candidates, or 0 for the clip)."""
+    value and the path taken (8 or 64 candidates), or (None, 0) for a point
+    in no candidate triangle."""
 
     def bary(t):
         z0, z1, z2 = f._z[t]
@@ -612,19 +614,13 @@ def reference_interp(f, x, tol=1e-9):
     for k in (8, 64):
         k_eff = min(k, len(f.triangles))
         _, idx = f._tree.query([x.real, x.imag], k=k_eff)
-        best, best_viol = None, math.inf
         for t in np.atleast_1d(idx):
             lam = bary(int(t))
-            viol = -lam.min()
-            if viol <= tol:
+            if -lam.min() <= tol:
                 return float(lam @ f.values[f.triangles[int(t)]]), k
-            if viol < best_viol:
-                best, best_viol = int(t), viol
         if k_eff == len(f.triangles):
             break
-    lam = np.clip(bary(best), 0.0, None)
-    lam /= lam.sum()
-    return float(lam @ f.values[f.triangles[best]]), 0
+    return None, 0
 
 
 @pytest.fixture(scope="module")
@@ -644,16 +640,16 @@ class TestInterpolator:
     def test_batched_matches_scalar_loop(self, soup):
         rng = np.random.default_rng(4)
         near_c = 0.2 + 0.1j + 0.03 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
-        anywhere = 0.9 * np.sqrt(rng.uniform(0, 1, 600)) * np.exp(2j * np.pi * rng.uniform(0, 1, 600))
+        # anywhere in the mesh: random barycentric points of random triangles
+        tris = rng.integers(len(soup.triangles), size=600)
+        anywhere = (soup._z[tris] * rng.dirichlet(np.ones(3), size=600)).sum(axis=1)
         x = np.concatenate([near_c, anywhere])
         ref = [reference_interp(soup, complex(p)) for p in x]
         paths = {path for _, path in ref}
-        assert paths == {8, 64, 0}
-        before = soup.fallbacks
+        assert paths == {8, 64}
         got = soup(x.reshape(2, -1))
         assert got.shape == (2, 400)
         assert np.array_equal(got.ravel(), [v for v, _ in ref])
-        assert soup.fallbacks - before == sum(path == 0 for _, path in ref)
 
     def test_scalar_point_gives_float(self, soup):
         x = 0.05 + 0.02j
@@ -661,12 +657,18 @@ class TestInterpolator:
         assert isinstance(got, float)
         assert got == reference_interp(soup, x)[0]
 
-    def test_fallbacks_count_points_outside(self, soup):
-        before = soup.fallbacks
+    def test_rejects_points_outside(self, soup):
         soup(np.array([0.0j, 0.1 + 0.05j]))
-        assert soup.fallbacks == before
-        soup(np.array([0.95 + 0j, -0.9j, 0.05 + 0.02j]))
-        assert soup.fallbacks == before + 2
+        outside = np.array([0.95 + 0j, -0.9j, 0.05 + 0.02j])
+        assert [path for _, path in (reference_interp(soup, complex(p)) for p in outside)] == [0, 0, 8]
+        msg = r"2 of 3 points lie in no triangle \(worst barycentric violation ([0-9.e+-]+)\)"
+        with pytest.raises(ValueError, match=msg) as err:
+            soup(outside)
+        assert float(re.search(msg, str(err.value)).group(1)) > 1e-9
+        # a point just outside a corner is not clipped in either
+        corner = surfglue.octagon_polygon().vertices[0]
+        with pytest.raises(ValueError, match=r"1 of 1 points lie in no triangle"):
+            soup(corner * (1.0 + 1e-6))
 
     @pytest.mark.parametrize(
         "triangles, values, what",

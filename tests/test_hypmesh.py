@@ -95,7 +95,7 @@ class TestBoundary:
             side = poly.side(i)
             g = hg.geodesic_between(side.start, side.end)
             for m in idx:
-                assert g.euclidean_residual(pent_mesh.nodes[m]) < 1e-12
+                assert hg.point_to_geodesic_distance(pent_mesh.nodes[m], g) < 1e-12
 
     def test_side_params_sorted_full_range(self, pent_mesh):
         poly = quarter_octagon()

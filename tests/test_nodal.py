@@ -231,13 +231,13 @@ class TestSegmentConservation:
 
 class TestGeodesicDeviation:
     def test_points_on_diameter(self):
-        g = Geodesic(math.pi, 0.0)
+        g = Geodesic(0j, 0.5)
         pts = np.array([math.tanh(t / 2) for t in np.linspace(-1.5, 1.5, 21)])
         assert nodal.geodesic_deviation(pts.astype(complex), g) < 1e-12
 
     def test_equidistant_curve_measures_its_distance(self):
         d = 0.35
-        g = Geodesic(math.pi, 0.0)
+        g = Geodesic(0j, 0.5)
         base = 1j * math.tanh(d / 2)
         pts = np.array([apply(translation(t), base) for t in np.linspace(-1.2, 1.2, 41)])
         dev = nodal.geodesic_deviation(pts, g)
@@ -245,7 +245,7 @@ class TestGeodesicDeviation:
 
     def test_empty_polyline_rejected(self):
         with pytest.raises(nodal.NodalError):
-            nodal.geodesic_deviation(np.array([], dtype=complex), Geodesic(math.pi, 0.0))
+            nodal.geodesic_deviation(np.array([], dtype=complex), Geodesic(0j, 0.5))
 
 
 class TestSelfIntersections:
@@ -358,7 +358,7 @@ class TestOctagonNodalSet:
         mesh, v, ns = genus2_nodal
         assert len(ns.components) == 2
         h = nodal.euclidean_mesh_size(mesh)
-        mirrors = [Geodesic(math.pi, 0.0), Geodesic(3 * math.pi / 2, math.pi / 2)]
+        mirrors = [Geodesic(0j, 0.5), Geodesic(0j, 0.5j)]
         devs = np.array(
             [[nodal.geodesic_deviation(c, g) for g in mirrors] for c in ns.components]
         )
@@ -395,7 +395,7 @@ class TestOctagonNodalSet:
             lam, v = surfglue.mirror_odd_eigenvector(modes, 3.8390)
             ns = nodal.extract_nodal(modes.mesh, v, zero_tol=1e-7)
             h = nodal.euclidean_mesh_size(modes.mesh)
-            mirrors = [Geodesic(math.pi, 0.0), Geodesic(3 * math.pi / 2, math.pi / 2)]
+            mirrors = [Geodesic(0j, 0.5), Geodesic(0j, 0.5j)]
             for comp in ns.components:
                 assert min(nodal.geodesic_deviation(comp, g) for g in mirrors) <= 2 * h
 

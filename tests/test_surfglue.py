@@ -657,7 +657,7 @@ class TestSchwarzExtend:
     def test_mirror_missing_sides_raises(self, tiling_ext):
         modes = hypfem.solve_polygon(surfglue.quarter_octagon(), 0.16, k=1)
         ext = surfglue.as_extended(modes)
-        diag = Geodesic(math.pi / 4, math.pi / 4 + math.pi)
+        diag = Geodesic(0j, 0.3 + 0.3j)
         with pytest.raises(surfglue.GlueError):
             surfglue.schwarz_extend(ext, diag)
 
@@ -815,10 +815,10 @@ class TestPantsSearch:
             surfglue.scan_pants_patterns(f)
 
     def test_scan_needs_no_fallback(self, tiling_ext):
-        # every side sample and mapped sample lies in a chart triangle at h = 0.16
+        # every side sample and mapped sample lies in a chart triangle at h = 0.16:
+        # the interpolator raises for a point in none, so the scan completes
         f = surfglue.chart_interpolator(tiling_ext.system, tiling_ext.vector)
-        surfglue.scan_pants_patterns(f)
-        assert f.fallbacks == 0
+        assert len(surfglue.scan_pants_patterns(f)) == 840
 
     def test_cell_complex_matches_reference_count(self):
         patterns = octagon_patterns()
