@@ -147,9 +147,11 @@ def match_nodes(points: np.ndarray, targets: np.ndarray) -> tuple:
 
     The tree search is bounded just above MATCH_TOL, which prunes it; when
     some target has no point that close, the query is repeated unbounded,
-    so the worst distance is always the true one.
+    so the worst distance is always the true one.  The tree is built
+    unbalanced and uncompacted, which is cheaper on mesh nodes and finds
+    the same matches.
     """
-    tree = cKDTree(np.column_stack([points.real, points.imag]))
+    tree = cKDTree(np.column_stack([points.real, points.imag]), balanced_tree=False, compact_nodes=False)
     xy = np.column_stack([targets.real, targets.imag])
     dist, j = tree.query(xy, distance_upper_bound=2.0 * MATCH_TOL)
     if not np.isfinite(dist).all():

@@ -11,8 +11,9 @@ One union-find over chart corners, chart sheets (the two orientations of
 each face) and boundary sides counts the glued cell complex: vertex
 classes, orientability and boundary circles come from one merge pass.
 audit_topology feeds it the endpoint correspondences read off a surface's
-isometries, the octagon pants search feeds it each pattern's flags
-directly.  One mirror-copy builder serves both reflection extension of
+isometries; a pants-search pattern feeds it its flags directly, on the
+first read of its invariants, so the search counts only the patterns whose
+values match.  One mirror-copy builder serves both reflection extension of
 eigenfunctions across a geodesic mirror line (schwarz_extend) and
 reflection doubling across whole boundary circles (double_surface), which
 differ only in where the copies are placed.  The module also stages the
@@ -614,17 +615,21 @@ def double_surface(surface: Surface, circle_indices=None) -> Surface:
 
 @dataclass
 class PatternResult:
-    """One candidate octagon side-pairing pattern and its invariants."""
+    """One candidate side-pairing pattern of an n-gon and its value
+    mismatch; its cell-complex invariants are counted on first read."""
 
     pairs: tuple  # ((i, j), (k, l)) polygon side indices
     start_to_start: tuple  # endpoint orientation choice per pair
     compat: float  # max |f(iso x) - f(x)| over side samples
-    chi: int
-    orientable: bool
-    n_boundary: int
+    n: int  # side count of the polygon
+
+    @functools.cached_property
+    def topology(self) -> TopologyReport:
+        return _cell_complex(1, self.n, [(0, i, 0, j, s2s) for (i, j), s2s in zip(self.pairs, self.start_to_start)])
 
     def is_pants(self) -> bool:
-        return self.chi == -1 and self.orientable and self.n_boundary == 3
+        t = self.topology
+        return t.chi == -1 and t.orientable and len(t.boundary_circles) == 3
 
     def accepted(self, tol: float) -> bool:
         return self.compat <= tol and self.is_pants()
@@ -644,15 +649,16 @@ def scan_pants_patterns(
     poly: HyperbolicPolygon = None,
     samples_per_side: int = 24,
 ) -> list:
-    """Score every pattern of two disjoint side pairings of the polygon
+    """Score every pattern of two disjoint side pairings of the n-gon poly
     against the function f.
 
-    All C(8,2) C(6,2) / 2 = 210 pairings-of-pairs times 4 endpoint
-    orientations are scored by the worst value mismatch |f(iso x) - f(x)|
-    along the paired sides, and their combinatorial invariants computed.
-    A pattern's mismatch is the larger of its two side maps'; the
-    C(8,2) * 2 = 56 side maps (i < j, both orientations) are evaluated with
-    the side samples in one batched call of f.  Patterns are ordered by
+    All C(n,4) * 3 pairings-of-pairs times 4 endpoint orientations are
+    scored by the worst value mismatch |f(iso x) - f(x)| along the paired
+    sides; their cell-complex invariants are left to PatternResult.topology.
+    A pattern's mismatch is the larger of its two side maps'.  A side map
+    (i < j, both orientations) between sides whose lengths differ by more
+    than MATCH_TOL is no gluing and scores math.inf; the samples of the
+    others are evaluated in one batched call of f.  Patterns are ordered by
     mismatch relative to max |f|, rounded to 9 digits so that patterns tied
     in exact arithmetic are not ordered by rounding noise, then
     lexicographically.  Raises GlueError when f vanishes identically.
@@ -663,14 +669,16 @@ def scan_pants_patterns(
     if fmax == 0.0:
         raise GlueError("pattern scan of an identically zero function")
 
-    side_samples = []
-    for i in range(n):
-        s = poly.side(i)
-        L = s.length
-        side_samples.append(
-            [s.point_at(L * (q + 0.5) / samples_per_side) for q in range(samples_per_side)]
-        )
-    maps = [(i, j, s2s) for i, j in itertools.combinations(range(n), 2) for s2s in (False, True)]
+    sides = [poly.side(i) for i in range(n)]
+    side_samples = [
+        [s.point_at(s.length * (q + 0.5) / samples_per_side) for q in range(samples_per_side)] for s in sides
+    ]
+    maps = [
+        (i, j, s2s)
+        for i, j in itertools.combinations(range(n), 2)
+        if abs(sides[i].length - sides[j].length) <= MATCH_TOL
+        for s2s in (False, True)
+    ]
     isos = [_side_iso(poly, *m) for m in maps]
     # point by point: the array form of apply rounds differently and moves compat by ulps
     mapped = [apply(iso, x) for iso, (i, _, _) in zip(isos, maps) for x in side_samples[i]]
@@ -680,8 +688,8 @@ def scan_pants_patterns(
     compat = dict(zip(maps, mismatch.tolist()))
 
     results = [
-        PatternResult(pairs, flags, max(compat[(i, j, s2s)] for (i, j), s2s in zip(pairs, flags)), *inv)
-        for pairs, flags, *inv in _pair_patterns(n)
+        PatternResult(pairs, flags, max(compat.get((i, j, s2s), math.inf) for (i, j), s2s in zip(pairs, flags)), n)
+        for pairs, flags in _pair_patterns(n)
     ]
     results.sort(key=lambda r: (round(r.compat / fmax, 9), r.pairs, r.start_to_start))
     return results
@@ -690,14 +698,12 @@ def scan_pants_patterns(
 @functools.cache
 def _pair_patterns(n: int) -> tuple:
     """Every pattern of two disjoint side pairings of an n-gon with endpoint
-    flags, as (pairs, flags, chi, orientable, n_boundary); counted once per n."""
+    flags, as (pairs, flags); listed once per n."""
     out = []
     for quad in itertools.combinations(range(n), 4):
         for b in quad[1:]:
             pairs = ((quad[0], b), tuple(s for s in quad[1:] if s != b))
-            for flags in itertools.product((False, True), repeat=2):
-                rep = _cell_complex(1, n, [(0, i, 0, j, s2s) for (i, j), s2s in zip(pairs, flags)])
-                out.append((pairs, flags, rep.chi, rep.orientable, len(rep.boundary_circles)))
+            out += [(pairs, flags) for flags in itertools.product((False, True), repeat=2)]
     return tuple(out)
 
 
@@ -716,7 +722,9 @@ def build_pattern_surface(pattern: PatternResult, poly: HyperbolicPolygon = None
 def search_pants_gluing(ext: ExtendedSolution) -> list:
     """Side-pairing patterns of the octagon compatible with the extended
     eigenfunction: pair of pants combinatorics (chi = -1, orientable, three
-    boundary circles) and value mismatch at most 1e-6 * max |f|.
+    boundary circles) and value mismatch at most 1e-6 * max |f|.  The
+    mismatch is tested first, so only the value matches count their cell
+    complex.
 
     An empty list is a legitimate finding, not an error.
     """

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from hypnodal import hypfem as hf
 from hypnodal import hypgeo as hg
@@ -130,6 +131,24 @@ class TestSymmetry:
         zs = np.sort_complex(np.round(z, 12) + 0.0)
         ws = np.sort_complex(np.round(w, 12) + 0.0)
         assert np.max(np.abs(zs - ws)) < 1e-11
+
+    @pytest.mark.parametrize("case", ["quarter-0.16", "quarter-0.08", "quarter-0.04", "quarter-0.02", "pants-0.06"])
+    def test_match_nodes_agrees_with_a_balanced_tree(self, case):
+        # the mirror matches of the quarter sweep's levels and of the genus-3 pants solve:
+        # match_nodes' unbalanced, uncompacted tree finds the nodes a default-built tree finds
+        name, h = case.split("-")
+        if name == "quarter":
+            poly = quarter_octagon()
+            mirror = hg.polygon_mirror(poly)
+        else:
+            poly = surfglue.pants_decagon(2.0, 2.0, 2.0)
+            mirror = hg.reflect_in(surfglue.REAL_MIRROR)
+        nodes = hm.mesh_polygon(poly, float(h)).nodes
+        targets = hg.apply(mirror, nodes)
+        j, worst = hm.match_nodes(nodes, targets)
+        _, ref = cKDTree(np.column_stack([nodes.real, nodes.imag])).query(np.column_stack([targets.real, targets.imag]))
+        assert worst <= hm.MATCH_TOL
+        assert np.array_equal(j, ref)
 
     def test_octagon_eightfold(self, oct_mesh):
         z = oct_mesh.nodes

@@ -152,14 +152,7 @@ class TestTopologyAudit:
             surfglue._cell_complex(1, 8, [(0, 0, 0, 2, False), (0, 0, 0, 4, False)])
 
     def test_pattern_surface_rejects_self_pairing(self):
-        pat = surfglue.PatternResult(
-            pairs=((1, 1), (3, 5)),
-            start_to_start=(False, False),
-            compat=0.0,
-            chi=0,
-            orientable=True,
-            n_boundary=0,
-        )
+        pat = surfglue.PatternResult(pairs=((1, 1), (3, 5)), start_to_start=(False, False), compat=0.0, n=8)
         with pytest.raises(surfglue.GlueError):
             surfglue.build_pattern_surface(pat)
 
@@ -742,7 +735,8 @@ def octagon_patterns():
 
 def reference_scan(f, poly, samples_per_side):
     """The pattern scan as a per-pattern loop: both side maps of every
-    pattern re-applied and interpolated point by point."""
+    pattern re-applied and interpolated point by point (a polygon with
+    sides of equal length only)."""
     n = poly.n
     side_samples = []
     for i in range(n):
@@ -763,10 +757,7 @@ def reference_scan(f, poly, samples_per_side):
                         iso = surfglue._side_iso(poly, i, j, s2s)
                         vals_j = np.array([f(apply(iso, x)) for x in side_samples[i]])
                         compat = max(compat, float(np.max(np.abs(vals_j - f_at[i]))))
-                    chi, orientable, circles = _pattern_invariants(n, (pair1, pair2), (s2s1, s2s2))
-                    results.append(
-                        surfglue.PatternResult((pair1, pair2), (s2s1, s2s2), compat, chi, orientable, circles)
-                    )
+                    results.append(surfglue.PatternResult((pair1, pair2), (s2s1, s2s2), compat, n))
     fmax = float(np.max(np.abs(f.values)))
     results.sort(key=lambda r: (round(r.compat / fmax, 9), r.pairs, r.start_to_start))
     return results
@@ -797,6 +788,9 @@ class TestPantsSearch:
         poly = surfglue.octagon_polygon()
         got = surfglue.scan_pants_patterns(f, poly, samples_per_side=4)
         assert got == reference_scan(f, poly, samples_per_side=4)
+        for r in got:
+            t = r.topology
+            assert (t.chi, t.orientable, len(t.boundary_circles)) == _pattern_invariants(8, r.pairs, r.start_to_start)
 
     def test_roundoff_ties_in_lexicographic_order(self, tiling_ext):
         # the patterns the odd mode matches exactly sit at roundoff, far below the next one
@@ -836,9 +830,9 @@ class TestPantsSearch:
         assert len(results) == 840
         for r in results:
             rep = surfglue.audit_topology(surfglue.build_pattern_surface(r))
-            assert rep.chi == r.chi
-            assert rep.orientable == r.orientable
-            assert len(rep.boundary_circles) == r.n_boundary
+            assert rep.chi == r.topology.chi
+            assert rep.orientable == r.topology.orientable
+            assert rep.boundary_circles == r.topology.boundary_circles
 
     def test_opposite_side_pairings_for_odd_mode(self, tiling_ext):
         # pairing each mirror-bisected side with its opposite: start-to-end
@@ -857,7 +851,53 @@ class TestPantsSearch:
         assert trans[(False, False)].compat > 0.1 * fmax
         rotation = trans[(True, True)]
         assert rotation.compat < 1e-6 * fmax
-        assert not rotation.orientable
+        assert not rotation.topology.orientable
+
+    @pytest.fixture
+    def complex_calls(self, monkeypatch):
+        calls = []
+        cell_complex = surfglue._cell_complex
+
+        def counted(*args):
+            calls.append(args)
+            return cell_complex(*args)
+
+        monkeypatch.setattr(surfglue, "_cell_complex", counted)
+        return calls
+
+    def test_scan_counts_no_topology(self, tiling_ext, complex_calls):
+        f = surfglue.chart_interpolator(tiling_ext.system, tiling_ext.vector)
+        assert len(surfglue.scan_pants_patterns(f)) == 840
+        assert complex_calls == []
+
+    def test_search_counts_only_value_matches(self, tiling_ext, complex_calls):
+        f = surfglue.chart_interpolator(tiling_ext.system, tiling_ext.vector)
+        tol = 1e-6 * float(np.max(np.abs(f.values)))
+        within = sum(r.compat <= tol for r in surfglue.scan_pants_patterns(f))
+        assert within == 31
+        assert len(surfglue.search_pants_gluing(tiling_ext)) == 2
+        assert len(complex_calls) == within
+
+    def test_topology_counted_once(self, complex_calls):
+        r = surfglue.PatternResult(((1, 7), (3, 5)), (False, False), 0.0, 8)
+        first = r.topology
+        assert r.topology is first and r.is_pants()
+        assert len(complex_calls) == 1
+
+    def test_scan_of_a_polygon_with_unequal_sides(self):
+        # the quarter's sides have three lengths: only sides 0, 4 and 1, 3 pair by an
+        # isometry, and a side map between unequal sides would carry samples off the polygon
+        quarter = surfglue.quarter_octagon()
+        ext = surfglue.as_extended(hypfem.solve_polygon(quarter, 0.16, k=1))
+        f = surfglue.chart_interpolator(ext.system, ext.vector)
+        results = surfglue.scan_pants_patterns(f, quarter, samples_per_side=4)
+        assert len(results) == math.comb(5, 4) * 3 * 4
+        finite = [r for r in results if math.isfinite(r.compat)]
+        assert {r.pairs for r in finite} == {((0, 4), (1, 3))}
+        assert len(finite) == 4 and results[:4] == finite
+        lengths = [quarter.side(i).length for i in range(5)]
+        for r in results[4:]:
+            assert any(abs(lengths[i] - lengths[j]) > MATCH_TOL for i, j in r.pairs)
 
 
 class TestGenus2Workflow:
