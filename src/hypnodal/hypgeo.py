@@ -191,23 +191,13 @@ def point_to_geodesic_distance(x, g: Geodesic):
     return d if isinstance(x, np.ndarray) else float(d)
 
 
-def foot_parameter(p, q, x):
-    """Arclength parameter of the orthogonal projection of x onto the geodesic p -> q.
-
-    x is one point (returns a float) or an ndarray of points (returns an
-    array).  Intrinsic (isometry-equivariant), so symmetric meshes stay
-    symmetric when boundary nodes are retracted with it.
-    """
-    A = axis_map(p, q)
-    s = axis_foot(A.a, A.b, x)
-    return s if isinstance(x, np.ndarray) else float(s)
-
-
 def axis_foot(a, b, x):
     """Arclength foot of x on the geodesic that the isometry with coefficients
     (a, b) maps onto the real axis, from the preimage of 0 toward that of 1:
-    the foot parameter with a, b those of axis_map(p, q).  Elementwise over
-    an ndarray x, with a and b scalars or arrays of its shape (per point)."""
+    with a, b of axis_map(p, q), the arclength of x's orthogonal projection
+    on the geodesic p -> q (intrinsic, so retracting the nodes of a symmetric
+    mesh keeps it symmetric).  Elementwise over an ndarray x, with a and b
+    scalars or arrays of its shape (per point)."""
     w = np.asarray(_moebius(a, b, x if isinstance(x, np.ndarray) else complex(x)))
     # t = tanh(s / 2) is the root in [-1, 1] of t^2 - 2 c t + 1 with c = (1 + |w|^2) / (2 Re w);
     # c - 1 = |w - 1|^2 / (2 Re w) and c + 1 = |w + 1|^2 / (2 Re w) give it without cancellation
@@ -227,13 +217,11 @@ def axis_point(a, b, s):
 
 def side_maps(sides) -> tuple:
     """(to_axis, from_axis): complex arrays of shape (2, len(sides)) holding
-    the coefficients a, b of each side's axis_map(start, end) and of its
-    inverse (Side._from_axis).  Indexed by a side per point, they give
-    axis_foot and axis_point: foot_parameter and Side.point_at per point."""
-    to_axis = [axis_map(sd.start, sd.end) for sd in sides]
-    from_axis = [sd._from_axis for sd in sides]
+    the coefficients a, b of each side's cached Side._to_axis and
+    Side._from_axis.  Indexed by a side per point, they give axis_foot and
+    axis_point: the foot on each point's side and Side.point_at per point."""
     return tuple(np.array([[m.a for m in maps], [m.b for m in maps]], dtype=np.complex128)
-                 for maps in (to_axis, from_axis))
+                 for maps in ([sd._to_axis for sd in sides], [sd._from_axis for sd in sides]))
 
 
 @dataclass(frozen=True)
@@ -248,8 +236,12 @@ class Side:
         return hyp_distance(self.start, self.end)
 
     @functools.cached_property
+    def _to_axis(self) -> Isometry:
+        return axis_map(self.start, self.end)
+
+    @functools.cached_property
     def _from_axis(self) -> Isometry:
-        return inverse(axis_map(self.start, self.end))
+        return inverse(self._to_axis)
 
     def point_at(self, s):
         """Point at hyperbolic arclength s (a float, or an ndarray of them)

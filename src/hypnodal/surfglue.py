@@ -18,7 +18,8 @@ eigenfunctions across a geodesic mirror line (schwarz_extend) and
 reflection doubling across whole boundary circles (double_surface), which
 differ only in where the copies are placed.  The module also stages the
 closed genus 2 and genus 3 surfaces and glues finite element systems
-across charts, pairing the nodes of two paired sides in arclength order.
+across charts, pairing the nodes of two paired sides in arclength order,
+and sums a glued K and M onto one shared CSR pattern by one sort.
 
 The charts of a glued surface copy a base: a finite element pencil on base
 dofs plus the map from base mesh node to base dof.  Each base mesh is
@@ -35,6 +36,7 @@ import functools
 import itertools
 import logging
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -274,9 +276,10 @@ class GluedSystem:
     """Finite element pencil on a glued surface.
 
     Chart c's copy of base mesh node n is global slot c*N + n; glue_index
-    maps slots to glued dof ids.  K and M are on all glued dofs;
-    constrained marks the dofs on dirichlet sides of every chart, glued
-    (odd interfaces) or not, held at zero by constrained solves.
+    maps slots to glued dof ids.  K and M are CSR on all glued dofs and
+    share one pattern's arrays: copy one before changing its pattern in
+    place.  constrained marks the dofs on dirichlet sides of every chart,
+    glued (odd interfaces) or not, held at zero by constrained solves.
     """
 
     surface: Surface
@@ -312,13 +315,24 @@ class GluedSystem:
 @dataclass(frozen=True)
 class Base:
     """What every chart of a glued surface copies: a mesh, the pencil K, M
-    on base dofs (one sparsity pattern for both), and dof[node], the base
-    dof of each mesh node (every base dof has a node)."""
+    on base dofs, and dof[node], the base dof of each mesh node (every base
+    dof has a node).  K and M are square CSR matrices of one shape and one
+    pattern (indptr and indices), or GlueError names the mismatch.  They may
+    share the pattern's arrays: copy one before changing its pattern in place.
+    """
 
     mesh: Mesh
     K: sp.csr_matrix
     M: sp.csr_matrix
     dof: np.ndarray
+
+    def __post_init__(self):
+        K, M = self.K, self.M
+        if K.shape[0] != K.shape[1] or M.shape != K.shape:
+            raise GlueError(f"the base pencil must be square and of one shape: K is {K.shape}, M is {M.shape}")
+        for name in ("indptr", "indices"):
+            if not np.array_equal(getattr(K, name), getattr(M, name)):
+                raise GlueError(f"the base M's {name} array differs from K's: K and M must share one pattern")
 
 
 def assemble_glued(surface: Surface, base) -> GluedSystem:
@@ -332,9 +346,13 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     its partner, which holds when the base mesh is symmetric under the
     composite side maps, or GlueError with the worst distance.  The base
     pencil is then scattered over the charts; all nodes of one base dof
-    must land on one glued dof in every chart, or GlueError.  Every dof on
-    a dirichlet side of any chart is constrained.
+    must land on one glued dof in every chart, and the glued dofs and
+    scattered entries must fit int32, or GlueError.  K and M share one
+    pattern (see GluedSystem).  Every dof on a dirichlet side of any chart
+    is constrained.  One DEBUG record gives the charts, glued dofs,
+    scattered entries, pattern nnz, worst side match and seconds taken.
     """
+    t0 = time.perf_counter()
     if isinstance(base, Mesh):
         K0, M0 = hypfem.assemble(base)
         base = Base(base, K0, M0, np.arange(base.n_nodes))
@@ -344,6 +362,7 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     N = base_mesh.n_nodes
     C = surface.n_charts
     slots_a, slots_b = [], []
+    worst_match = 0.0
     for p in surface.pairings:
         na = base_mesh.side_nodes[p.side_a]
         nb = base_mesh.side_nodes[p.side_b]
@@ -360,6 +379,7 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
                 f"(mesh not symmetric under the gluing; {len(na)} and {len(nb)} nodes, "
                 f"worst match distance {worst:.3e})"
             )
+        worst_match = max(worst_match, worst)
         slots_a.append(p.chart_a * N + na)
         slots_b.append(p.chart_b * N + nb)
 
@@ -369,22 +389,20 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     b = np.concatenate([np.zeros(0, dtype=np.int64), *slots_b])
     pairs = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(C * N, C * N))
     G, labels = connected_components(pairs, directed=False)
+    n_scattered = C * base.K.nnz
     if G > np.iinfo(np.int32).max:
         raise GlueError(f"{G} glued dofs do not fit the int32 dof index of the scatter")
+    if n_scattered > np.iinfo(np.int32).max:
+        raise GlueError(f"{n_scattered} scattered entries do not fit the int32 entry index of the scatter")
     glue_index = labels.astype(np.int64)
 
-    # chart_dof[c, d]: the glued dof of chart c's copy of base dof d; int32
-    # halves the row and column arrays of the scatter, the gluing's memory peak
+    # chart_dof[c, d]: the glued dof of chart c's copy of base dof d
     slot_dof = glue_index.reshape(C, N)
-    chart_dof = np.zeros((C, base.K.shape[0]), dtype=np.int32)
+    chart_dof = np.zeros((C, base.K.shape[0]), dtype=np.int64)
     chart_dof[:, base.dof] = slot_dof
     if not np.array_equal(chart_dof[:, base.dof], slot_dof):
         raise GlueError("the nodes of one base dof land on two glued dofs (surface lacks a base pairing)")
-    # scatter the base entries chart by chart; K and M share the base pattern
-    rows = np.repeat(np.arange(base.K.shape[0]), np.diff(base.K.indptr))
-    rc = (chart_dof[:, rows].ravel(), chart_dof[:, base.K.indices].ravel())
-    K = sp.coo_matrix((np.tile(base.K.data, C), rc), shape=(G, G)).tocsr()
-    M = sp.coo_matrix((np.tile(base.M.data, C), rc), shape=(G, G)).tocsr()
+    K, M = _scatter(base, chart_dof, G)
 
     dirichlet_boundary = np.zeros(G, dtype=bool)
     for c, s in surface.unglued_sides():
@@ -393,6 +411,8 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     constrained = np.zeros(G, dtype=bool)
     constrained[slot_dof[:, base_mesh.nodes_on_label("dirichlet")]] = True
 
+    _log.debug("assemble_glued: %d charts, %d glued dofs, %d scattered entries, pattern nnz %d, "
+               "worst side match %.3e, %.3f s", C, G, n_scattered, K.nnz, worst_match, time.perf_counter() - t0)
     return GluedSystem(
         surface=surface,
         base_mesh=base_mesh,
@@ -403,6 +423,39 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
         constrained=constrained,
         dirichlet_boundary=dirichlet_boundary,
     )
+
+
+def _scatter(base: Base, chart_dof: np.ndarray, G: int) -> tuple:
+    """The glued (K, M) on one sorted CSR pattern: chart c's copy of base
+    entry k is coded row * G + col, pos[c, k] is the rank of its code among
+    the unique ones, and copies add in chart order, then storage order.
+    Temporaries go early: this sets the memory peak of a large gluing."""
+    codes = np.repeat(chart_dof * G, np.diff(base.K.indptr), axis=1)
+    cols = base.K.indices.astype(np.intp)  # intp: take would cast int32 indices on every call
+    for c in range(len(chart_dof)):  # (a loop variable holding a row would keep codes alive)
+        codes[c] += chart_dof[c].take(cols)
+    del cols
+    order = np.argsort(codes, axis=None, kind="stable")  # the chart-major codes are a few sorted runs
+    codes = codes.ravel()[order]
+    new = np.concatenate([[True], codes[1:] != codes[:-1]])
+    codes = codes[new]
+    new[0] = False  # so that the running count of new codes is each sorted entry's rank
+    rank = np.cumsum(new, dtype=np.int32)
+    del new
+    pos = np.empty(len(order), dtype=np.int32)
+    pos[order] = rank
+    del order, rank
+    indptr = np.searchsorted(codes, np.arange(G + 1) * G).astype(np.int32)
+    indices = np.remainder(codes, G, out=codes).astype(np.int32)
+    del codes
+
+    def fill(base_data):
+        data = np.zeros(len(indices))
+        for p in pos.reshape(len(chart_dof), -1):
+            np.add.at(data, p, base_data)
+        return sp.csr_matrix((data, indices, indptr), shape=(G, G))
+
+    return fill(base.K.data), fill(base.M.data)
 
 
 def transport(system: GluedSystem, u: np.ndarray, consistency_tol: float = 1e-10) -> np.ndarray:

@@ -16,6 +16,8 @@ from hypnodal import hypgeo as hg
 from hypnodal import hypmesh as hm
 from hypnodal import surfglue
 
+from test_hypgeo import foot_on
+
 
 def quarter_octagon():
     """Quarter of the right-angled regular octagon (fundamental domain of its
@@ -370,7 +372,7 @@ def reference_mesh(poly, h_target):
             for m in bnd:
                 side_i = node_side[m][0]
                 sd = sides[side_i]
-                s = min(max(hg.foot_parameter(sd.start, sd.end, complex(mean[m])), 0.0), lengths[side_i])
+                s = min(max(foot_on(sd.start, sd.end, complex(mean[m])), 0.0), lengths[side_i])
                 node_side[m] = (side_i, s)
                 znew[m] = sd.point_at(s)
             z = znew
@@ -468,7 +470,7 @@ class TestArrayKernels:
         z = hg.axis_point(*from_axis[:, side], s)
         for i, sd in enumerate(sides):
             on = side == i
-            assert np.array_equal(s[on], hg.foot_parameter(sd.start, sd.end, x[on]))
+            assert np.array_equal(s[on], foot_on(sd.start, sd.end, x[on]))
             assert np.array_equal(z[on], sd.point_at(s[on]))
 
     @pytest.mark.parametrize("case", sorted(POLYGON_CASES))

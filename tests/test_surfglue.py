@@ -8,9 +8,11 @@ from the angle-defect areas of the base polygons.
 
 import dataclasses
 import functools
+import gc
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,13 +497,22 @@ def reference_glued(surface, base, odd=()):
     for slots in odd_slots:
         constrained[index[slots]] = True
 
-    chart_dof = np.zeros((C, base.K.shape[0]), dtype=np.int64)
-    chart_dof[:, base.dof] = index.reshape(C, N)
-    Kc, Mc = base.K.tocoo(), base.M.tocoo()
-    rc = (chart_dof[:, Kc.row].ravel(), chart_dof[:, Kc.col].ravel())
-    K = sp.coo_matrix((np.tile(Kc.data, C), rc), shape=(G, G)).tocsr()
-    M = sp.coo_matrix((np.tile(Mc.data, C), rc), shape=(G, G)).tocsr()
-    return index, constrained, dirichlet, K, M
+    return (index, constrained, dirichlet, *reference_glue(base, index, C))
+
+
+def reference_glue(base, glue_index, n_charts):
+    """The glued (K, M) by the COO scatter that assemble_glued replaced:
+    the base entries chart by chart in storage order, rows and columns
+    through chart_dof, and one COO -> CSR conversion per matrix, which sums
+    the duplicates."""
+    G = int(glue_index.max()) + 1
+    chart_dof = np.zeros((n_charts, base.K.shape[0]), dtype=np.int32)
+    chart_dof[:, base.dof] = glue_index.reshape(n_charts, base.mesh.n_nodes)
+    rows = np.repeat(np.arange(base.K.shape[0]), np.diff(base.K.indptr))
+    rc = (chart_dof[:, rows].ravel(), chart_dof[:, base.K.indices].ravel())
+    K = sp.coo_matrix((np.tile(base.K.data, n_charts), rc), shape=(G, G)).tocsr()
+    M = sp.coo_matrix((np.tile(base.M.data, n_charts), rc), shape=(G, G)).tocsr()
+    return K, M
 
 
 @pytest.fixture(scope="module")
@@ -592,6 +603,121 @@ class TestGlueIndexReference:
         msg = rf"\(0,3\)-\(0,6\): side nodes do not match .*; {n} and {n} nodes, worst match distance 1\.000e-06\)$"
         with pytest.raises(surfglue.GlueError, match=msg):
             surfglue.assemble_glued(pants, dataclasses.replace(mesh, nodes=nodes))
+
+
+@pytest.fixture(scope="module")
+def shared_pattern_cases(tiling_ext, g3):
+    """(surface, base) of every benchmark gluing: the quarter extension,
+    genus 2, the pants, and genus 3 at h = 0.24 (over the pants system, as
+    build_genus3 glues it) and 0.12."""
+    pants = surfglue.pants_decagon_surface()
+    psys = surfglue.assemble_glued(pants, mesh_polygon(pants.base, 0.24))
+    return {
+        "extension": (tiling_ext.surface, tiling_ext.base),
+        "genus2": (surfglue.genus2_surface(), mesh_polygon(surfglue.octagon_polygon(), 0.16)),
+        "pants": (pants, mesh_polygon(pants.base, 0.12)),
+        "genus3-0.24": (surfglue.genus3_surface(), surfglue.Base(psys.base_mesh, psys.K, psys.M, psys.glue_index)),
+        "genus3-0.12": (g3.surface, g3.base),
+    }
+
+
+SHARED_PATTERN_CASES = ["extension", "genus2", "pants", "genus3-0.24", "genus3-0.12"]
+
+
+class TestSharedPattern:
+    """K and M are glued on one pattern, bit-identical to the COO scatter."""
+
+    @pytest.mark.parametrize("case", SHARED_PATTERN_CASES)
+    def test_equals_coo_reference_bit_for_bit(self, shared_pattern_cases, case):
+        surface, base = shared_pattern_cases[case]
+        system = surfglue.assemble_glued(surface, base)
+        if isinstance(base, Mesh):
+            base = surfglue.Base(base, *hypfem.assemble(base), np.arange(base.n_nodes))
+        for got, want in zip((system.K, system.M), reference_glue(base, system.glue_index, surface.n_charts)):
+            assert got.shape == want.shape == (system.n_dofs, system.n_dofs)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("case", SHARED_PATTERN_CASES)
+    def test_k_and_m_share_one_canonical_pattern(self, shared_pattern_cases, case):
+        system = surfglue.assemble_glued(*shared_pattern_cases[case])
+        K, M = system.K, system.M
+        assert np.shares_memory(K.indices, M.indices)
+        assert np.shares_memory(K.indptr, M.indptr)
+        assert K.has_canonical_format and M.has_canonical_format
+        assert K.indices.dtype == K.indptr.dtype == np.int32
+
+    def test_closed_genus3_gluing_peaks_below_one_and_a_half_outputs(self, g3):
+        # tracemalloc counts every array the call allocates, so the peak is deterministic;
+        # the COO scatter peaked at 1.82 times its outputs
+        gc.collect()
+        tracemalloc.start()
+        try:
+            system = surfglue.assemble_glued(g3.surface, g3.base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = {a.__array_interface__["data"][0]: a.nbytes
+                   for A in (system.K, system.M) for a in (A.data, A.indices, A.indptr)}
+        assert len(buffers) == 4  # indptr and indices counted once
+        assert peak <= 1.5 * sum(buffers.values())
+
+    def test_rejects_more_scattered_entries_than_int32_indexes(self, g3, monkeypatch):
+        base = g3.base
+        n_charts = np.iinfo(np.int32).max // base.K.nnz + 1
+        surface = surfglue.Surface(base.mesh.polygon, [surfglue.Chart()] * n_charts, [])
+        small = lambda *args, **kwargs: (1, np.zeros(base.mesh.n_nodes, dtype=np.int32))  # noqa: E731
+        monkeypatch.setattr(surfglue, "connected_components", small)
+        with pytest.raises(surfglue.GlueError, match=f"{n_charts * base.K.nnz} scattered entries do not fit"):
+            surfglue.assemble_glued(surface, base)
+
+    def test_one_debug_record_per_gluing(self, caplog):
+        pants = surfglue.pants_decagon_surface()
+        mesh = mesh_polygon(pants.base, 0.24)
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.surfglue"):
+            system = surfglue.assemble_glued(pants, mesh)
+        (rec,) = [r for r in caplog.records if r.name == "hypnodal.surfglue"]
+        assert rec.levelno == logging.DEBUG
+        worst = 0.0
+        for p in pants.pairings:
+            nb = mesh.side_nodes[p.side_b]
+            nb = nb if surfglue._pairing_start_to_start(pants, p) else nb[::-1]
+            worst = max(worst, np.abs(apply(p.mu, mesh.nodes[mesh.side_nodes[p.side_a]]) - mesh.nodes[nb]).max())
+        assert 0.0 < worst <= MATCH_TOL
+        head = (f"assemble_glued: 1 charts, {system.n_dofs} glued dofs, {hypfem.assemble(mesh)[0].nnz} "
+                f"scattered entries, pattern nnz {system.K.nnz}, worst side match {worst:.3e}, ")
+        msg = rec.getMessage()
+        assert msg.startswith(head) and msg.endswith(" s")
+        assert float(msg[len(head):-2]) > 0.0
+        assert system.K.nnz < hypfem.assemble(mesh)[0].nnz  # the seams sum entries
+
+
+class TestBasePattern:
+    @staticmethod
+    def quarter_pencil():
+        mesh = mesh_polygon(surfglue.quarter_octagon(), 0.24)
+        return mesh, *hypfem.assemble(mesh)
+
+    def test_rejects_m_on_another_pattern_with_the_same_nnz(self):
+        # the COO scatter glued such an M onto K's positions and returned a wrong M
+        mesh, K, M = self.quarter_pencil()
+        rev = np.arange(mesh.n_nodes)[::-1]
+        reversed_m = M[rev][:, rev].tocsr()
+        assert reversed_m.nnz == K.nnz
+        with pytest.raises(surfglue.GlueError, match="must share one pattern"):
+            surfglue.Base(mesh, K, reversed_m, np.arange(mesh.n_nodes))
+
+    def test_rejects_a_lumped_mass(self):
+        mesh, K, M = self.quarter_pencil()
+        lumped = sp.diags(np.asarray(M.sum(axis=1)).ravel()).tocsr()
+        with pytest.raises(surfglue.GlueError, match="the base M's indptr array differs from K's"):
+            surfglue.Base(mesh, K, lumped, np.arange(mesh.n_nodes))
+
+    def test_rejects_pencils_of_two_shapes(self):
+        mesh, K, M = self.quarter_pencil()
+        with pytest.raises(surfglue.GlueError, match=r"square and of one shape: K is \((\d+), \1\), M is"):
+            surfglue.Base(mesh, K, M[:-1, :-1].tocsr(), np.arange(mesh.n_nodes))
 
 
 class TestSchwarzExtend:
