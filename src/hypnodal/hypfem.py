@@ -10,7 +10,7 @@ and second-order accurate here.
 assemble builds one sorted CSR pattern for K and M from Mesh.edges by
 index arithmetic, computes the 3 diagonal and 3 edge values of each element
 matrix, and sums them into the pattern with np.bincount over the triangle
-corners and over Mesh.triangle_edges.
+corners and over Mesh.triangle_edges; K and M share the pattern's arrays.
 
 Eigenpairs of K u = lambda M u are computed by shift-invert Lanczos with a
 fixed start vector, so repeated solves are deterministic.  The Lanczos
@@ -78,9 +78,9 @@ def assemble(mesh: Mesh) -> tuple:
     and the 3 edge entries are computed (it is symmetric; local edge j joins
     corners j and j + 1).  Two np.bincount calls per matrix sum them per
     node and per edge (mesh.triangle_edges) into precomputed positions of
-    the pattern.  K and M share one indices array, so copy a matrix before
-    changing its pattern in place.  ValueError, with the count, unless every
-    triangle is CCW.
+    the pattern.  K and M share the pattern's arrays (indptr and indices),
+    so copy a matrix before changing its pattern in place.  ValueError, with
+    the count, unless every triangle is CCW.
     """
     tri, edges = mesh.triangles, mesh.edges
     n, n_edges = mesh.n_nodes, len(edges)
@@ -119,13 +119,14 @@ def assemble(mesh: Mesh) -> tuple:
     indices = np.empty(n + 2 * n_edges, dtype=np.int32)
     indices[diag], indices[up_pos], indices[lo_pos] = rows, edges[:, 1], edges[:, 0]
 
-    def fill(d, e):
+    def fill(d, e, pattern):
         data = np.empty(len(indices))
         data[diag] = np.bincount(tri.ravel(), d.ravel(), minlength=n)
         data[up_pos] = data[lo_pos] = np.bincount(mesh.triangle_edges.ravel(), e.ravel(), minlength=n_edges)
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        return sp.csr_matrix((data, *pattern), shape=(n, n))
 
-    return fill(k_diag, k_edge), fill(m_diag, m_edge)
+    K = fill(k_diag, k_edge, (indices, indptr))  # scipy copies indptr to int32 here, once
+    return K, fill(m_diag, m_edge, (K.indices, K.indptr))
 
 
 def total_mass(M) -> float:

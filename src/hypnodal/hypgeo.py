@@ -2,11 +2,12 @@
 
 Everything lives in the open unit disk with the constant-curvature -1 metric
 4|dz|^2/(1-|z|^2)^2.  Geodesics are diameters or circular arcs meeting the
-unit circle orthogonally, and they have one representation: the isometry
-axis_map(p, q) that takes the geodesic through p and q onto the real axis.
-Sides, feet, reflections and distances to a geodesic are all asked of the
-real axis after that map, so no circle centre is formed and diameters need
-no branch of their own.  Orientation-preserving isometries are stored as
+unit circle orthogonally, and they have one representation, Geodesic(p, q)
+with its cached isometry axis_map(p, q) onto the real axis; polygon sides
+are Geodesics too.  Arclength points, feet, reflections and distances to a
+geodesic are all asked of the real axis after that map, so no circle centre
+is formed and diameters need no branch of their own.  Orientation-preserving
+isometries are stored as
 SU(1,1) coefficients (a, b) with |a|^2 - |b|^2 = 1 acting by
 
     z -> (a z + b) / (conj(b) z + conj(a)),
@@ -36,18 +37,25 @@ class GeometryError(ValueError):
     """Geometric input is invalid (point outside disk, degenerate polygon, ...)."""
 
 
-def hyp_distance(p, q) -> float:
+def hyp_distance(p, q):
     """Hyperbolic distance, 2 asinh(|p-q| / sqrt((1-|p|^2)(1-|q|^2))).
 
     The asinh form is the cancellation-free rewrite of
     arccosh(1 + 2|p-q|^2 / ((1-|p|^2)(1-|q|^2))) and stays accurate for
-    nearby points.
+    nearby points.  p and q are points (returns a float), or ndarrays of one
+    broadcast shape (returns the distances elementwise).  GeometryError
+    unless every point lies strictly inside the disk (each factor is checked).
     """
+    if isinstance(p, np.ndarray) or isinstance(q, np.ndarray):
+        fp, fq = 1.0 - np.abs(p) ** 2, 1.0 - np.abs(q) ** 2
+        if not (np.all(fp > 0.0) and np.all(fq > 0.0)):
+            raise GeometryError("hyp_distance requires every point strictly inside the disk")
+        return 2.0 * np.arcsinh(np.abs(p - q) / np.sqrt(fp * fq))
     zp, zq = complex(p), complex(q)
-    den = (1.0 - abs(zp) ** 2) * (1.0 - abs(zq) ** 2)
-    if den <= 0.0:
-        raise GeometryError("hyp_distance requires both points strictly inside the disk")
-    return 2.0 * math.asinh(abs(zp - zq) / math.sqrt(den))
+    fp, fq = 1.0 - abs(zp) ** 2, 1.0 - abs(zq) ** 2
+    if not (fp > 0.0 and fq > 0.0):
+        raise GeometryError(f"hyp_distance requires both points strictly inside the disk, got {zp} and {zq}")
+    return 2.0 * math.asinh(abs(zp - zq) / math.sqrt(fp * fq))
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,10 @@ def translation(d: float) -> Isometry:
 
 
 def translate_to_zero(p) -> Isometry:
-    """The disk automorphism sending p to the center."""
+    """The disk automorphism sending p to the center; GeometryError unless p is inside the disk."""
     zp = complex(p)
+    if not abs(zp) < 1.0:
+        raise GeometryError(f"translate_to_zero needs a point inside the unit disk, got {zp}")
     s = math.sqrt(1.0 - abs(zp) ** 2)
     return Isometry(1.0 / s + 0.0j, -zp / s, False)
 
@@ -160,6 +170,19 @@ class Geodesic:
     @functools.cached_property
     def to_axis(self) -> Isometry:
         return axis_map(self.p, self.q)
+
+    @functools.cached_property
+    def from_axis(self) -> Isometry:
+        return inverse(self.to_axis)
+
+    @functools.cached_property
+    def length(self) -> float:
+        return hyp_distance(self.p, self.q)
+
+    def point_at(self, s):
+        """Point at hyperbolic arclength s (a float, or an ndarray of them)
+        from p along the geodesic toward q."""
+        return axis_point(self.from_axis.a, self.from_axis.b, s)
 
     def contains(self, x, tol: float = GEOM_TOL) -> bool:
         """Whether x lies within hyperbolic distance tol of the geodesic."""
@@ -207,8 +230,8 @@ def axis_foot(a, b, x):
 
 def axis_point(a, b, s):
     """Image of the real-axis point at arclength s from 0 under the isometry
-    with coefficients (a, b): the point at arclength s along a side with a, b
-    those of its _from_axis.  A float s gives a complex; an ndarray s works
+    with coefficients (a, b): the point at arclength s along a geodesic with
+    a, b those of its from_axis.  A float s gives a complex; an ndarray s works
     elementwise, with a and b scalars or arrays of its shape (per point)."""
     if isinstance(s, np.ndarray):
         return _moebius(a, b, np.tanh(s / 2.0).astype(np.complex128))
@@ -217,36 +240,11 @@ def axis_point(a, b, s):
 
 def side_maps(sides) -> tuple:
     """(to_axis, from_axis): complex arrays of shape (2, len(sides)) holding
-    the coefficients a, b of each side's cached Side._to_axis and
-    Side._from_axis.  Indexed by a side per point, they give axis_foot and
-    axis_point: the foot on each point's side and Side.point_at per point."""
+    the coefficients a, b of each side's cached Geodesic.to_axis and
+    from_axis.  Indexed by a side per point, they give axis_foot and
+    axis_point: the foot on each point's side and its point_at per point."""
     return tuple(np.array([[m.a for m in maps], [m.b for m in maps]], dtype=np.complex128)
-                 for maps in ([sd._to_axis for sd in sides], [sd._from_axis for sd in sides]))
-
-
-@dataclass(frozen=True)
-class Side:
-    """Polygon side: geodesic segment between consecutive vertices (the polygon holds its label)."""
-
-    start: complex
-    end: complex
-
-    @property
-    def length(self) -> float:
-        return hyp_distance(self.start, self.end)
-
-    @functools.cached_property
-    def _to_axis(self) -> Isometry:
-        return axis_map(self.start, self.end)
-
-    @functools.cached_property
-    def _from_axis(self) -> Isometry:
-        return inverse(self._to_axis)
-
-    def point_at(self, s):
-        """Point at hyperbolic arclength s (a float, or an ndarray of them)
-        from start along the side's geodesic toward end."""
-        return axis_point(self._from_axis.a, self._from_axis.b, s)
+                 for maps in ([sd.to_axis for sd in sides], [sd.from_axis for sd in sides]))
 
 
 @dataclass(frozen=True)
@@ -281,13 +279,13 @@ class HyperbolicPolygon:
     def n(self) -> int:
         return len(self.vertices)
 
-    @property
+    @functools.cached_property
     def sides(self) -> tuple:
-        return tuple(self.side(i) for i in range(self.n))
+        """Side i is the Geodesic from vertex i to vertex i + 1 (mod n)."""
+        return tuple(Geodesic(p, q) for p, q in zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
 
-    def side(self, i: int) -> Side:
-        p, q = self.vertices[i], self.vertices[(i + 1) % self.n]
-        return Side(p, q)
+    def side(self, i: int) -> Geodesic:
+        return self.sides[i]
 
     def transformed(self, iso: Isometry) -> "HyperbolicPolygon":
         verts = tuple(apply(iso, v) for v in self.vertices)

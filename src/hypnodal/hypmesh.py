@@ -6,17 +6,19 @@ edge is hyperbolically shorter than the target, and Jacobi smoothing with
 boundary nodes retracted onto their geodesic side by orthogonal projection.
 All stages are array operations.  One argsort per refinement level gives
 the unique edges and the inverse map from triangle sides to edges
-(_unique_edges): the edge-length check and the smoother share the edges,
-and refinement numbers its midpoints through the inverse.  The final
-level's edges and inverse stay on the Mesh as edges and triangle_edges
-(int32; more edges than int32 holds raise MeshError), the pattern of
-hypfem.assemble.  A smoothing sweep is one sparse product and one
-retraction: the neighbour sums are the product of a CSR matrix of ones,
-whose rows list each node's neighbours in np.add.at order, with the real
-view of the nodes, and every non-corner boundary node is retracted at once
-with the map coefficients of its side (hypgeo.side_maps, axis_foot,
-axis_point).  mesh_polygon logs one DEBUG record: nodes, triangles,
-refinement level, smoothing rounds and the seconds they took.
+(_edge_pattern): the edge-length check and the smoother share the edges,
+and refinement numbers its midpoints through the inverse.  A Mesh is
+frozen, with read-only triangles, and derives its edges and
+triangle_edges, the pattern of hypfem.assemble, from them on first use;
+mesh_polygon hands over the final level's pattern instead, and a Mesh
+made by dataclasses.replace derives its own.  A smoothing sweep is one
+sparse product and one retraction: the neighbour sums are the product of a
+CSR matrix of ones, whose rows list each node's neighbours in np.add.at
+order, with the real view of the nodes, and every non-corner boundary node
+is retracted at once with the map coefficients of its side
+(hypgeo.side_maps, axis_foot, axis_point).  mesh_polygon logs one DEBUG
+record: nodes, triangles, refinement level, smoothing rounds and the
+seconds they took.
 
 Boundary placement and projection are intrinsic, but the hub (the
 Euclidean mean of the vertices), the Euclidean interior midpoints and the
@@ -31,6 +33,7 @@ target or has an inverted triangle raises MeshError.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -40,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .hypgeo import HyperbolicPolygon, axis_foot, axis_point, side_maps
+from .hypgeo import HyperbolicPolygon, axis_foot, axis_point, hyp_distance, side_maps
 
 
 MATCH_TOL = 1e-9  # a node matches the image of a node under a mesh symmetry when this close
@@ -54,31 +57,44 @@ class MeshError(ValueError):
     """mesh_polygon cannot produce a valid mesh; the message gives the reason."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
     """Triangle mesh of one geodesic polygon.
 
-    nodes are complex disk coordinates; triangles index into nodes, CCW.
+    nodes are complex disk coordinates, and node k is polygon vertex k;
+    triangles index into nodes, CCW, and are read-only.  side_nodes[i]
+    lists the nodes on side i ordered by arclength from the side's start
+    corner (both corners included); side_params[i] are the matching
+    arclengths.  level is the number of 1:4 refinements of the macro fan.
+
     edges are the unique edges (lo, hi) in lexicographic order, and
     triangle_edges[t, j] indexes the edge joining corners j and j + 1 of
-    triangle t; both are int32, the inverse of the final level's
-    _unique_edges, and the pattern of hypfem.assemble.  corners[k] is the
-    node at polygon vertex k.  side_nodes[i] lists the nodes on side i
-    ordered by arclength from the side's start corner (both corners
-    included); side_params[i] are the matching arclengths.  level is the
-    number of 1:4 refinements of the macro fan.
+    triangle t; both are int32, derived from triangles (_edge_pattern) and
+    cached, and they are the pattern of hypfem.assemble.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    edges: np.ndarray
-    triangle_edges: np.ndarray
-    corners: np.ndarray
     side_nodes: list
     side_params: list
     polygon: HyperbolicPolygon
-    h_target: float
     level: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "triangles", np.asarray(self.triangles).view())
+        self.triangles.flags.writeable = False
+
+    @functools.cached_property
+    def _pattern(self) -> tuple:
+        return _edge_pattern(self.triangles)
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self._pattern[0]
+
+    @property
+    def triangle_edges(self) -> np.ndarray:
+        return self._pattern[1]
 
     @property
     def n_nodes(self) -> int:
@@ -97,12 +113,7 @@ class Mesh:
 
     def hyp_edge_lengths(self) -> np.ndarray:
         e = self.edges
-        return _hyp_len(self.nodes[e[:, 0]], self.nodes[e[:, 1]])
-
-
-def _hyp_len(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    den = (1.0 - np.abs(z1) ** 2) * (1.0 - np.abs(z2) ** 2)
-    return 2.0 * np.arcsinh(np.abs(z1 - z2) / np.sqrt(den))
+        return hyp_distance(self.nodes[e[:, 0]], self.nodes[e[:, 1]])
 
 
 def _unique_edges(tris: np.ndarray) -> tuple:
@@ -124,6 +135,14 @@ def _unique_edges(tris: np.ndarray) -> tuple:
     inverse[order] = np.cumsum(new) - 1
     codes = codes[new]
     return np.stack([codes // n, codes % n], axis=1).astype(np.int32), inverse.reshape(-1, 3)
+
+
+def _edge_pattern(tris: np.ndarray) -> tuple:
+    """_unique_edges of tris, whose count must fit their int32 index, or MeshError."""
+    e, tri_e = _unique_edges(tris)
+    if len(e) > np.iinfo(np.int32).max:
+        raise MeshError(f"{len(e)} edges do not fit the int32 edge index")
+    return e, tri_e
 
 
 def _neighbour_matrix(e: np.ndarray, n: int) -> sp.csr_matrix:
@@ -187,7 +206,6 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
     # interior nodes and corners), par[node] its arclength along that side,
     # bedges the (a, b, side) boundary edges in arclength order per side.
     nodes = list(poly.vertices)
-    corners = np.arange(poly.n, dtype=np.int64)
     side_of, par, bedges = [-1] * poly.n, [0.0] * poly.n, []
     for i, (sd, L) in enumerate(zip(sides, lengths.tolist())):
         cnt = max(1, round(L / lmin))
@@ -258,7 +276,7 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
         adj = _neighbour_matrix(e, n)
         cnt = np.maximum(np.diff(adj.indptr), 1.0)
         interior = side_of < 0
-        interior[corners] = False
+        interior[: poly.n] = False
         bnd = np.flatnonzero(side_of >= 0)
         sb = side_of[bnd]
         to_sb, from_sb, len_sb = to_axis[:, sb], from_axis[:, sb], lengths[sb]
@@ -272,25 +290,18 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
 
     def max_edge(z, e):
         """Longest hyperbolic edge; e is the level's unique edge list, computed once per level."""
-        return _hyp_len(z[e[:, 0]], z[e[:, 1]]).max()
-
-    def level_edges(tris):
-        """_unique_edges of a level, whose count must fit their int32 index."""
-        e, tri_e = _unique_edges(tris)
-        if len(e) > np.iinfo(np.int32).max:
-            raise MeshError(f"{len(e)} edges do not fit the int32 edge index")
-        return e, tri_e
+        return hyp_distance(z[e[:, 0]], z[e[:, 1]]).max()
 
     # refine + smooth until the smoothed mesh meets the edge criterion
     # (smoothing can stretch edges, so the check runs on the final positions)
-    e, tri_e = level_edges(tris)
+    e, tri_e = _edge_pattern(tris)
     level, rounds, smooth_s = 0, 0, 0.0
     for _ in range(MAX_REFINEMENTS):
         while max_edge(z, e) > h_target:
             if level == MAX_REFINEMENTS:
                 raise MeshError(f"{level} refinement levels leave an edge longer than h_target = {h_target}")
             z, tris = refine(z, tris, e, tri_e)
-            (e, tri_e), level = level_edges(tris), level + 1
+            (e, tri_e), level = _edge_pattern(tris), level + 1
         t0 = time.perf_counter()
         z = smooth(z, e)
         rounds, smooth_s = rounds + 1, smooth_s + time.perf_counter() - t0
@@ -307,22 +318,13 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
     for i in range(poly.n):
         own = np.flatnonzero(side_of == i)
         own = own[np.argsort(par[own], kind="stable")]
-        side_nodes.append(np.concatenate([[corners[i]], own, [corners[(i + 1) % poly.n]]]))
+        side_nodes.append(np.concatenate([[i], own, [(i + 1) % poly.n]]))
         side_params.append(np.concatenate([[0.0], par[own], [lengths[i]]]))
 
     _log.debug(
         "mesh_polygon: %d nodes, %d triangles, level %d, %d smoothing rounds in %.3f s",
         len(z), len(tris), level, rounds, smooth_s,
     )
-    return Mesh(
-        nodes=z,
-        triangles=tris,
-        edges=e,
-        triangle_edges=tri_e,
-        corners=corners,
-        side_nodes=side_nodes,
-        side_params=side_params,
-        polygon=poly,
-        h_target=h_target,
-        level=level,
-    )
+    mesh = Mesh(nodes=z, triangles=tris, side_nodes=side_nodes, side_params=side_params, polygon=poly, level=level)
+    mesh.__dict__["_pattern"] = (e, tri_e)  # the final level's pattern, derived from tris above
+    return mesh

@@ -52,7 +52,6 @@ from .hypgeo import (
     apply,
     axis_map,
     compose,
-    inverse,
     reflect_in,
     regular_right_polygon,
     right_angled_hexagon,
@@ -122,10 +121,10 @@ def _pairing_start_to_start(surface: Surface, p: Pairing) -> bool:
     """True if the pairing maps side_a's start vertex to side_b's start vertex."""
     sa = surface.base.side(p.side_a)
     sb = surface.base.side(p.side_b)
-    im = apply(p.mu, sa.start)
-    if abs(im - sb.start) <= MATCH_TOL:
+    im = apply(p.mu, sa.p)
+    if abs(im - sb.p) <= MATCH_TOL:
         return True
-    if abs(im - sb.end) <= MATCH_TOL:
+    if abs(im - sb.q) <= MATCH_TOL:
         return False
     raise GlueError(
         f"pairing ({p.chart_a},{p.side_a})-({p.chart_b},{p.side_b}) does not match side endpoints"
@@ -612,7 +611,7 @@ def schwarz_extend(ext: ExtendedSolution, mirror: Geodesic) -> ExtendedSolution:
     for c, s in surface.unglued_sides():
         side = surface.base.side(s)
         p = surface.charts[c].placement
-        if mirror.contains(apply(p, side.start)) and mirror.contains(apply(p, side.end)):
+        if mirror.contains(apply(p, side.p)) and mirror.contains(apply(p, side.q)):
             on_mirror.append((c, s))
     if not on_mirror:
         raise GlueError("no unglued side lies on the requested mirror")
@@ -692,9 +691,8 @@ def _side_iso(poly: HyperbolicPolygon, i: int, j: int, start_to_start: bool) -> 
     """The unique orientation-preserving isometry taking side i onto side j
     with the chosen endpoint correspondence."""
     si, sj = poly.side(i), poly.side(j)
-    Ai = axis_map(si.start, si.end)
-    Aj = axis_map(sj.start, sj.end) if start_to_start else axis_map(sj.end, sj.start)
-    return compose(inverse(Aj), Ai)
+    target = sj if start_to_start else Geodesic(sj.q, sj.p)
+    return compose(target.from_axis, si.to_axis)
 
 
 def scan_pants_patterns(
@@ -722,7 +720,7 @@ def scan_pants_patterns(
     if fmax == 0.0:
         raise GlueError("pattern scan of an identically zero function")
 
-    sides = [poly.side(i) for i in range(n)]
+    sides = poly.sides
     side_samples = [
         [s.point_at(s.length * (q + 0.5) / samples_per_side) for q in range(samples_per_side)] for s in sides
     ]

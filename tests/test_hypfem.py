@@ -7,6 +7,7 @@ eigenvalue was cross-validated by two independent discretizations
 (extrapolated limit 3.8390 +- a few e-4).
 """
 
+import dataclasses
 import logging
 import math
 import re
@@ -24,7 +25,7 @@ from hypnodal import hypmesh as hm
 from hypnodal import surfglue
 
 from test_hypgeo import relabeled
-from test_hypmesh import quarter_octagon, with_triangles
+from test_hypmesh import flip_one_diagonal, quarter_octagon
 
 MIXED_QUARTER_LIMIT = 3.8390  # frozen from an independent discretization study
 
@@ -64,7 +65,7 @@ class TestMass:
         tris[:3] = tris[:3, ::-1]
         tris[3, 1] = tris[3, 0]
         with pytest.raises(ValueError, match="4 of 2048 triangles have det <= 0"):
-            hf.assemble(with_triangles(mesh, tris))
+            hf.assemble(dataclasses.replace(mesh, triangles=tris))
 
 
 # phi[node, midpoint] for midpoints (01, 12, 20) of the reference triangle
@@ -124,6 +125,21 @@ class TestAssembly:
             assert np.array_equal(got.indices, want.indices)
             # the element values are the same; the diagonal sums add them in another order
             assert np.all(np.abs(got.data - want.data) <= 1e-15 * np.abs(want.data))
+
+    @pytest.mark.parametrize("case", ["quarter-0.16", "pants-decagon-0.24"])
+    def test_replaced_triangles_assemble_on_their_own_pattern(self, case):
+        # a mesh made by dataclasses.replace derives the edges of its new triangles
+        mesh = flip_one_diagonal(hm.mesh_polygon(*ASSEMBLY_CASES[case]))
+        for got, want in zip(hf.assemble(mesh), reference_assemble(mesh.nodes, mesh.triangles)):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.all(np.abs(got.data - want.data) <= 1e-15 * np.abs(want.data))
+
+    @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+    def test_k_and_m_share_the_pattern_arrays(self, case):
+        K, M = hf.assemble(hm.mesh_polygon(*ASSEMBLY_CASES[case]))
+        assert np.shares_memory(K.indptr, M.indptr) and np.shares_memory(K.indices, M.indices)
+        assert K.indptr.dtype == K.indices.dtype == np.int32
 
 
 class TestNeumannGroundState:

@@ -7,6 +7,7 @@ they pin conventions as much as values.
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,26 @@ class TestDistance:
     def test_rejects_boundary(self):
         with pytest.raises(hg.GeometryError):
             hg.hyp_distance(0j, 1.0 + 0j)
+
+    def test_rejects_two_points_outside(self):
+        # (1 - |p|^2)(1 - |q|^2) is positive when both factors are negative
+        with pytest.raises(hg.GeometryError, match=re.escape("got (2+0j) and (3+0j)")):
+            hg.hyp_distance(2, 3)
+        with pytest.raises(hg.GeometryError, match="every point"):
+            hg.hyp_distance(np.array([0.1 + 0.2j, 2.0 + 0j]), np.array([0.3j, 0.4 + 0j]))
+        with pytest.raises(hg.GeometryError):
+            hg.hyp_distance(np.array([2.0 + 0j]), np.array([3.0 + 0j]))
+
+    def test_array_matches_scalar_calls(self):
+        # numpy's complex abs and arcsinh round differently from abs and math.asinh
+        rng = np.random.default_rng(0)
+        p, q = (0.95 * np.sqrt(rng.uniform(0.0, 1.0, 500)) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 500))
+                for _ in range(2))
+        d = hg.hyp_distance(p, q)
+        assert isinstance(d, np.ndarray) and d.shape == p.shape
+        want = np.array([hg.hyp_distance(x, y) for x, y in zip(p.tolist(), q.tolist())])
+        assert np.all(np.abs(d - want) <= 1e-14 * want)
+        assert hg.hyp_distance(p[:, None], q[None, :5]).shape == (500, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +349,11 @@ class TestIsometry:
         T = hg.translate_to_zero(p)
         assert abs(hg.apply(T, p)) < 1e-15
 
+    @pytest.mark.parametrize("p", [1.0 + 0j, 0.6 + 0.8j, 1.2j])
+    def test_translate_to_zero_rejects_points_off_the_disk(self, p):
+        with pytest.raises(hg.GeometryError, match=re.escape(f"got {complex(p)}")):
+            hg.translate_to_zero(p)
+
     def test_compose_against_pointwise(self):
         f = hg.rotation(0.7)
         g = hg.translation(0.5)
@@ -366,7 +392,7 @@ class TestIsometry:
 
 def point_along(p, q, s):
     """Point at arclength s from p toward q, through the side projector."""
-    return hg.Side(p, q).point_at(s)
+    return hg.Geodesic(p, q).point_at(s)
 
 
 def foot_on(p, q, x):
@@ -420,12 +446,12 @@ class TestArcParameters:
         assert foot_on(p, q, q) == pytest.approx(L, abs=1e-12)
 
     def test_point_at_takes_floats_and_arrays(self):
-        side = hg.Side(0.1 + 0.3j, -0.4 - 0.2j)
+        side = hg.Geodesic(0.1 + 0.3j, -0.4 - 0.2j)
         s = np.linspace(0.0, side.length, 7)
         many = side.point_at(s)
         assert many.shape == s.shape
         assert np.allclose(many, [side.point_at(float(x)) for x in s], rtol=0.0, atol=1e-15)
-        assert abs(side.point_at(side.length) - side.end) < 1e-12
+        assert abs(side.point_at(side.length) - side.q) < 1e-12
 
     def test_foot_parameter_matches_on_curve(self):
         p, q = 0.2 + 0j, 0.2 + 0.4j
@@ -643,6 +669,16 @@ class TestPolygonBasics:
             assert hit[j] == (ref is not None)
             if ref is not None:
                 assert complex(p[j]) == ref
+
+    def test_sides_are_cached_geodesics(self):
+        poly = hg.regular_right_polygon(5, math.pi / 3)
+        for i in range(poly.n):
+            side = poly.side(i)
+            assert side is poly.side(i) and side is poly.sides[i]
+            assert side == hg.Geodesic(poly.vertices[i], poly.vertices[(i + 1) % poly.n])
+            assert side.to_axis is side.to_axis and side.from_axis is side.from_axis
+            assert side.from_axis == hg.inverse(hg.axis_map(side.p, side.q))
+            assert side.length == hg.hyp_distance(side.p, side.q)
 
     def test_labels_default_and_relabel(self):
         poly = hg.regular_right_polygon(8, math.pi / 2)

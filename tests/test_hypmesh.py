@@ -39,10 +39,29 @@ def quarter_octagon():
     return hg.HyperbolicPolygon(verts, labels)
 
 
-def with_triangles(mesh, triangles):
-    """mesh with other triangles, and the edges and triangle_edges that go with them."""
-    edges, triangle_edges = hm._unique_edges(triangles)
-    return dataclasses.replace(mesh, triangles=triangles, edges=edges, triangle_edges=triangle_edges)
+def flip_one_diagonal(mesh):
+    """The mesh with the diagonal of one convex quad of two triangles above
+    the real axis flipped: the node set stays mirror symmetric, the
+    triangulation does not."""
+    z, tris = mesh.nodes, mesh.triangles
+    owner = {(t[i], t[(i + 1) % 3]): n for n, t in enumerate(tris) for i in range(3)}
+
+    def ccw(tri):
+        a, b, c = z[list(tri)]
+        return ((b - a).conjugate() * (c - a)).imag > 0
+
+    for (a, b), n in owner.items():
+        m = owner.get((b, a))
+        if m is None:
+            continue
+        (c,) = set(tris[n]) - {a, b}
+        (d,) = set(tris[m]) - {a, b}
+        new = [(a, d, c), (d, b, c)]
+        if min(z[[a, b, c, d]].imag) > 0.1 and all(ccw(t) for t in new):
+            out = tris.copy()
+            out[n], out[m] = new
+            return dataclasses.replace(mesh, triangles=out)
+    raise AssertionError("no flippable quad above the real axis")
 
 
 @pytest.fixture(scope="module")
@@ -90,15 +109,13 @@ class TestBoundary:
     def test_corners_exact(self, pent_mesh):
         poly = quarter_octagon()
         for k in range(5):
-            assert pent_mesh.nodes[pent_mesh.corners[k]] == poly.vertices[k]
+            assert pent_mesh.nodes[k] == poly.vertices[k]
 
     def test_boundary_nodes_on_geodesics(self, pent_mesh):
         poly = quarter_octagon()
         for i, (idx, _) in enumerate(zip(pent_mesh.side_nodes, pent_mesh.side_params)):
-            side = poly.side(i)
-            g = hg.geodesic_between(side.start, side.end)
             for m in idx:
-                assert hg.point_to_geodesic_distance(pent_mesh.nodes[m], g) < 1e-12
+                assert hg.point_to_geodesic_distance(pent_mesh.nodes[m], poly.side(i)) < 1e-12
 
     def test_side_params_sorted_full_range(self, pent_mesh):
         poly = quarter_octagon()
@@ -267,14 +284,18 @@ class TestMeshError:
 
     def test_rejects_more_edges_than_int32_indexes(self, monkeypatch):
         unique_edges = hm._unique_edges
+        mesh = hm.mesh_polygon(quarter_octagon(), 0.2)
 
         def huge(tris):  # 2**31 edges as a zero-stride view, without their memory
             e, tri_e = unique_edges(tris)
             return np.broadcast_to(e[:1], (2**31, 2)), tri_e
 
         monkeypatch.setattr(hm, "_unique_edges", huge)
-        with pytest.raises(hm.MeshError, match="2147483648 edges do not fit the int32 edge index"):
+        message = "2147483648 edges do not fit the int32 edge index"
+        with pytest.raises(hm.MeshError, match=message):
             hm.mesh_polygon(quarter_octagon(), 0.2)
+        with pytest.raises(hm.MeshError, match=message):  # the pattern a replaced mesh derives
+            dataclasses.replace(mesh).edges
 
 
 class TestHexagonMesh:
@@ -372,7 +393,7 @@ def reference_mesh(poly, h_target):
             for m in bnd:
                 side_i = node_side[m][0]
                 sd = sides[side_i]
-                s = min(max(foot_on(sd.start, sd.end, complex(mean[m])), 0.0), lengths[side_i])
+                s = min(max(foot_on(sd.p, sd.q, complex(mean[m])), 0.0), lengths[side_i])
                 node_side[m] = (side_i, s)
                 znew[m] = sd.point_at(s)
             z = znew
@@ -380,7 +401,7 @@ def reference_mesh(poly, h_target):
 
     def max_edge(z, tris):
         e, _ = reference_unique_edges(tris)
-        return hm._hyp_len(z[e[:, 0]], z[e[:, 1]]).max()
+        return hg.hyp_distance(z[e[:, 0]], z[e[:, 1]]).max()
 
     def param_of(m, side_i):
         if m == corners[side_i]:
@@ -433,6 +454,30 @@ class TestArrayKernels:
         assert np.array_equal(edges[tri_e], sides)
         assert np.array_equal(np.unique(tri_e), np.arange(len(edges)))
 
+    def test_mesher_hands_over_its_pattern(self, monkeypatch):
+        # one _unique_edges call per level; reading the pattern derives nothing again
+        unique_edges, calls = hm._unique_edges, []
+
+        def counted(tris):
+            calls.append(len(tris))
+            return unique_edges(tris)
+
+        monkeypatch.setattr(hm, "_unique_edges", counted)
+        mesh = hm.mesh_polygon(quarter_octagon(), 0.16)
+        assert len(calls) == mesh.level + 1
+        assert mesh.edges is mesh.edges and len(mesh.triangle_edges) == mesh.n_triangles
+        assert len(calls) == mesh.level + 1
+
+    def test_mesh_is_frozen(self, pent_mesh):
+        with pytest.raises(ValueError, match="read-only"):
+            pent_mesh.triangles[0, 0] = 1
+        for name in ("triangles", "nodes", "level"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pent_mesh, name, getattr(pent_mesh, name))
+        for name in ("edges", "triangle_edges"):
+            with pytest.raises(AttributeError):
+                setattr(pent_mesh, name, getattr(pent_mesh, name))
+
     @staticmethod
     def neighbour_sums(e, z):
         """Both add.at passes and the neighbour-matrix product on the real view of z."""
@@ -470,7 +515,7 @@ class TestArrayKernels:
         z = hg.axis_point(*from_axis[:, side], s)
         for i, sd in enumerate(sides):
             on = side == i
-            assert np.array_equal(s[on], foot_on(sd.start, sd.end, x[on]))
+            assert np.array_equal(s[on], foot_on(sd.p, sd.q, x[on]))
             assert np.array_equal(z[on], sd.point_at(s[on]))
 
     @pytest.mark.parametrize("case", sorted(POLYGON_CASES))
@@ -479,7 +524,7 @@ class TestArrayKernels:
         z, tris, corners, side_nodes, side_params = reference_mesh(poly, h)
         mesh = hm.mesh_polygon(poly, h)
         assert np.array_equal(mesh.triangles, tris)
-        assert np.array_equal(mesh.corners, corners)
+        assert np.array_equal(mesh.nodes[corners], poly.vertices)
         assert len(mesh.side_nodes) == len(side_nodes)
         for got, want in zip(mesh.side_nodes, side_nodes):
             assert np.array_equal(got, want)

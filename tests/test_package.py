@@ -1,14 +1,22 @@
-"""The package docstring names only submodules that exist, and every
+"""The package docstring names only submodules that exist, every dotted
+name of a hypnodal module or class in the sources resolves, and every
 declared console script resolves to a callable."""
 
+import dataclasses
 import importlib
 import pathlib
+import re
+import types
 
 import pytest
 
 import hypnodal
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+SOURCES = pathlib.Path(hypnodal.__file__).parent
+# a dotted chain not preceded by a name or a dot: head, then its .attributes
+DOTTED = re.compile(r"(?<![\w.])([A-Za-z_]\w*)((?:\.[A-Za-z_]\w*)+)")
+CAMEL_CASE = re.compile(r"[A-Z][a-z]\w*")
 
 
 def docstring_submodules():
@@ -30,3 +38,53 @@ def test_every_console_script_target_is_callable():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def resolves(head, attrs, modules, classes) -> bool:
+    """Whether head (a module or class name) and its attributes resolve; a
+    dataclass field counts as an attribute, and the walk stops at the first
+    object that is neither a module nor a class."""
+    obj = modules.get(head) or classes.get(head)
+    if obj is None:
+        return False
+    for attr in attrs:
+        if not isinstance(obj, (type, types.ModuleType)):
+            return True
+        if hasattr(obj, attr):
+            obj = getattr(obj, attr)
+        else:
+            return dataclasses.is_dataclass(obj) and attr in {f.name for f in dataclasses.fields(obj)}
+    return True
+
+
+def dotted_references():
+    """(file:line, reference, head, attrs) for every dotted name in the
+    sources whose head is a hypnodal module or a CamelCase word, which must
+    then be a hypnodal class: docstrings, comments and code alike."""
+    for path in sorted(SOURCES.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            for m in DOTTED.finditer(line):
+                head, attrs = m.group(1), m.group(2)[1:].split(".")
+                yield f"{path.name}:{number}", m.group(0), head, attrs
+
+
+def test_every_dotted_reference_resolves():
+    modules = {"hypnodal": hypnodal}
+    modules.update((p.stem, importlib.import_module(f"hypnodal.{p.stem}")) for p in SOURCES.glob("[!_]*.py"))
+    classes = {
+        name: obj
+        for module in modules.values()
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__.startswith("hypnodal.")
+    }
+    checked = [
+        (where, ref, resolves(head, attrs, modules, classes))
+        for where, ref, head, attrs in dotted_references()
+        if head in modules or CAMEL_CASE.fullmatch(head)
+    ]
+    assert len(checked) > 20
+    assert [(where, ref) for where, ref, ok in checked if not ok] == []
+    # a deleted class or field does not resolve
+    assert not resolves("Side", ["point_at"], modules, classes)
+    assert not resolves("Mesh", ["corners"], modules, classes)
+    assert resolves("hypmesh", ["Mesh", "nodes"], modules, classes)

@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from hypnodal import hypfem, surfglue
-from hypnodal.hypgeo import Geodesic, apply, hyp_distance, reflect_in, rotation
+from hypnodal.hypgeo import Geodesic, apply, axis_map, compose, hyp_distance, inverse, reflect_in, rotation
 from hypnodal.hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
 
 from test_hypfem import free_numbering_fold
 from test_hypgeo import relabeled
-from test_hypmesh import with_triangles
+from test_hypmesh import flip_one_diagonal
 
 QUARTER_AREA = math.pi / 2
 OCTAGON_AREA = 2 * math.pi
@@ -889,6 +889,23 @@ def reference_scan(f, poly, samples_per_side):
     return results
 
 
+def reference_side_iso(poly, i, j, start_to_start):
+    """_side_iso with two fresh axis maps per call, the form the cached maps
+    replaced: the reference for _side_iso."""
+    si, sj = poly.side(i), poly.side(j)
+    Ai = axis_map(si.p, si.q)
+    Aj = axis_map(sj.p, sj.q) if start_to_start else axis_map(sj.q, sj.p)
+    return compose(inverse(Aj), Ai)
+
+
+@pytest.mark.parametrize("name", ["octagon", "pants-decagon"])
+def test_side_iso_matches_two_axis_maps(name):
+    poly = surfglue.octagon_polygon() if name == "octagon" else surfglue.pants_decagon(2.0, 2.0, 2.0)
+    for i, j in itertools.permutations(range(poly.n), 2):
+        for s2s in (False, True):
+            assert surfglue._side_iso(poly, i, j, s2s) == reference_side_iso(poly, i, j, s2s)
+
+
 class TestPantsSearch:
     def test_search_finds_diagonal_patterns(self, tiling_ext):
         accepted = surfglue.search_pants_gluing(tiling_ext)
@@ -1240,31 +1257,6 @@ def plain_solve(system, k):
     return vals, full
 
 
-def flip_one_diagonal(mesh):
-    """The mesh with the diagonal of one convex quad of two triangles above
-    the real axis flipped: the node set stays mirror symmetric, the
-    triangulation does not."""
-    z, tris = mesh.nodes, mesh.triangles
-    owner = {(t[i], t[(i + 1) % 3]): n for n, t in enumerate(tris) for i in range(3)}
-
-    def ccw(tri):
-        a, b, c = z[list(tri)]
-        return ((b - a).conjugate() * (c - a)).imag > 0
-
-    for (a, b), n in owner.items():
-        m = owner.get((b, a))
-        if m is None:
-            continue
-        (c,) = set(tris[n]) - {a, b}
-        (d,) = set(tris[m]) - {a, b}
-        new = [(a, d, c), (d, b, c)]
-        if min(z[[a, b, c, d]].imag) > 0.1 and all(ccw(t) for t in new):
-            out = tris.copy()
-            out[n], out[m] = new
-            return with_triangles(mesh, out)
-    raise AssertionError("no flippable quad above the real axis")
-
-
 class TestMirrorFold:
     """The pants ground state solved on the mirror orbits of its pencil."""
 
@@ -1438,9 +1430,7 @@ def test_distance_between_pairing_endpoints_is_isometric():
     surf = surfglue.canonical_pants_surface()
     for p in surf.pairings:
         sa, sb = poly.side(p.side_a), poly.side(p.side_b)
-        ia, ib = apply(p.mu, sa.start), apply(p.mu, sa.end)
-        d_ends = min(
-            abs(ia - sb.start) + abs(ib - sb.end), abs(ia - sb.end) + abs(ib - sb.start)
-        )
+        ia, ib = apply(p.mu, sa.p), apply(p.mu, sa.q)
+        d_ends = min(abs(ia - sb.p) + abs(ib - sb.q), abs(ia - sb.q) + abs(ib - sb.p))
         assert d_ends < 1e-9
         assert hyp_distance(ia, ib) == pytest.approx(sa.length, abs=1e-12)
