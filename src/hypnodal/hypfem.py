@@ -22,16 +22,17 @@ nested-dissection order computed from the dof positions: on planar meshes
 it fills the LU factors less than a general column ordering.  Each solve
 logs its size, fill, timings and operator applications at DEBUG level.
 
-solve_character is the one reduction: the modes of a pencil that vanish on
-its constrained dofs and lie in a character of a group of commuting dof
-involutions commuting with the pencil are its modes on the signed orbits;
-an orbit with a constrained dof and one the character forces to zero alike
-get no column.  dof_symmetry maps an isometry to its dof map.
-solve_polygon folds ground states (k == 1) by the polygon's mirror through
-0 with chi = +1: the mesh, labels and pencil are symmetric
-(hypgeo.polygon_mirror), and the ground state is simple and positive, hence
-even.  Higher modes need not be even, so k > 1 uses no generator.  surfglue
-uses it for glued pencils and the octagon mode odd under both axis mirrors.
+A symmetry has one home per half.  dof_symmetry maps an isometry to its
+dof map, whatever the constrained mask, so one map serves every mask.
+solve_character checks the maps against the pencil and the mask, and
+reduces: the modes of a pencil that vanish on its constrained dofs and lie
+in a character of a group of commuting dof involutions are its modes on
+the signed orbits; an orbit with a constrained dof and one the character
+forces to zero alike get no column.  solve_polygon folds ground states
+(k == 1) by the polygon's mirror through 0 with chi = +1: the mesh, labels
+and pencil are symmetric (hypgeo.polygon_mirror), and the ground state is
+simple and positive, hence even; k > 1 uses no generator.  surfglue uses
+both for glued pencils and the octagon mode odd under both axis mirrors.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from .hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
 SIGMA = -1.0  # shift for shift-invert; negative keeps K - SIGMA M positive definite
 
 PENCIL_SYMMETRY_TOL = 1e-10  # entry mismatch of a pencil and its mirror image, relative to its largest entry
-# DEBUG record of a fold: dofs before and after, fixed dofs, worst node match of the symmetry
-FOLD_RECORD = "mirror fold: %d -> %d dofs, %d fixed, worst mirror match %.3e"
 
 LEAF_SIZE = 16  # nested dissection stops bisecting blocks of at most this many dofs
 LANCZOS_VECTORS = 8  # Lanczos basis of max(2k + 1, this many) vectors, at most n; eigsh's default is 20
@@ -270,26 +269,31 @@ def solve_character(K, M, gens, chi, k: int, points, constrained=None) -> tuple:
     (a boolean mask, default none) and u[g(d)] = chi(g) u[d] for every g of
     the group that the dof maps gens generate; chi[i] = +1 or -1.
 
-    Each generator (gens[i][d] the image of dof d) must be an involution
-    that commutes with the pencil (R K R = K and R M R = M for its
-    permutation matrix R, entry by entry on the pattern within
-    PENCIL_SYMMETRY_TOL of the largest entry), and the generators must
-    commute, or SymmetryError.  The modes are those of Q^T K Q and Q^T M Q
-    for the signed orbit matrix Q: the column of the orbit with smallest dof
-    d holds chi(g) at g(d) and is solved at the point of d.  Orbits with a
-    constrained dof, and orbits whose stabiliser chi does not fix, are zero
-    and get no column; with no generator Q selects the free dofs.  The lift
-    Q w is M-normalized, with its largest entry at a column's d positive.
+    Every generator check is here.  Each map (gens[i][d] the image of dof
+    d) must have n entries, be an involution, keep the constrained mask and
+    commute with the pencil (R K R = K and R M R = M for its permutation
+    matrix R, entry by entry on the pattern within PENCIL_SYMMETRY_TOL of
+    the largest entry), and the maps must commute, or SymmetryError.  The
+    modes are those of Q^T K Q and Q^T M Q for the signed orbit matrix Q:
+    the column of the orbit with smallest dof d holds chi(g) at g(d) and is
+    solved at the point of d.  Orbits with a constrained dof, and orbits
+    whose stabiliser chi does not fix, are zero and get no column; with no
+    generator Q selects the free dofs.  The lift Q w is M-normalized, with
+    its largest entry at a column's d positive.  One DEBUG record gives the
+    free dofs, the columns and the free dofs fixed by every generator.
 
-    Returns (values, vectors, counts): vectors on all dofs of K, counts the
-    (free dofs, columns, free dofs fixed by every generator) of FOLD_RECORD.
+    Returns (values, vectors), vectors on all dofs of K.
     """
     n = K.shape[0]
     dofs = np.arange(n)
     free = np.ones(n, dtype=bool) if constrained is None else ~constrained
     for r in gens:
+        if len(r) != n:
+            raise SymmetryError(f"the symmetry maps {len(r)} dofs, the pencil has {n}")
         if not np.array_equal(r[r], dofs):
             raise SymmetryError("the symmetry does not act on the dofs as an involution")
+        if not np.array_equal(free[r], free):
+            raise SymmetryError("the symmetry does not preserve the constrained dofs")
         for name, A in (("stiffness", K), ("mass", M)):
             RAR = A[r][:, r]  # compared entry by entry on the pattern of A
             RAR.sort_indices()
@@ -304,7 +308,7 @@ def solve_character(K, M, gens, chi, k: int, points, constrained=None) -> tuple:
         group += [(r[g], c * s) for g, s in group]
     rep = np.min([g for g, _ in group], axis=0)  # smallest dof of each orbit
     sign = np.zeros(n)
-    dead = ~np.logical_and.reduce([free[g] for g, _ in group])  # orbits with a constrained dof
+    dead = ~free  # the generators keep the mask, so the orbit of a constrained dof is constrained
     for g, s in group:
         hit = g[rep] == dofs  # dofs that g reaches from their orbit's smallest dof
         dead |= hit & (sign == -s)
@@ -313,33 +317,35 @@ def solve_character(K, M, gens, chi, k: int, points, constrained=None) -> tuple:
     cols, col = np.unique(rep[live], return_inverse=True)
     Q = sp.csr_matrix((sign[live], (live, col)), shape=(n, len(cols)))
     Qt = Q.T.tocsr()
-    vals, vecs = solve_lowest(Qt @ K @ Q, Qt @ M @ Q, k, points[cols])
     fixed = np.logical_and.reduce([g == dofs for g, _ in group]) & free
-    return vals, Q @ vecs, (int(free.sum()), len(cols), int(fixed.sum()))
+    _log.debug("solve_character: %d free dofs -> %d columns, %d fixed by every generator",
+               free.sum(), len(cols), fixed.sum())
+    vals, vecs = solve_lowest(Qt @ K @ Q, Qt @ M @ Q, k, points[cols])
+    return vals, Q @ vecs
 
 
-def dof_symmetry(nodes, node_dof, iso, constrained, what: str) -> tuple:
-    """(r, worst): the map r[d] of the dofs that the isometry iso induces,
-    and the worst node match.
+def dof_symmetry(nodes, node_dof, iso, what: str) -> np.ndarray:
+    """The map r[d] of the dofs that the isometry iso induces.
 
     node_dof[c * N + n] is the dof of copy c of mesh node n (np.arange(N)
-    for a polygon, a glue index for a glued system); constrained is the
-    dof mask.  SymmetryError naming what unless iso maps the nodes onto
-    nodes within MATCH_TOL, the copies of one dof to one dof, and the
-    constrained dofs onto constrained dofs.
+    for a polygon, a glue index for a glued system); every dof has a copy,
+    so r has node_dof.max() + 1 entries.  SymmetryError naming what unless
+    iso maps the nodes onto nodes within MATCH_TOL and the copies of one
+    dof to one dof.  The map is geometry only, the same for every
+    constrained mask; solve_character checks it against a pencil and a
+    mask.  One DEBUG record gives the worst node match.
     """
     image, worst = match_nodes(nodes, apply(iso, nodes))
     fail = f"the mesh is not symmetric under {what}"
     if worst > MATCH_TOL:
         raise SymmetryError(f"{fail}: nodes not mapped onto mesh nodes (worst match distance {worst:.3e})")
     mapped = node_dof.reshape(-1, len(nodes))[:, image].ravel()  # dof of the image of every copy
-    r = np.empty(len(constrained), dtype=np.int64)
+    r = np.empty(node_dof.max() + 1, dtype=np.int64)
     r[node_dof] = mapped
     if not np.array_equal(r[node_dof], mapped):
         raise SymmetryError(f"{fail}: it maps the copies of one dof to two glued dofs")
-    if not np.array_equal(constrained[r], constrained):
-        raise SymmetryError(f"{fail}: it does not preserve the constrained dofs")
-    return r, worst
+    _log.debug("dof_symmetry: %s on %d dofs, worst node match %.3e", what, len(r), worst)
+    return r
 
 
 @dataclass
@@ -375,10 +381,10 @@ def solve_polygon(
     (hypgeo.polygon_mirror) is solved on the mirror orbits of the free
     dofs, about half of them: the mesh, the labels and the pencil are
     symmetric, and the ground state is simple and positive, hence even.
-    The mirror's dof_symmetry map must exist, or SymmetryError; one DEBUG
-    record gives FOLD_RECORD.  Higher modes need not be even, so k > 1
-    solves the whole free pencil; either way it is one solve_character
-    call.  residuals are the backward errors on the free pencil.
+    Higher modes need not be even, so k > 1 gets no generator.  Either way
+    it is one solve_character call (given the mirror's dof_symmetry map
+    when k == 1), which may raise SymmetryError and logs the fold.
+    residuals are the backward errors on the free pencil.
     """
     if not set(essential_labels) <= set(LABELS):
         raise ValueError(f"essential_labels {essential_labels} are not all in {LABELS}")
@@ -388,13 +394,8 @@ def solve_polygon(
     for lab in essential_labels:
         constrained[mesh.nodes_on_label(lab)] = True
     mirror = polygon_mirror(poly) if k == 1 else None
-    gens = []
-    if mirror is not None:
-        r, worst = dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), mirror, constrained, "the polygon's mirror")
-        gens = [r]
-    vals, vecs, counts = solve_character(K, M, gens, [1] * len(gens), k, mesh.nodes, constrained)
-    if gens:
-        _log.debug(FOLD_RECORD, *counts, worst)
+    gens = [] if mirror is None else [dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), mirror, "the polygon's mirror")]
+    vals, vecs = solve_character(K, M, gens, [1] * len(gens), k, mesh.nodes, constrained)
     res = eigen_residuals(K, M, vals, vecs, ~constrained)
     return PolygonModes(mesh, vals, vecs, res, constrained, K, M)
 
@@ -417,6 +418,9 @@ class P1Interpolator:
         n, t = len(self.points), self.triangles
         if self.values.shape != (n,):
             raise ValueError(f"P1Interpolator needs one value per point: {n} points, values of shape {self.values.shape}")
+        if not np.isfinite(self.values).all():
+            bad = int((~np.isfinite(self.values)).sum())
+            raise ValueError(f"P1Interpolator needs finite values: {bad} of {n} are not")
         if t.ndim != 2 or t.shape[1] != 3 or (t.size and (t.min() < 0 or t.max() >= n)):
             raise ValueError(f"P1Interpolator needs (T, 3) triangles indexing {n} points, got shape {t.shape}")
         z = self.points[self.triangles]

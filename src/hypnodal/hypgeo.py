@@ -404,11 +404,6 @@ def regular_right_polygon(n: int, alpha: float) -> HyperbolicPolygon:
     return HyperbolicPolygon(verts)
 
 
-def circumradius(poly: HyperbolicPolygon) -> float:
-    """Hyperbolic distance from the disk origin to the farthest vertex."""
-    return max(hyp_distance(0j, v) for v in poly.vertices)
-
-
 def right_angled_hexagon(a: float, b: float, c: float) -> HyperbolicPolygon:
     """Right-angled hexagon with alternating side lengths a, b, c.
 

@@ -106,13 +106,15 @@ def extract_nodal(mesh, u, zero_tol: float = 1e-9, chart: int = 0) -> NodalSet:
     Nodes with |u| <= zero_tol * max|u| count as exact zeros.  Each
     triangle contributes at most one zero segment (three for the fully
     degenerate all-zero triangle); segments shared between triangles are
-    emitted once.  Raises NodalError unless u has one value per mesh node,
-    or when u vanishes identically.
+    emitted once.  Raises NodalError unless u has one finite value per
+    mesh node, or when u vanishes identically.
     """
     u = np.asarray(u, dtype=float)
     nodes = np.asarray(mesh.nodes, dtype=np.complex128)
     if u.shape != nodes.shape:
         raise NodalError(f"extract_nodal needs one value per mesh node: {len(nodes)} nodes, u of shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise NodalError(f"extract_nodal needs finite values: {int((~np.isfinite(u)).sum())} of {len(u)} are not")
     amax = float(np.max(np.abs(u))) if len(u) else 0.0
     if amax == 0.0:
         raise NodalError("nodal extraction of an identically zero vector")

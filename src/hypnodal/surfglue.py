@@ -138,16 +138,20 @@ class TopologyReport:
     n_vertices: int
     n_edges: int
     n_faces: int
-    chi: int
     orientable: bool
     boundary_circles: list  # each a list of (chart, side)
-    closed: bool
+
+    @property
+    def chi(self) -> int:
+        return self.n_vertices - self.n_edges + self.n_faces
+
+    @property
+    def closed(self) -> bool:
+        return not self.boundary_circles
 
     @property
     def genus(self):
-        if not self.orientable:
-            return None
-        return (2 - self.chi - len(self.boundary_circles)) // 2
+        return (2 - self.chi - len(self.boundary_circles)) // 2 if self.orientable else None
 
 
 def _cell_complex(n_charts: int, n: int, glued) -> TopologyReport:
@@ -211,10 +215,8 @@ def _cell_complex(n_charts: int, n: int, glued) -> TopologyReport:
         n_vertices=V,
         n_edges=E,
         n_faces=C,
-        chi=V - E + C,
         orientable=orientable,
         boundary_circles=list(circles.values()),
-        closed=not unglued,
     )
 
 
@@ -284,11 +286,14 @@ class GluedSystem:
     surface: Surface
     base_mesh: Mesh
     glue_index: np.ndarray
-    n_dofs: int
     K: object
     M: object
     constrained: np.ndarray
     dirichlet_boundary: np.ndarray  # dofs on unglued dirichlet sides only
+
+    @property
+    def n_dofs(self) -> int:
+        return self.K.shape[0]
 
     @property
     def eigen_rows(self) -> np.ndarray:
@@ -305,10 +310,7 @@ class GluedSystem:
 
     def picture_nodes(self) -> np.ndarray:
         """Per-chart picture coordinates of all base nodes, shape (C, N)."""
-        out = []
-        for ch in self.surface.charts:
-            out.append(apply(ch.placement, self.base_mesh.nodes))
-        return np.stack(out)
+        return np.stack([apply(ch.placement, self.base_mesh.nodes) for ch in self.surface.charts])
 
 
 @dataclass(frozen=True)
@@ -416,7 +418,6 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
         surface=surface,
         base_mesh=base_mesh,
         glue_index=glue_index,
-        n_dofs=G,
         K=K,
         M=M,
         constrained=constrained,
@@ -464,7 +465,10 @@ def transport(system: GluedSystem, u: np.ndarray, consistency_tol: float = 1e-10
     members (across charts and within one chart, for self-paired sides)
     must agree within consistency_tol * max|u| or the extension is not well
     defined (wrong symmetry class of u).  The dof value is the member mean.
+    A u with a non-finite value raises GlueError.
     """
+    if not np.isfinite(u).all():
+        raise GlueError(f"transport needs a finite vector: {int((~np.isfinite(u)).sum())} of {len(u)} values are not")
     gi, n = system.glue_index, system.n_dofs
     cand = np.concatenate([ch.sign * u for ch in system.surface.charts])  # value of every slot
     vals = np.bincount(gi, cand, n) / np.bincount(gi, minlength=n)
@@ -493,27 +497,21 @@ def solve_glued(system: GluedSystem, k: int, even_under: Isometry) -> tuple:
     """Lowest modes, even under a symmetry, of the glued pencil with the
     constrained dofs held at zero.
 
-    even_under is a base-coordinate isometry whose dof map r
-    (hypfem.dof_symmetry over the glue index) is an involution commuting
-    with the pencil; GlueError otherwise.  The even modes are those of the
-    free pencil on the orbits {d, r(d)}, about half the size: one
-    hypfem.solve_character call with [r], [+1] and system.constrained.
-    One DEBUG record gives hypfem.FOLD_RECORD.
+    even_under is a base-coordinate isometry; its dof map r over the glue
+    index (hypfem.dof_symmetry) must exist and pass hypfem.solve_character's
+    checks against the pencil and system.constrained, or GlueError.  The
+    even modes are those of the free pencil on the orbits {d, r(d)}, about
+    half the size: one hypfem.solve_character call with [r], [+1] and
+    system.constrained, which logs the fold.
 
     Returns (values, vectors) with vectors on all glued dofs (zeros on the
     constrained ones).
     """
     try:
-        r, worst = hypfem.dof_symmetry(
-            system.base_mesh.nodes, system.glue_index, even_under, system.constrained, "the even_under isometry"
-        )
-        vals, vecs, counts = hypfem.solve_character(
-            system.K, system.M, [r], [1], k, system.dof_points, system.constrained
-        )
+        r = hypfem.dof_symmetry(system.base_mesh.nodes, system.glue_index, even_under, "the even_under isometry")
+        return hypfem.solve_character(system.K, system.M, [r], [1], k, system.dof_points, system.constrained)
     except hypfem.SymmetryError as e:
         raise GlueError(str(e)) from e
-    _log.debug(hypfem.FOLD_RECORD, *counts, worst)
-    return vals, vecs
 
 
 def chart_interpolator(system: GluedSystem, v: np.ndarray) -> hypfem.P1Interpolator:
@@ -541,7 +539,6 @@ class ExtendedSolution:
     eigen-row residual of the unreduced glued pencil.
     """
 
-    surface: Surface
     base: Base
     system: GluedSystem
     lam: float
@@ -549,13 +546,16 @@ class ExtendedSolution:
     vector: np.ndarray
     residual: float
 
+    @property
+    def surface(self) -> Surface:
+        return self.system.surface
+
 
 def _extended(surface: Surface, base: Base, lam: float, u: np.ndarray) -> ExtendedSolution:
     """Glue the base system over the surface and transport u to it."""
     system = assemble_glued(surface, base)
     v = transport(system, u)
     return ExtendedSolution(
-        surface=surface,
         base=base,
         system=system,
         lam=lam,
@@ -795,14 +795,13 @@ def mirror_odd_eigenvector(modes: hypfem.PolygonModes, target: float) -> tuple:
     of modes nearest target must equal it within 1e-6 (1 + lambda), and the
     mesh and its constrained nodes must be symmetric; GlueError otherwise.
     """
-    nodes, constrained = modes.mesh.nodes, modes.constrained
-    mirrors = (reflect_in(REAL_MIRROR), reflect_in(IMAG_MIRROR))
+    nodes = modes.mesh.nodes
     try:
         gens = [
-            hypfem.dof_symmetry(nodes, np.arange(len(nodes)), m, constrained, "the coordinate mirrors")[0]
-            for m in mirrors
+            hypfem.dof_symmetry(nodes, np.arange(len(nodes)), reflect_in(m), "the coordinate mirrors")
+            for m in (REAL_MIRROR, IMAG_MIRROR)
         ]
-        (lam,), vecs, _ = hypfem.solve_character(modes.K, modes.M, gens, [-1, -1], 1, nodes, constrained)
+        (lam,), vecs = hypfem.solve_character(modes.K, modes.M, gens, [-1, -1], 1, nodes, modes.constrained)
     except hypfem.SymmetryError as e:
         raise GlueError(str(e)) from e
     near = modes.values[np.argmin(np.abs(modes.values - target))]
@@ -848,30 +847,8 @@ def pants_decagon(l1: float, l2: float, l3: float) -> HyperbolicPolygon:
     w = [apply(A, x) for x in v]
     if w[0].imag < 0:
         w = [x.conjugate() for x in w]
-    verts = (
-        w[2],
-        w[3],
-        w[4],
-        w[5],
-        w[0],
-        w[1],
-        w[0].conjugate(),
-        w[5].conjugate(),
-        w[4].conjugate(),
-        w[3].conjugate(),
-    )
-    labels = (
-        "neumann",
-        "neumann",
-        "neumann",
-        "neumann",
-        "dirichlet",
-        "dirichlet",
-        "neumann",
-        "neumann",
-        "neumann",
-        "neumann",
-    )
+    verts = (*w[2:], *w[:2], *(w[k].conjugate() for k in (0, 5, 4, 3)))
+    labels = ("neumann",) * 4 + ("dirichlet",) * 2 + ("neumann",) * 4
     return HyperbolicPolygon(verts, labels)
 
 

@@ -270,9 +270,10 @@ class TestSolverPaths:
     def test_one_debug_record_per_solve(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
             hf.solve_polygon(quarter_octagon(), 0.16, k=2)
-        (rec,) = [r for r in caplog.records if r.name == "hypnodal.hypfem"]
-        assert rec.levelno == logging.DEBUG
-        msg = rec.getMessage()
+        records = [r for r in caplog.records if r.name == "hypnodal.hypfem"]
+        assert all(r.levelno == logging.DEBUG for r in records)
+        fold, msg = (r.getMessage() for r in records)  # the solve_character call's record, then the solve's
+        assert fold == "solve_character: 1024 free dofs -> 1024 columns, 1024 fixed by every generator"
         assert msg.startswith("solve_lowest: 1024 dofs, k=2, LU nnz ")
         for part in ("ordering", "factorisation", "Lanczos", "OPinv applications"):
             assert part in msg
@@ -385,11 +386,11 @@ class TestPolygonFold:
     def test_one_debug_record_per_fold(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
             modes = hf.solve_polygon(quarter_octagon(), 0.16, k=1)
-        folds = [r for r in caplog.records if r.name == "hypnodal.hypfem" and "fold" in r.getMessage()]
-        (rec,) = folds
-        assert rec.levelno == logging.DEBUG
         _, worst = mirror_image(modes.mesh, hg.polygon_mirror(quarter_octagon()))
-        assert rec.getMessage() == f"mirror fold: 1024 -> 528 dofs, 32 fixed, worst mirror match {worst:.3e}"
+        assert symmetry_records(caplog) == [
+            f"dof_symmetry: the polygon's mirror on 1089 dofs, worst node match {worst:.3e}",
+            "solve_character: 1024 free dofs -> 528 columns, 32 fixed by every generator",
+        ]
 
     @pytest.mark.parametrize("defect", ["moved node", "free node on a dirichlet side"])
     def test_rejects_mesh_that_is_not_symmetric(self, monkeypatch, defect):
@@ -404,8 +405,23 @@ class TestPolygonFold:
             return mesh
 
         monkeypatch.setattr(hf, "mesh_polygon", broken)
-        with pytest.raises(hf.SymmetryError, match="not symmetric under the polygon's mirror"):
+        # the node match is dof_symmetry's check, the constrained dofs solve_character's
+        match = {
+            "moved node": "not symmetric under the polygon's mirror: nodes not mapped",
+            "free node on a dirichlet side": "the symmetry does not preserve the constrained dofs",
+        }[defect]
+        with pytest.raises(hf.SymmetryError, match=match):
             hf.solve_polygon(quarter_octagon(), 0.16, k=1)
+
+
+def symmetry_records(caplog) -> list:
+    """Messages of the dof_symmetry and solve_character DEBUG records caught so far."""
+    return [
+        r.getMessage()
+        for r in caplog.records
+        if r.name == "hypnodal.hypfem" and r.levelno == logging.DEBUG
+        and r.getMessage().startswith(("dof_symmetry:", "solve_character:"))
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -423,7 +439,7 @@ def octagon_pencil():
 class TestSolveCharacter:
     """Modes of a pencil in one character of a group of commuting dof involutions."""
 
-    def test_odd_odd_block_is_the_octagon_doublet(self, monkeypatch, octagon_pencil):
+    def test_odd_odd_block_is_the_octagon_doublet(self, monkeypatch, octagon_pencil, caplog):
         mesh, K, M, (real, imag, _) = octagon_pencil
         vals, vecs = hf.solve_lowest(K, M, 6, mesh.nodes)
         sizes = []
@@ -434,8 +450,12 @@ class TestSolveCharacter:
             return solve_lowest(K, M, k, points)
 
         monkeypatch.setattr(hf, "solve_lowest", recorded)
-        (lam,), v, counts = hf.solve_character(K, M, [real, imag], [-1, -1], 1, mesh.nodes)
-        assert sizes == [264] and counts == (1089, 264, 1)  # the centre is the one dof both mirrors fix
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
+            (lam,), v = hf.solve_character(K, M, [real, imag], [-1, -1], 1, mesh.nodes)
+        assert sizes == [264]  # the centre is the one dof both mirrors fix
+        assert symmetry_records(caplog) == [
+            "solve_character: 1089 free dofs -> 264 columns, 1 fixed by every generator"
+        ]
         doublet = np.flatnonzero(np.abs(vals - lam) <= 1e-6 * (1.0 + lam))
         assert len(doublet) == 2
         assert np.abs(vals[doublet] - lam).max() <= 1e-12 * lam
@@ -447,13 +467,43 @@ class TestSolveCharacter:
     def test_one_odd_generator_gives_the_first_nonzero_level(self, octagon_pencil):
         mesh, K, M, (real, _, _) = octagon_pencil
         vals, _ = hf.solve_lowest(K, M, 3, mesh.nodes)
-        (lam,), _, _ = hf.solve_character(K, M, [real], [-1], 1, mesh.nodes)
+        (lam,), _ = hf.solve_character(K, M, [real], [-1], 1, mesh.nodes)
         assert abs(lam - vals[1]) <= 1e-12 * vals[1]
 
     def test_rejects_generators_that_do_not_commute(self, octagon_pencil):
         mesh, K, M, (real, _, diagonal) = octagon_pencil
         with pytest.raises(hf.SymmetryError, match="do not commute"):
             hf.solve_character(K, M, [real, diagonal], [1, 1], 1, mesh.nodes)
+
+    @pytest.mark.parametrize(
+        "defect, match",
+        [
+            ("mask", "the symmetry does not preserve the constrained dofs"),
+            ("length", "the symmetry maps 1088 dofs, the pencil has 1089"),
+            ("involution", "the symmetry does not act on the dofs as an involution"),
+            ("stiffness", r"the stiffness matrix does not commute with the symmetry \(mesh not symmetric\)"),
+            ("mass", r"the mass matrix does not commute with the symmetry \(mesh not symmetric\)"),
+        ],
+        ids=["mask", "length", "involution", "stiffness", "mass"],
+    )
+    def test_names_the_failed_check(self, defect, match):
+        mesh, K, M, constrained = quarter_pencil(0.16)
+        r = hf.dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), hg.polygon_mirror(quarter_octagon()), "the mirror")
+        moved = np.flatnonzero(r != np.arange(mesh.n_nodes))
+        if defect == "mask":  # a constrained dof freed, its mirror image kept
+            constrained[np.flatnonzero(constrained)[1]] = False
+        elif defect == "length":
+            r = r[:-1]
+        elif defect == "involution":  # a 3-cycle
+            r = r.copy()
+            r[moved[:3]] = moved[[1, 2, 0]]
+        else:  # same pattern, one diagonal entry without its mirror
+            d = moved[~constrained[moved]][0]
+            A = (K if defect == "stiffness" else M).copy()
+            A[d, d] *= 1.01
+            K, M = (A, M) if defect == "stiffness" else (K, A)
+        with pytest.raises(hf.SymmetryError, match=f"^{match}$"):
+            hf.solve_character(K, M, [r], [1], 1, mesh.nodes, constrained)
 
     def test_deterministic_with_positive_representative(self, octagon_pencil):
         mesh, K, M, (real, imag, _) = octagon_pencil
@@ -473,10 +523,10 @@ def free_numbering_fold(K, M, gens, chi, k, points, constrained):
     free = np.flatnonzero(~constrained)
     index = np.cumsum(~constrained) - 1  # free numbering of the free dofs
     Kf, Mf = hf.reduce_system(K, M, free)
-    vals, vecs, counts = hf.solve_character(Kf, Mf, [index[r[free]] for r in gens], chi, k, points[free])
+    vals, vecs = hf.solve_character(Kf, Mf, [index[r[free]] for r in gens], chi, k, points[free])
     full = np.zeros((len(constrained), vecs.shape[1]))
     full[free] = vecs
-    return vals, full, counts
+    return vals, full
 
 
 def quarter_pencil(h):
@@ -493,26 +543,29 @@ class TestOneOrbitMatrix:
     symmetry classes: no reduction and lift of their own."""
 
     @pytest.mark.parametrize("h", [0.16, 0.08, 0.04, 0.02])
-    def test_constrained_fold_is_the_free_numbering_fold(self, h):
+    def test_constrained_fold_is_the_free_numbering_fold(self, h, caplog):
         mesh, K, M, constrained = quarter_pencil(h)
-        r, _ = hf.dof_symmetry(
-            mesh.nodes, np.arange(mesh.n_nodes), hg.polygon_mirror(quarter_octagon()), constrained, "the mirror"
-        )
-        vals, vecs, counts = hf.solve_character(K, M, [r], [1], 1, mesh.nodes, constrained)
-        ref_vals, ref_vecs, ref_counts = free_numbering_fold(K, M, [r], [1], 1, mesh.nodes, constrained)
+        r = hf.dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), hg.polygon_mirror(quarter_octagon()), "the mirror")
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
+            vals, vecs = hf.solve_character(K, M, [r], [1], 1, mesh.nodes, constrained)
+            ref_vals, ref_vecs = free_numbering_fold(K, M, [r], [1], 1, mesh.nodes, constrained)
         assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
-        assert counts == ref_counts
+        got, ref = symmetry_records(caplog)  # free dofs, columns and fixed dofs agree
+        assert got == ref
         modes = hf.solve_polygon(quarter_octagon(), h, k=1)
         assert np.array_equal(modes.values, vals) and np.array_equal(modes.vectors, vecs)
 
-    def test_no_generator_is_reduce_solve_lift(self):
+    def test_no_generator_is_reduce_solve_lift(self, caplog):
         mesh, K, M, constrained = quarter_pencil(0.16)
-        vals, vecs, counts = hf.solve_character(K, M, [], [], 3, mesh.nodes, constrained)
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
+            vals, vecs = hf.solve_character(K, M, [], [], 3, mesh.nodes, constrained)
         free = np.flatnonzero(~constrained)
         ref_vals, ref_vecs = hf.solve_lowest(*hf.reduce_system(K, M, free), 3, mesh.nodes[free])
         assert np.array_equal(vals, ref_vals)
         assert np.array_equal(vecs[free], ref_vecs) and np.all(vecs[constrained] == 0.0)
-        assert counts == (1024, 1024, 1024)
+        assert symmetry_records(caplog) == [
+            "solve_character: 1024 free dofs -> 1024 columns, 1024 fixed by every generator"
+        ]
 
     def test_higher_modes_are_the_plain_solve(self):
         vals, vecs = plain_solve(quarter_octagon(), 0.16, k=2)
@@ -526,40 +579,47 @@ class TestOneOrbitMatrix:
         assert np.array_equal(modes.values, vals) and np.array_equal(modes.vectors, vecs)
         lam, v = surfglue.mirror_odd_eigenvector(modes, MIXED_QUARTER_LIMIT)
         none = np.zeros(mesh.n_nodes, dtype=bool)
-        (ref,), ref_vecs, _ = free_numbering_fold(K, M, [real, imag], [-1, -1], 1, mesh.nodes, none)
+        (ref,), ref_vecs = free_numbering_fold(K, M, [real, imag], [-1, -1], 1, mesh.nodes, none)
         assert lam == ref and np.array_equal(v, ref_vecs[:, 0])
 
-    def test_constrained_orbits_get_no_column(self):
+    def test_constrained_orbits_get_no_column(self, caplog):
         mesh, K, M, constrained = quarter_pencil(0.16)
-        r, _ = hf.dof_symmetry(
-            mesh.nodes, np.arange(mesh.n_nodes), hg.polygon_mirror(quarter_octagon()), constrained, "the mirror"
-        )
-        broken = constrained.copy()
-        broken[np.flatnonzero(constrained & (r != np.arange(mesh.n_nodes)))[0]] = False  # its mirror image stays
-        _, vecs, (free, cols, _) = hf.solve_character(K, M, [r], [1], 1, mesh.nodes, broken)
+        r = hf.dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), hg.polygon_mirror(quarter_octagon()), "the mirror")
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
+            _, vecs = hf.solve_character(K, M, [r], [1], 1, mesh.nodes, constrained)
         assert np.all(vecs[constrained] == 0.0)
-        assert (free, cols) == (1025, 528)
+        assert symmetry_records(caplog) == [
+            "solve_character: 1024 free dofs -> 528 columns, 32 fixed by every generator"
+        ]
 
-    def test_dof_symmetry_keeps_the_constrained_dofs(self):
+    def test_dof_symmetry_keeps_the_constrained_dofs(self, caplog):
         mesh, _, _, constrained = quarter_pencil(0.16)
         iso = hg.polygon_mirror(quarter_octagon())
-        r, worst = hf.dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), iso, constrained, "the mirror")
-        image, ref_worst = mirror_image(mesh, iso)
-        assert np.array_equal(r, image) and worst == ref_worst
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
+            r = hf.dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), iso, "the mirror")
+        image, worst = mirror_image(mesh, iso)
+        assert np.array_equal(r, image)
+        assert symmetry_records(caplog) == [f"dof_symmetry: the mirror on 1089 dofs, worst node match {worst:.3e}"]
         assert np.array_equal(constrained[r], constrained)
 
-    @pytest.mark.parametrize("defect, match", [("moved node", "not mapped onto mesh nodes"), ("mask", "constrained")])
+    @pytest.mark.parametrize(
+        "defect, match", [("moved node", "not mapped onto mesh nodes"), ("split dof", "copies of one dof to two")]
+    )
     def test_dof_symmetry_names_the_failed_check(self, defect, match):
-        mesh, _, _, constrained = quarter_pencil(0.16)
-        nodes = mesh.nodes.copy()
+        mesh, _, _, _ = quarter_pencil(0.16)
+        iso = hg.polygon_mirror(quarter_octagon())
+        nodes, node_dof = mesh.nodes.copy(), np.arange(mesh.n_nodes)
         if defect == "moved node":
             nodes[np.argmin(np.abs(nodes - 0.3 - 0.1j))] += 1e-6
-        else:
-            constrained[np.flatnonzero(constrained)[1]] = False
+        else:  # a second copy of the nodes, two of whose dofs are swapped
+            image, _ = mirror_image(mesh, iso)
+            a, b = [d for d in node_dof if image[d] != d][:2]
+            assert image[a] != b
+            swapped = node_dof.copy()
+            swapped[[a, b]] = [b, a]
+            node_dof = np.concatenate([node_dof, swapped])
         with pytest.raises(hf.SymmetryError, match=f"not symmetric under the mirror: .*{match}"):
-            hf.dof_symmetry(
-                nodes, np.arange(len(nodes)), hg.polygon_mirror(quarter_octagon()), constrained, "the mirror"
-            )
+            hf.dof_symmetry(nodes, node_dof, iso, "the mirror")
 
 
 def plain_shift_invert(K, M, k):
@@ -695,6 +755,7 @@ class TestInterpolator:
             ([0, 1, 2], [1.0, 2.0, 3.0], r"\(T, 3\) triangles"),
             ([[0, 1, 3]], [1.0, 2.0, 3.0], r"\(T, 3\) triangles"),
             ([[0, -1, 2]], [1.0, 2.0, 3.0], r"\(T, 3\) triangles"),
+            ([[0, 1, 2]], [1.0, np.inf, np.nan], "finite values: 2 of 3 are not"),
         ],
     )
     def test_rejects_inputs_that_do_not_fit(self, triangles, values, what):

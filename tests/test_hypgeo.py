@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from hypnodal import hypgeo as hg
 
 # closed forms, frozen
-OCTAGON_CIRCUMRADIUS = 1.5285709194809982  # arccosh(cot(pi/8) cot(pi/4))
 OCTAGON_HALF_SIDE = 0.7642854597404991  # arccosh(cos(pi/8) / sin(pi/4))
 HEXAGON_111_OPPOSITE = 1.7049128323580138  # arccosh((cosh 1 + cosh^2 1) / sinh^2 1)
 
@@ -490,12 +489,6 @@ class TestArcParameters:
 
 
 class TestRegularPolygon:
-    def test_octagon_circumradius_closed_form(self):
-        poly = hg.regular_right_polygon(8, math.pi / 2)
-        want = math.acosh(1.0 / math.tan(math.pi / 8))  # cot(pi/8) cot(pi/4) = cot(pi/8)
-        assert want == pytest.approx(OCTAGON_CIRCUMRADIUS, abs=1e-15)
-        assert hg.circumradius(poly) == pytest.approx(OCTAGON_CIRCUMRADIUS, abs=1e-12)
-
     def test_octagon_half_side(self):
         # right triangle identity: cosh(side/2) = cos(pi/8) / sin(pi/4)
         poly = hg.regular_right_polygon(8, math.pi / 2)

@@ -42,6 +42,12 @@ def test_vector_that_does_not_fit_the_mesh_rejected(octagon_modes, extra):
         nodal.extract_nodal(octagon_modes.mesh, u)
 
 
+def test_non_finite_vector_rejected(octagon_modes):
+    n = octagon_modes.mesh.n_nodes
+    with pytest.raises(nodal.NodalError, match=f"needs finite values: {n} of {n} are not"):
+        nodal.extract_nodal(octagon_modes.mesh, np.full(n, np.nan))
+
+
 class TestExtractSingleTriangles:
     def test_zero_vertex_to_opposite_edge_midpoint(self):
         m = soup([0.0, 1.0, 1j], [(0, 1, 2)])

@@ -25,7 +25,7 @@ from hypnodal import hypfem, surfglue
 from hypnodal.hypgeo import Geodesic, apply, axis_map, compose, hyp_distance, inverse, reflect_in, rotation
 from hypnodal.hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
 
-from test_hypfem import free_numbering_fold
+from test_hypfem import free_numbering_fold, symmetry_records
 from test_hypgeo import relabeled
 from test_hypmesh import flip_one_diagonal
 
@@ -244,15 +244,15 @@ def reference_cell_complex(n_charts: int, n: int, glued) -> surfglue.TopologyRep
             cursor = r1 if r0 == cursor else r0
         circles.append(circle)
 
-    return surfglue.TopologyReport(
+    report = surfglue.TopologyReport(
         n_vertices=V,
         n_edges=E,
         n_faces=n_charts,
-        chi=chi,
         orientable=orientable,
         boundary_circles=circles,
-        closed=not unglued,
     )
+    assert (report.chi, report.closed) == (chi, not unglued)  # the derived invariants, counted here directly
+    return report
 
 
 def pairing_flags(surface):
@@ -437,6 +437,12 @@ class TestGluedAssembly:
         system = tiling_ext.system
         with pytest.raises(surfglue.GlueError):
             surfglue.transport(system, np.ones(system.base_mesh.n_nodes))
+
+    def test_transport_rejects_a_non_finite_vector(self, tiling_ext):
+        u = tiling_ext.base_vector.copy()
+        u[7] = np.nan
+        with pytest.raises(surfglue.GlueError, match=f"finite vector: 1 of {len(u)} values are not"):
+            surfglue.transport(tiling_ext.system, u)
 
     def test_transport_matches_per_chart_accumulation(self, tiling_ext, g3):
         # reference: chart by chart np.add.at of the signed values, then the member mean
@@ -946,6 +952,13 @@ class TestPantsSearch:
         keys = [(r.pairs, r.start_to_start) for r in tied]
         assert keys == sorted(keys)
 
+    def test_search_rejects_a_non_finite_vector(self, tiling_ext):
+        v = tiling_ext.vector.copy()
+        v[7] = np.nan
+        slots = np.count_nonzero(tiling_ext.system.glue_index == 7)  # the dof's copies in the charts
+        with pytest.raises(ValueError, match=f"P1Interpolator needs finite values: {slots} of "):
+            surfglue.search_pants_gluing(dataclasses.replace(tiling_ext, vector=v))
+
     def test_zero_function_rejected(self, tiling_ext):
         f = surfglue.chart_interpolator(tiling_ext.system, np.zeros(tiling_ext.system.n_dofs))
         with pytest.raises(surfglue.GlueError):
@@ -1335,14 +1348,15 @@ class TestMirrorFold:
         assert sizes == [3696]  # orbits of the 7,199 free pants dofs, 193 of them on the mirror
 
     def test_one_debug_record_per_fold(self, pants_system, caplog):
-        with caplog.at_level(logging.DEBUG, logger="hypnodal.surfglue"):
+        with caplog.at_level(logging.DEBUG, logger="hypnodal"):
             surfglue.solve_glued(pants_system, k=1, even_under=MIRROR)
-        (rec,) = [r for r in caplog.records if r.name == "hypnodal.surfglue"]
-        assert rec.levelno == logging.DEBUG
-        msg = rec.getMessage()
+        assert not [r for r in caplog.records if r.name == "hypnodal.surfglue"]  # no caller logs a fold
         nodes = pants_system.base_mesh.nodes
         worst = np.abs(nodes[mirror_nodes(pants_system.base_mesh)] - nodes.conj()).max()
-        assert msg == f"mirror fold: 7199 -> 3696 dofs, 193 fixed, worst mirror match {worst:.3e}"
+        assert symmetry_records(caplog) == [
+            f"dof_symmetry: the even_under isometry on 7263 dofs, worst node match {worst:.3e}",
+            "solve_character: 7199 free dofs -> 3696 columns, 193 fixed by every generator",
+        ]
         assert 0.0 < worst <= surfglue.MATCH_TOL
 
 
@@ -1356,18 +1370,38 @@ class TestOneOrbitMatrixGlued:
         return surfglue.assemble_glued(pants, mesh_polygon(pants.base, 0.24))
 
     def mirror_map(self, system):
-        return hypfem.dof_symmetry(
-            system.base_mesh.nodes, system.glue_index, MIRROR, system.constrained, "the mirror"
-        )[0]
+        return hypfem.dof_symmetry(system.base_mesh.nodes, system.glue_index, MIRROR, "the mirror")
 
-    def test_constrained_fold_is_the_free_numbering_fold(self, pants_system):
+    def test_constrained_fold_is_the_free_numbering_fold(self, pants_system, caplog):
         s, r = pants_system, self.mirror_map(pants_system)
-        vals, vecs, counts = hypfem.solve_character(s.K, s.M, [r], [1], 1, s.dof_points, s.constrained)
-        ref_vals, ref_vecs, ref_counts = free_numbering_fold(s.K, s.M, [r], [1], 1, s.dof_points, s.constrained)
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypfem"):
+            vals, vecs = hypfem.solve_character(s.K, s.M, [r], [1], 1, s.dof_points, s.constrained)
+            ref_vals, ref_vecs = free_numbering_fold(s.K, s.M, [r], [1], 1, s.dof_points, s.constrained)
         assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
-        assert counts == ref_counts
+        got, ref = symmetry_records(caplog)  # free dofs, columns and fixed dofs agree
+        assert got == ref
         even_vals, even_vecs = surfglue.solve_glued(s, k=1, even_under=MIRROR)
         assert np.array_equal(even_vals, vals) and np.array_equal(even_vecs, vecs)
+
+    def test_one_map_serves_two_masks(self, pants_system):
+        """The mirror's map, computed once, folds the pants with B2 free and
+        with B2 held at zero; the latter is the solve of the pants whose B2
+        sides (0 and 9) are relabelled dirichlet, on the same mesh."""
+        s, r = pants_system, self.mirror_map(pants_system)
+        b2 = np.zeros(s.n_dofs, dtype=bool)
+        b2[s.glue_index[np.concatenate([s.base_mesh.side_nodes[0], s.base_mesh.side_nodes[9]])]] = True
+        labels = list(s.surface.base.labels)
+        labels[0] = labels[9] = "dirichlet"
+        surf = surfglue.Surface(relabeled(s.surface.base, labels), s.surface.charts, s.surface.pairings)
+        mesh = mesh_polygon(surf.base, 0.24)
+        assert np.array_equal(mesh.nodes, s.base_mesh.nodes) and np.array_equal(mesh.triangles, s.base_mesh.triangles)
+        odd = surfglue.assemble_glued(surf, mesh)
+        assert np.array_equal(odd.constrained, s.constrained | b2)
+        for mask, system in ((s.constrained, s), (s.constrained | b2, odd)):
+            vals, vecs = hypfem.solve_character(s.K, s.M, [r], [1], 1, s.dof_points, mask)
+            ref_vals, ref_vecs = surfglue.solve_glued(system, k=1, even_under=MIRROR)
+            assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+        assert vals[0] > plain_solve(s, k=1)[0][0]  # holding B2 at zero raises the ground state
 
     def test_dof_symmetry_over_the_glue_index(self, pants_system):
         r = self.mirror_map(pants_system)
@@ -1381,7 +1415,7 @@ class TestOneOrbitMatrixGlued:
         ext = surfglue.build_genus3(2.0, h_target=0.16)
         psys = surfglue.assemble_glued(surfglue.pants_decagon_surface(), ext.base.mesh)
         r = self.mirror_map(psys)
-        (lam,), vecs, _ = free_numbering_fold(psys.K, psys.M, [r], [1], 1, psys.dof_points, psys.constrained)
+        (lam,), vecs = free_numbering_fold(psys.K, psys.M, [r], [1], 1, psys.dof_points, psys.constrained)
         u = vecs[:, 0][psys.glue_index]
         assert ext.lam == lam and np.array_equal(ext.base_vector, u)
         assert np.array_equal(ext.vector, surfglue.transport(ext.system, u))
