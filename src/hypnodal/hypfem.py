@@ -37,6 +37,7 @@ both for glued pencils and the octagon mode odd under both axis mirrors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -50,6 +51,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from .hypgeo import LABELS, apply, polygon_mirror
 from .hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
 
+INSIDE_TOL = 1e-9  # P1Interpolator: a point lies in a triangle when no barycentric weight is below -INSIDE_TOL
 SIGMA = -1.0  # shift for shift-invert; negative keeps K - SIGMA M positive definite
 
 PENCIL_SYMMETRY_TOL = 1e-10  # entry mismatch of a pencil and its mirror image, relative to its largest entry
@@ -401,17 +403,19 @@ def solve_polygon(
 
 
 class P1Interpolator:
-    """Point evaluation of a piecewise linear function on a triangle soup.
+    """Point evaluation of a piecewise linear function on a triangle soup
+    (several charts laid side by side included).
 
-    Works on any collection of triangles (several charts laid side by side
-    included); lookup is nearest-centroid candidates plus a barycentric
-    containment test.  A point that lies in no triangle is an error: the
-    function is not defined there.
+    A point lies in a triangle when no barycentric weight is below
+    -INSIDE_TOL: inside the triangle scaled by 1 + 3 INSIDE_TOL about its
+    centroid.  A bucket grid of square cells, about one per triangle, lists
+    the triangles whose bounding box, grown by 4 INSIDE_TOL (width + height)
+    on every side, meets the cell; one argsort of the (cell, triangle) keys
+    builds it.  A point's candidates are its cell's list, which holds every
+    triangle the test accepts.  A point in no triangle is an error.
     """
 
     def __init__(self, points: np.ndarray, triangles: np.ndarray, values: np.ndarray):
-        from scipy.spatial import cKDTree
-
         self.points = np.asarray(points, dtype=np.complex128)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
@@ -421,12 +425,42 @@ class P1Interpolator:
         if not np.isfinite(self.values).all():
             bad = int((~np.isfinite(self.values)).sum())
             raise ValueError(f"P1Interpolator needs finite values: {bad} of {n} are not")
-        if t.ndim != 2 or t.shape[1] != 3 or (t.size and (t.min() < 0 or t.max() >= n)):
-            raise ValueError(f"P1Interpolator needs (T, 3) triangles indexing {n} points, got shape {t.shape}")
+        if t.ndim != 2 or t.shape[1] != 3 or not len(t) or t.min() < 0 or t.max() >= n:
+            raise ValueError(f"P1Interpolator needs (T, 3) triangles, T > 0, indexing {n} points, got shape {t.shape}")
         z = self.points[self.triangles]
-        cent = z.mean(axis=1)
-        self._tree = cKDTree(np.column_stack([cent.real, cent.imag]))
-        self._z = z
+        if not np.isfinite(z).all():
+            raise ValueError(f"P1Interpolator needs finite corners: {int((~np.isfinite(z)).sum())} of {z.size} are not")
+        self._z, self._cent = z, z.mean(axis=1)
+        # corner by corner: a reduction along an axis of length 3 is many times slower
+        lo, hi = (np.stack([functools.reduce(f, c.T) for c in (z.real, z.imag)]) for f in (np.minimum, np.maximum))
+        pad = 4 * INSIDE_TOL * (hi - lo).sum(axis=0)
+        lo, hi = lo - pad, hi + pad
+        self._origin = lo.min(axis=1)
+        width, height = hi.max(axis=1) - self._origin
+        self._size = max(math.sqrt(width * height / len(t)), (width + height) / len(t)) or 1.0
+        c0, c1 = self._cell_xy(np.stack([lo, hi])).astype(np.int64)
+        self._shape = c1.max(axis=1) + 1  # columns, rows
+        span = c1 - c0 + 1
+        count = span[0] * span[1]  # cells that triangle's box meets
+        tri = np.repeat(np.arange(len(t)), count)
+        row, col = np.divmod(np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count), span[0][tri])
+        cell = (c0[1][tri] + row) * self._shape[0] + c0[0][tri] + col
+        self._cell_tri = tri[np.argsort(cell * len(t) + tri)]  # unique keys: each cell lists its triangles in order
+        self._start = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=self._shape.prod()))])
+
+    def _cell_xy(self, xy: np.ndarray) -> np.ndarray:
+        """Grid columns and rows (floats) of the coordinates xy, whose axis -2 is x, y."""
+        return np.floor((xy - self._origin[:, None]) / self._size)
+
+    def _candidates(self, pts: np.ndarray) -> tuple:
+        """(point, triangle) index pairs: the triangles listed in each point's
+        grid cell, or in the nearest cell for a point off the grid (which no
+        triangle accepts)."""
+        c = np.clip(self._cell_xy(np.stack([pts.real, pts.imag])), 0, self._shape[:, None] - 1).astype(np.int64)
+        cell = c[1] * self._shape[0] + c[0]
+        start, count = self._start[cell], self._start[cell + 1] - self._start[cell]
+        pt = np.repeat(np.arange(len(pts)), count)
+        return pt, self._cell_tri[np.arange(len(pt)) + np.repeat(start - np.cumsum(count) + count, count)]
 
     def _bary(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Barycentric weights (..., 3) of points x in triangles t (broadcast shapes)."""
@@ -441,34 +475,30 @@ class P1Interpolator:
         """Value at x: a complex point gives a float, an ndarray of points an
         array of its shape.
 
-        Each point takes the first of its 8 nearest-centroid triangles (64
-        if none of those) that contains it within 1e-9.  Raises ValueError
-        when some point lies in none of them, naming how many points missed
-        and the worst barycentric violation among them.
+        Each point takes the candidate that contains it whose centroid is
+        nearest (squared distance, lower index on ties), so where one of
+        its 8 or 64 nearest centroids has a triangle that contains it, the
+        first such one.  ValueError for non-finite points, and naming the
+        misses and their worst barycentric violation, each measured in its
+        nearest-centroid triangle (match_nodes), when a point is in none.
         """
         q = np.asarray(x, dtype=np.complex128)
         pts = q.reshape(-1)
+        if not np.isfinite(pts).all():
+            raise ValueError(f"P1Interpolator needs finite points: {int((~np.isfinite(pts)).sum())} of {len(pts)} are not")
+        pt, tri = self._candidates(pts)
+        lam = self._bary(tri, pts[pt])
+        inside = np.flatnonzero(lam.min(axis=1) >= -INSIDE_TOL)
+        d = pts[pt[inside]] - self._cent[tri[inside]]
+        pick = inside[np.lexsort((d.real * d.real + d.imag * d.imag, pt[inside]))]  # stable: by point, then distance
+        pick = pick[np.diff(pt[pick], prepend=-1) != 0]
         out = np.empty(len(pts))
-        todo = np.arange(len(pts))
-        n_tri = len(self.triangles)
-        for k in (8, 64):
-            k_eff = min(k, n_tri)
-            p = pts[todo]
-            _, idx = self._tree.query(np.column_stack([p.real, p.imag]), k=k_eff)
-            idx = idx.reshape(len(todo), k_eff)
-            lam = self._bary(idx, p[:, None])
-            viol = -lam.min(axis=2)
-            inside = viol <= 1e-9
-            hit = inside.any(axis=1)
-            pick = inside.argmax(axis=1)[hit]
-            out[todo[hit]] = np.vecdot(lam[hit, pick], self.values[self.triangles[idx[hit, pick]]])
-            todo = todo[~hit]
-            if not len(todo) or k_eff == n_tri:
-                break
-        if len(todo):
-            worst = viol[~hit].min(axis=1).max()
+        out[pt[pick]] = np.vecdot(lam[pick], self.values[self.triangles[tri[pick]]])
+        if len(pick) < len(pts):
+            miss = pts[np.setdiff1d(np.arange(len(pts)), pt[pick])]
+            worst = -self._bary(match_nodes(self._cent, miss)[0], miss).min()
             raise ValueError(
-                f"P1Interpolator: {len(todo)} of {len(pts)} points lie in no triangle "
+                f"P1Interpolator: {len(miss)} of {len(pts)} points lie in no triangle "
                 f"(worst barycentric violation {worst:.3g})"
             )
         return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)

@@ -27,8 +27,11 @@ and reflections about 0 that map the polygon to itself.  Polygons with
 such symmetries get symmetric meshes.  That exactness is load-bearing
 downstream: reflection extension and chart gluing pair side nodes across
 isometries at tolerance MATCH_TOL, and hypfem.dof_symmetry matches nodes
-(match_nodes) for the symmetry reductions.  A mesh that cannot meet its
-target or has an inverted triangle raises MeshError.
+for the symmetry reductions with match_nodes, an exact nearest-point search
+that sorts the nodes along one projection and widens each target's window
+of neighbours along it until no point outside can be nearer; a target on a
+node takes one round.  A mesh that cannot meet its target or has an
+inverted triangle raises MeshError.
 """
 
 from __future__ import annotations
@@ -41,12 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .hypgeo import HyperbolicPolygon, axis_foot, axis_point, hyp_distance, side_maps
 
 
 MATCH_TOL = 1e-9  # a node matches the image of a node under a mesh symmetry when this close
+_SORT_AXIS = complex(math.cos(1.0), math.sin(1.0))  # match_nodes sorts along u = Re(z e^-i) = z . _SORT_AXIS
 SMOOTH_SWEEPS = 40  # Jacobi relaxation passes (interior and tangential-boundary)
 MAX_REFINEMENTS = 14  # at most this many 1:4 refinement levels, and refine + smooth rounds
 
@@ -164,18 +167,50 @@ def _neighbour_matrix(e: np.ndarray, n: int) -> sp.csr_matrix:
 def match_nodes(points: np.ndarray, targets: np.ndarray) -> tuple:
     """(index of the point nearest to each target, worst nearest distance).
 
-    The tree search is bounded just above MATCH_TOL, which prunes it; when
-    some target has no point that close, the query is repeated unbounded,
-    so the worst distance is always the true one.  The tree is built
-    unbalanced and uncompacted, which is cheaper on mesh nodes and finds
-    the same matches.
+    Exact search along one sorted projection (Friedman, Baskett and Shustek
+    1975): points and targets are sorted by u = Re(z e^-i), off every mesh
+    symmetry axis, and each target's window of u-neighbours doubles on both
+    sides until the next point outside it on either side is farther along u
+    than the best distance found, with room for rounding.  A target on a
+    node stops after one round.  Ties go to the lower index; the worst
+    distance is the true one, 0.0 with no targets.  ValueError for
+    non-finite input and for targets without points.  One DEBUG record
+    gives the sizes, the widening rounds and the worst distance.
     """
-    tree = cKDTree(np.column_stack([points.real, points.imag]), balanced_tree=False, compact_nodes=False)
-    xy = np.column_stack([targets.real, targets.imag])
-    dist, j = tree.query(xy, distance_upper_bound=2.0 * MATCH_TOL)
-    if not np.isfinite(dist).all():
-        dist, j = tree.query(xy)
-    return j, float(dist.max())
+    n, m = len(points), len(targets)
+    bad = int(np.count_nonzero(~np.isfinite(points)) + np.count_nonzero(~np.isfinite(targets)))
+    if bad:
+        raise ValueError(f"match_nodes needs finite points and targets: {bad} of {n + m} are not")
+    if m and not n:
+        raise ValueError(f"match_nodes has no points to match {m} targets to")
+    u, ut = (z.real * _SORT_AXIS.real + z.imag * _SORT_AXIS.imag for z in (points, targets))
+    order, by_u = np.argsort(u), np.argsort(ut)  # sorted targets: searchsorted and the gathers run ahead
+    u, z, ut, targets = u[order], points[order], ut[by_u], targets[by_u]
+    pos = np.searchsorted(u, ut)
+    slack = 64 * np.finfo(float).eps * np.abs(np.concatenate([points, targets])).max(initial=0.0)
+    best, j = np.full(m, np.inf), np.zeros(m, dtype=np.intp)
+    todo, w, rounds = np.arange(m), 1, 0
+    while len(todo):
+        rounds += 1
+        off = np.r_[-w : -(w // 2), w // 2 : w]  # the window [pos - w, pos + w) less what earlier rounds saw
+        step = max(1, (1 << 20) // len(off))  # at most 2^20 candidate distances at once
+        for a in range(0, len(todo), step):
+            t = todo[a : a + step]
+            k = pos[t, None] + off
+            d = np.where((k >= 0) & (k < n), np.abs(z[k.clip(0, n - 1)] - targets[t, None]), np.inf)
+            near = d.min(axis=1)
+            idx = np.where(d == near[:, None], order[k.clip(0, n - 1)], n).min(axis=1)
+            better = (near < best[t]) | ((near == best[t]) & (idx < j[t]))
+            best[t[better]], j[t[better]] = near[better], idx[better]
+        lo, hi, reach = pos[todo] - w, pos[todo] + w, best[todo] + slack
+        done = (lo <= 0) | (ut[todo] - u[np.maximum(lo - 1, 0)] > reach)
+        done &= (hi >= n) | (u[np.minimum(hi, n - 1)] - ut[todo] > reach)
+        todo, w = todo[~done], 2 * w
+    worst = float(best.max(initial=0.0))
+    _log.debug("match_nodes: %d targets on %d points, %d widening rounds, worst distance %.3e", m, n, rounds, worst)
+    nearest = np.empty(m, dtype=np.intp)
+    nearest[by_u] = j
+    return nearest, worst
 
 
 def min_angle_degrees(mesh: Mesh) -> float:

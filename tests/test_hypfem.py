@@ -675,8 +675,15 @@ class TestNestedDissection:
         assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
-def reference_interp(f, x, tol=1e-9):
-    """Point-by-point interpolation as the scalar loop did it; returns the
+def centroid_tree(f):
+    """kd-tree of the centroids of f's triangles: the candidate search of the former interpolator."""
+    cent = f._z.mean(axis=1)
+    return cKDTree(np.column_stack([cent.real, cent.imag]))
+
+
+def reference_interp(f, x, tree, tol=1e-9):
+    """Point-by-point interpolation as the scalar loop did it, over the 8 and
+    then the 64 nearest centroids of tree (centroid_tree(f)); returns the
     value and the path taken (8 or 64 candidates), or (None, 0) for a point
     in no candidate triangle."""
 
@@ -689,7 +696,7 @@ def reference_interp(f, x, tol=1e-9):
 
     for k in (8, 64):
         k_eff = min(k, len(f.triangles))
-        _, idx = f._tree.query([x.real, x.imag], k=k_eff)
+        _, idx = tree.query([x.real, x.imag], k=k_eff)
         for t in np.atleast_1d(idx):
             lam = bary(int(t))
             if -lam.min() <= tol:
@@ -697,6 +704,12 @@ def reference_interp(f, x, tol=1e-9):
         if k_eff == len(f.triangles):
             break
     return None, 0
+
+
+def accepted_pairs(f, x) -> set:
+    """(point, triangle) pairs of every triangle of f whose barycentric test accepts a point of x."""
+    lam = f._bary(np.arange(len(f.triangles))[None, :], x[:, None])
+    return set(zip(*(i.tolist() for i in np.nonzero(lam.min(axis=2) >= -hf.INSIDE_TOL))))
 
 
 @pytest.fixture(scope="module")
@@ -720,7 +733,8 @@ class TestInterpolator:
         tris = rng.integers(len(soup.triangles), size=600)
         anywhere = (soup._z[tris] * rng.dirichlet(np.ones(3), size=600)).sum(axis=1)
         x = np.concatenate([near_c, anywhere])
-        ref = [reference_interp(soup, complex(p)) for p in x]
+        tree = centroid_tree(soup)
+        ref = [reference_interp(soup, complex(p), tree) for p in x]
         paths = {path for _, path in ref}
         assert paths == {8, 64}
         got = soup(x.reshape(2, -1))
@@ -731,12 +745,13 @@ class TestInterpolator:
         x = 0.05 + 0.02j
         got = soup(x)
         assert isinstance(got, float)
-        assert got == reference_interp(soup, x)[0]
+        assert got == reference_interp(soup, x, centroid_tree(soup))[0]
 
     def test_rejects_points_outside(self, soup):
         soup(np.array([0.0j, 0.1 + 0.05j]))
         outside = np.array([0.95 + 0j, -0.9j, 0.05 + 0.02j])
-        assert [path for _, path in (reference_interp(soup, complex(p)) for p in outside)] == [0, 0, 8]
+        tree = centroid_tree(soup)
+        assert [path for _, path in (reference_interp(soup, complex(p), tree) for p in outside)] == [0, 0, 8]
         msg = r"2 of 3 points lie in no triangle \(worst barycentric violation ([0-9.e+-]+)\)"
         with pytest.raises(ValueError, match=msg) as err:
             soup(outside)
@@ -756,12 +771,81 @@ class TestInterpolator:
             ([[0, 1, 3]], [1.0, 2.0, 3.0], r"\(T, 3\) triangles"),
             ([[0, -1, 2]], [1.0, 2.0, 3.0], r"\(T, 3\) triangles"),
             ([[0, 1, 2]], [1.0, np.inf, np.nan], "finite values: 2 of 3 are not"),
+            (np.zeros((0, 3), dtype=int), [1.0, 2.0, 3.0], r"\(T, 3\) triangles, T > 0"),
         ],
     )
     def test_rejects_inputs_that_do_not_fit(self, triangles, values, what):
         points = np.array([0j, 0.1 + 0j, 0.1j])
         with pytest.raises(ValueError, match=what):
             hf.P1Interpolator(points, np.array(triangles), np.array(values))
+
+    def test_rejects_non_finite_corners_and_points(self, soup):
+        points = np.array([0j, 0.1 + 0j, 0.1j, complex(np.nan, 0.0)])
+        with pytest.raises(ValueError, match="finite corners: 2 of 6 are not"):
+            hf.P1Interpolator(points, np.array([[0, 1, 2], [1, 3, 3]]), np.ones(4))
+        with pytest.raises(ValueError, match="finite points: 1 of 3 are not"):
+            soup(np.array([0j, complex(0.1, np.inf), 0.1j]))
+
+    def test_vertices_and_shared_edges_match_the_tree(self, soup):
+        # a node lies in every triangle round it and an edge midpoint in both triangles along it:
+        # the nearest centroid decides, as the first hit of the tree's nearest centroids did
+        edges = np.sort(np.concatenate([soup.triangles[:, [0, 1]], soup.triangles[:, [1, 2]], soup.triangles[:, [2, 0]]]), axis=1)
+        edges, uses = np.unique(edges, axis=0, return_counts=True)
+        shared = edges[uses == 2]
+        x = np.concatenate([soup.points, soup.points[shared].mean(axis=1)])
+        tree = centroid_tree(soup)
+        ref = [reference_interp(soup, complex(p), tree) for p in x]
+        assert 0 not in {path for _, path in ref}
+        assert np.array_equal(soup(x), [v for v, _ in ref])
+
+    def test_overlapping_soup_matches_the_tree(self, octagon):
+        # two meshes of the octagon, one turned by 0.1 rad: most points lie in one triangle of each
+        rng = np.random.default_rng(5)
+        mesh = hm.mesh_polygon(octagon, 0.24)
+        points = np.concatenate([mesh.nodes, np.exp(0.1j) * mesh.nodes])
+        tris = np.concatenate([mesh.triangles, mesh.n_nodes + mesh.triangles])
+        f = hf.P1Interpolator(points, tris, rng.standard_normal(len(points)))
+        x = 0.5 * np.sqrt(rng.uniform(0, 1, 500)) * np.exp(2j * np.pi * rng.uniform(0, 1, 500))
+        tree = centroid_tree(f)
+        ref = [reference_interp(f, complex(p), tree) for p in x]
+        assert 0 not in {path for _, path in ref}
+        assert np.array_equal(f(x), [v for v, _ in ref])
+
+    def test_every_accepted_triangle_is_a_candidate(self, soup):
+        # points about 1e-11 off nodes and edges, where the barycentric test accepts the most triangles
+        # and some that do not contain them
+        rng = np.random.default_rng(6)
+        base = np.concatenate([soup.points, soup._z[:, :2].mean(axis=1)])
+        x = base + 2e-11 * rng.uniform(0, 1, len(base)) * np.exp(2j * np.pi * rng.uniform(0, 1, len(base)))
+        assert accepted_pairs(soup, x) <= set(zip(*(c.tolist() for c in soup._candidates(x))))
+
+    def test_a_triangle_accepts_points_across_a_grid_line(self):
+        # four triangles over [0, 2]^2 make unit cells from 0; the corner at x = 1 is the least x of
+        # triangle 1, which lists it in the cells left of that line only through its grown box
+        points = np.array([0, 1 + 0.5j, 1j, 2, 2 + 1j, 2j, 1 + 2j, 1 + 1j, 2 + 2j])
+        f = hf.P1Interpolator(points, np.array([[0, 1, 2], [1, 3, 4], [2, 6, 5], [7, 8, 6]]), np.arange(9.0))
+        x = 1 + 0.5j - np.array([1e-12, 1e-10, 1.9e-9])  # the second triangle accepts up to 2e-9 left
+        accepted = accepted_pairs(f, x)
+        assert {(0, 1), (1, 1), (2, 1)} <= accepted <= set(zip(*(c.tolist() for c in f._candidates(x))))
+
+    def test_grid_entries_stay_proportional_to_the_triangles(self):
+        # one triangle over the whole grid and 3000 tiny ones inside it: about one cell per triangle
+        rng = np.random.default_rng(7)
+        centers = 0.2 * (rng.uniform(0, 1, 3000) + 1j * rng.uniform(0, 1, 3000))
+        tiny = (centers[:, None] + 1e-4 * np.exp(2j * np.pi * np.arange(3) / 3)).ravel()
+        points = np.concatenate([[-1 - 1j, 2 - 1j, -1 + 2j], tiny])
+        tris = np.arange(len(points)).reshape(-1, 3)
+        f = hf.P1Interpolator(points, tris, np.ones(len(points)))
+        assert len(f._cell_tri) <= 3 * len(tris)
+        assert np.abs(f(0.5 * (rng.uniform(0, 1, 100) + 1j * rng.uniform(0, 1, 100))) - 1.0).max() <= 1e-15
+
+    def test_a_point_in_no_cell_is_measured_in_its_nearest_centroid_triangle(self, soup):
+        far = 3.0 + 4.0j
+        cent = soup._z.mean(axis=1)
+        t = np.argmin(np.abs(cent - far))
+        worst = -soup._bary(t, far).min()
+        with pytest.raises(ValueError, match=re.escape(f"1 of 1 points lie in no triangle (worst barycentric violation {worst:.3g})")):
+            soup(far)
 
 
 class TestRichardson:

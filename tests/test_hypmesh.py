@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ class TestSymmetry:
     @pytest.mark.parametrize("case", ["quarter-0.16", "quarter-0.08", "quarter-0.04", "quarter-0.02", "pants-0.06"])
     def test_match_nodes_agrees_with_a_balanced_tree(self, case):
         # the mirror matches of the quarter sweep's levels and of the genus-3 pants solve:
-        # match_nodes' unbalanced, uncompacted tree finds the nodes a default-built tree finds
+        # the sorted-projection search finds the nodes a kd-tree finds
         name, h = case.split("-")
         if name == "quarter":
             poly = quarter_octagon()
@@ -165,7 +166,7 @@ class TestSymmetry:
         nodes = hm.mesh_polygon(poly, float(h)).nodes
         targets = hg.apply(mirror, nodes)
         j, worst = hm.match_nodes(nodes, targets)
-        _, ref = cKDTree(np.column_stack([nodes.real, nodes.imag])).query(np.column_stack([targets.real, targets.imag]))
+        ref, _ = tree_match(nodes, targets)
         assert worst <= hm.MATCH_TOL
         assert np.array_equal(j, ref)
 
@@ -175,6 +176,74 @@ class TestSymmetry:
         zs = np.sort_complex(np.round(z, 12) + 0.0)
         ws = np.sort_complex(np.round(w, 12) + 0.0)
         assert np.max(np.abs(zs - ws)) < 1e-11
+
+
+def tree_match(points, targets):
+    """Reference nearest points: a kd-tree's (index, distance) for every target."""
+    dist, j = cKDTree(np.column_stack([points.real, points.imag])).query(np.column_stack([targets.real, targets.imag]))
+    return j, dist
+
+
+def match_rounds(caplog) -> list:
+    """Widening rounds of the match_nodes DEBUG records caught so far."""
+    found = (re.search(r"(\d+) widening rounds", r.getMessage()) for r in caplog.records if r.name == "hypnodal.hypmesh")
+    return [int(m.group(1)) for m in found if m]
+
+
+class TestMatchNodes:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_a_tree_on_duplicates_and_far_targets(self, seed):
+        rng = np.random.default_rng(seed)
+        cloud = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+        points = np.concatenate([cloud, cloud[:80], cloud[:20]])  # points listed two and three times
+        targets = np.concatenate([
+            cloud[rng.permutation(400)],  # on a point
+            3.0 * (rng.standard_normal(200) + 1j * rng.standard_normal(200)),  # scattered
+            [40 + 30j, -1e3j],  # far from every point
+        ])
+        j, worst = hm.match_nodes(points, targets)
+        ref, dist = tree_match(points, targets)
+        got = np.abs(points[j] - targets)
+        # np.abs (hypot) against the tree's square root of a rounded sum of squares: two ulps apart at most
+        assert np.all(np.abs(got - dist) <= 2 * np.spacing(dist))
+        assert np.array_equal(points[j], points[ref])
+        assert worst == got.max() and worst > 990.0  # the far target -1000j sets it
+        assert j[:400].tolist() == np.argmax(points[None, :] == targets[:400, None], axis=1).tolist()  # lowest index
+
+    def test_one_line_of_equal_projections(self, caplog):
+        # 200 points on a line across the sort axis all have the same u: the window doubles until it holds them
+        along = 1j * hm._SORT_AXIS
+        points = np.linspace(-1.0, 1.0, 200) * along
+        targets = np.array([0.3 * along, 0.3 * along + 0.01 * hm._SORT_AXIS, points[0], points[-1], 5 * along])
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypmesh"):
+            j, worst = hm.match_nodes(points, targets)
+        brute = np.abs(points[None, :] - targets[:, None])
+        assert j.tolist() == brute.argmin(axis=1).tolist()
+        assert worst == brute.min(axis=1).max()
+        (rounds,) = match_rounds(caplog)
+        assert rounds <= math.ceil(math.log2(200)) + 1
+
+    def test_a_target_on_a_node_takes_one_round(self, caplog):
+        nodes = hm.mesh_polygon(quarter_octagon(), 0.08).nodes
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypmesh"):
+            j, worst = hm.match_nodes(nodes, nodes[::-1])
+        assert j.tolist() == list(range(len(nodes)))[::-1] and worst == 0.0
+        assert match_rounds(caplog) == [1]
+
+    def test_no_targets(self):
+        j, worst = hm.match_nodes(np.array([0j, 0.5 + 0j]), np.zeros(0, dtype=complex))
+        assert j.shape == (0,) and worst == 0.0
+
+    def test_targets_need_points(self):
+        with pytest.raises(ValueError, match="match_nodes has no points to match 2 targets to"):
+            hm.match_nodes(np.zeros(0, dtype=complex), np.array([0j, 0.5 + 0j]))
+
+    @pytest.mark.parametrize("where", ["points", "targets"])
+    def test_rejects_non_finite_input(self, where):
+        good, bad = np.array([0j, 0.5 + 0j, 0.5j]), np.array([np.nan + 0j, 0.1 + 0j, complex(0.0, np.inf)])
+        args = (bad, good) if where == "points" else (good, bad)
+        with pytest.raises(ValueError, match="match_nodes needs finite points and targets: 2 of 6 are not"):
+            hm.match_nodes(*args)
 
 
 class TestRecord:

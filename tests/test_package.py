@@ -1,11 +1,15 @@
 """The package docstring names only submodules that exist, every dotted
-name of a hypnodal module or class in the sources resolves, and every
-declared console script resolves to a callable."""
+name of a hypnodal module or class in the sources resolves, every
+declared console script resolves to a callable, and no module imports
+scipy.spatial."""
 
 import dataclasses
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -29,6 +33,15 @@ def test_every_named_submodule_imports():
     assert names == ["hypgeo", "hypmesh", "hypfem", "surfglue", "nodal", "bounds"]
     for name in names:
         importlib.import_module(f"hypnodal.{name}")
+
+
+def test_no_module_imports_scipy_spatial():
+    # a fresh interpreter: the test process itself imports scipy.spatial for the reference trees
+    names = ", ".join(f"hypnodal.{p.stem}" for p in sorted(SOURCES.glob("[!_]*.py")))
+    code = f"import sys, {names}; print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
+    env = {**os.environ, "PYTHONPATH": str(SOURCES.parent)}  # the package under test
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_console_script_target_is_callable():

@@ -415,7 +415,7 @@ class TestGluedAssembly:
             surfglue.assemble_glued(surfglue.Surface(free, [surfglue.Chart()], []), mesh_polygon(quarter, 0.24))
 
     def test_match_failure_reports_the_true_worst_distance(self):
-        # the bounded tree query finds no point near 0.2; the worst distance is still its own
+        # no point is near 0.2; the worst distance is still its own
         points, targets = np.array([0j, 0.5 + 0j]), np.array([1e-12 + 0j, 0.2 + 0j])
         j, worst = match_nodes(points, targets)
         assert j.tolist() == [0, 0]
