@@ -85,25 +85,14 @@ def assemble(mesh: Mesh) -> tuple:
     """
     tri, edges = mesh.triangles, mesh.edges
     n, n_edges = mesh.n_nodes, len(edges)
-    z = mesh.nodes[tri]
-    x0, x1, x2 = z.real.T
-    y0, y1, y2 = z.imag.T
-    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    x, y = mesh.nodes.real[tri], mesh.nodes.imag[tri]
+    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
     flipped = int(np.count_nonzero(det <= 0.0))
     if flipped:
         raise ValueError(f"assemble requires CCW triangles: {flipped} of {len(tri)} triangles have det <= 0")
-
-    b = np.stack([y1 - y2, y2 - y0, y0 - y1], axis=1)
-    c = np.stack([x2 - x1, x0 - x2, x1 - x0], axis=1)
     nxt, prev = [1, 2, 0], [2, 0, 1]
-    two_det = 2.0 * det[:, None]
-    k_diag = (b * b + c * c) / two_det
-    k_edge = (b * b[:, nxt] + c * c[:, nxt]) / two_det
-    # edge-midpoint rule: local edge j's midpoint carries weight 1/2 at both of its corners
-    w = 4.0 / (1.0 - np.abs(0.5 * (z + z[:, nxt])) ** 2) ** 2
-    area_12 = (det / 24.0)[:, None]
-    m_edge = area_12 * w
-    m_diag = area_12 * (w + w[:, prev])
+    b, c = y[:, nxt] - y[:, prev], x[:, prev] - x[:, nxt]
+    del x, y
 
     lower = np.bincount(edges[:, 1], minlength=n)
     upper = np.bincount(edges[:, 0], minlength=n)
@@ -119,15 +108,25 @@ def assemble(mesh: Mesh) -> tuple:
     lo_pos[by_upper] = (np.cumsum(upper) - upper + rows)[edges[by_upper, 1]] + np.arange(n_edges)
     indices = np.empty(n + 2 * n_edges, dtype=np.int32)
     indices[diag], indices[up_pos], indices[lo_pos] = rows, edges[:, 1], edges[:, 0]
+    del lower, upper, rows, by_upper
 
     def fill(d, e, pattern):
-        data = np.empty(len(indices))
+        data = np.empty(len(pattern[0]))
         data[diag] = np.bincount(tri.ravel(), d.ravel(), minlength=n)
         data[up_pos] = data[lo_pos] = np.bincount(mesh.triangle_edges.ravel(), e.ravel(), minlength=n_edges)
         return sp.csr_matrix((data, *pattern), shape=(n, n))
 
-    K = fill(k_diag, k_edge, (indices, indptr))  # scipy copies indptr to int32 here, once
-    return K, fill(m_diag, m_edge, (K.indices, K.indptr))
+    # K, then M, each temporary freed once used: this sets the memory peak
+    # of a large assembly (the corners are gathered again for M)
+    two_det = 2.0 * det[:, None]
+    K = fill((b * b + c * c) / two_det, (b * b[:, nxt] + c * c[:, nxt]) / two_det, (indices, indptr))
+    del b, c, two_det, indices, indptr  # K holds the pattern, its indptr copied to int32
+    z = mesh.nodes[tri]
+    # edge-midpoint rule: local edge j's midpoint carries weight 1/2 at both of its corners
+    w = 4.0 / (1.0 - np.abs(0.5 * (z + z[:, nxt])) ** 2) ** 2
+    del z
+    area_12 = (det / 24.0)[:, None]
+    return K, fill(area_12 * (w + w[:, prev]), area_12 * w, (K.indices, K.indptr))
 
 
 def total_mass(M) -> float:
@@ -210,13 +209,15 @@ def solve_lowest(K, M, k: int, points) -> tuple:
     t0 = time.perf_counter()
     A = (K - SIGMA * M).tocsr()
     p = nested_dissection(A, points)
+    A = A[p][:, p].tocsc()  # the shifted CSR goes before the factorisation
     t1 = time.perf_counter()
     lu = splu(
-        A[p][:, p].tocsc(),
+        A,
         permc_spec="NATURAL",
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
+    del A
     t2 = time.perf_counter()
     applied = 0
 
@@ -303,6 +304,7 @@ def solve_character(K, M, gens, chi, k: int, points, constrained=None) -> tuple:
             same = np.array_equal(RAR.indptr, A.indptr) and np.array_equal(RAR.indices, A.indices)
             if not same or np.abs(RAR.data - A.data).max() > PENCIL_SYMMETRY_TOL * np.abs(A.data).max():
                 raise SymmetryError(f"the {name} matrix does not commute with the symmetry (mesh not symmetric)")
+            del RAR
     if any(not np.array_equal(a[b], b[a]) for a, b in itertools.combinations(gens, 2)):
         raise SymmetryError("the symmetries do not commute")
     group = [(dofs, 1.0)]  # (dof map, character) of every group element
@@ -322,7 +324,9 @@ def solve_character(K, M, gens, chi, k: int, points, constrained=None) -> tuple:
     fixed = np.logical_and.reduce([g == dofs for g, _ in group]) & free
     _log.debug("solve_character: %d free dofs -> %d columns, %d fixed by every generator",
                free.sum(), len(cols), fixed.sum())
-    vals, vecs = solve_lowest(Qt @ K @ Q, Qt @ M @ Q, k, points[cols])
+    Kq, Mq = Qt @ K @ Q, Qt @ M @ Q
+    del group, rep, sign, dead, live, col, Qt, fixed  # the orbit work goes before the solve
+    vals, vecs = solve_lowest(Kq, Mq, k, points[cols])
     return vals, Q @ vecs
 
 

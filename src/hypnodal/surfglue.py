@@ -18,15 +18,15 @@ eigenfunctions across a geodesic mirror line (schwarz_extend) and
 reflection doubling across whole boundary circles (double_surface), which
 differ only in where the copies are placed.  The module also stages the
 closed genus 2 and genus 3 surfaces and glues finite element systems
-across charts, pairing the nodes of two paired sides in arclength order,
-and sums a glued K and M onto one shared CSR pattern by one sort.
+across charts, pairing the nodes of two paired sides in arclength order.
 
 The charts of a glued surface copy a base: a finite element pencil on base
 dofs plus the map from base mesh node to base dof.  Each base mesh is
-assembled once; gluing only scatters an existing base pencil over the
-charts.  A reflection extension reuses the base of the solution it
-extends, and the genus 3 surface is glued from the solved pants system,
-whose seam pairings every genus 3 chart contains.
+assembled once, and gluing only numbers the glued dofs: residuals come
+from base products, and the glued K and M are scattered onto one shared
+CSR pattern by one sort when first read.  A reflection extension reuses
+the base of the solution it extends, and the genus 3 surface is glued
+from the pants pencil, whose seam pairings every genus 3 chart contains.
 """
 
 from __future__ import annotations
@@ -277,23 +277,46 @@ class GluedSystem:
     """Finite element pencil on a glued surface.
 
     Chart c's copy of base mesh node n is global slot c*N + n; glue_index
-    maps slots to glued dof ids.  K and M are CSR on all glued dofs and
-    share one pattern's arrays: copy one before changing its pattern in
-    place.  constrained marks the dofs on dirichlet sides of every chart,
-    glued (odd interfaces) or not, held at zero by constrained solves.
+    maps slots to glued dof ids, and chart_dof[c, d] is the glued dof of
+    chart c's copy of base dof d.  The pencil is held as the base and this
+    map: K and M, CSR on all n_dofs glued dofs and sharing one pattern's
+    arrays (copy one before changing its pattern in place), are scattered
+    on the first read of either, which logs one DEBUG record of the
+    scattered entries, pattern nnz and seconds; a single chart whose base
+    dofs are the glued dofs, in order, has the base's K and M.
+    constrained marks the dofs on dirichlet sides of every chart, glued
+    (odd interfaces) or not, held at zero by constrained solves.
     """
 
     surface: Surface
-    base_mesh: Mesh
+    base: Base
     glue_index: np.ndarray
-    K: object
-    M: object
+    chart_dof: np.ndarray
+    n_dofs: int
     constrained: np.ndarray
     dirichlet_boundary: np.ndarray  # dofs on unglued dirichlet sides only
 
     @property
-    def n_dofs(self) -> int:
-        return self.K.shape[0]
+    def base_mesh(self) -> Mesh:
+        return self.base.mesh
+
+    @functools.cached_property
+    def _pencil(self) -> tuple:
+        if len(self.chart_dof) == 1 and np.array_equal(self.chart_dof[0], np.arange(self.n_dofs)):
+            return self.base.K, self.base.M  # one chart on the glued dofs: nothing to sum
+        t0 = time.perf_counter()
+        K, M = _scatter(self.base, self.chart_dof, self.n_dofs)
+        _log.debug("scatter: %d scattered entries, pattern nnz %d, %.3f s",
+                   len(self.chart_dof) * self.base.K.nnz, K.nnz, time.perf_counter() - t0)
+        return K, M
+
+    @property
+    def K(self) -> sp.csr_matrix:
+        return self._pencil[0]
+
+    @property
+    def M(self) -> sp.csr_matrix:
+        return self._pencil[1]
 
     @property
     def eigen_rows(self) -> np.ndarray:
@@ -345,13 +368,14 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     placements overlap everywhere).  Paired side nodes pair in arclength
     order (see Pairing); each image under mu must lie within MATCH_TOL of
     its partner, which holds when the base mesh is symmetric under the
-    composite side maps, or GlueError with the worst distance.  The base
-    pencil is then scattered over the charts; all nodes of one base dof
-    must land on one glued dof in every chart, and the glued dofs and
-    scattered entries must fit int32, or GlueError.  K and M share one
-    pattern (see GluedSystem).  Every dof on a dirichlet side of any chart
-    is constrained.  One DEBUG record gives the charts, glued dofs,
-    scattered entries, pattern nnz, worst side match and seconds taken.
+    composite side maps, or GlueError with the worst distance.  All nodes
+    of one base dof must land on one glued dof in every chart, and the
+    glued dofs and the entries a scatter of the base pencil over the charts
+    would make must fit int32, or GlueError.  Nothing is scattered here:
+    the system keeps the base and its chart dofs, and scatters K and M when
+    they are first read (see GluedSystem).  Every dof on a dirichlet side
+    of any chart is constrained.  One DEBUG record gives the charts, glued
+    dofs, worst side match and seconds taken.
     """
     t0 = time.perf_counter()
     if isinstance(base, Mesh):
@@ -403,7 +427,6 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     chart_dof[:, base.dof] = slot_dof
     if not np.array_equal(chart_dof[:, base.dof], slot_dof):
         raise GlueError("the nodes of one base dof land on two glued dofs (surface lacks a base pairing)")
-    K, M = _scatter(base, chart_dof, G)
 
     dirichlet_boundary = np.zeros(G, dtype=bool)
     for c, s in surface.unglued_sides():
@@ -412,14 +435,14 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     constrained = np.zeros(G, dtype=bool)
     constrained[slot_dof[:, base_mesh.nodes_on_label("dirichlet")]] = True
 
-    _log.debug("assemble_glued: %d charts, %d glued dofs, %d scattered entries, pattern nnz %d, "
-               "worst side match %.3e, %.3f s", C, G, n_scattered, K.nnz, worst_match, time.perf_counter() - t0)
+    _log.debug("assemble_glued: %d charts, %d glued dofs, worst side match %.3e, %.3f s",
+               C, G, worst_match, time.perf_counter() - t0)
     return GluedSystem(
         surface=surface,
-        base_mesh=base_mesh,
+        base=base,
         glue_index=glue_index,
-        K=K,
-        M=M,
+        chart_dof=chart_dof,
+        n_dofs=G,
         constrained=constrained,
         dirichlet_boundary=dirichlet_boundary,
     )
@@ -481,13 +504,24 @@ def transport(system: GluedSystem, u: np.ndarray, consistency_tol: float = 1e-10
     return vals
 
 
+def _glued_product(system: GluedSystem, A, v: np.ndarray) -> np.ndarray:
+    """The product with v of the glued copy of the base matrix A: v is
+    gathered at every chart's dofs, A multiplies the stack of the charts'
+    columns once, and one np.bincount sums the products back onto the
+    glued dofs.  It equals the scattered matrix's product up to the order
+    of summation."""
+    cd = system.chart_dof
+    return np.bincount(cd.ravel(), (A @ v[cd].T).T.ravel(), minlength=system.n_dofs)
+
+
 def glued_residual(system: GluedSystem, lam: float, v: np.ndarray) -> float:
     """Relative eigen-residual of (lam, v) on the unreduced glued pencil,
     restricted to the eigen rows (leaving out only the unglued Dirichlet
-    boundary, where the boundary condition rather than the equation holds)."""
+    boundary, where the boundary condition rather than the equation holds),
+    with K v and M v from base products (_glued_product)."""
     rows = system.eigen_rows
-    kv = (system.K @ v)[rows]
-    mv = (system.M @ v)[rows]
+    kv = _glued_product(system, system.base.K, v)[rows]
+    mv = _glued_product(system, system.base.M, v)[rows]
     num = np.linalg.norm(kv - lam * mv)
     den = np.linalg.norm(kv) + abs(lam) * np.linalg.norm(mv)
     return float(num / den) if den > 0 else float(num)
@@ -534,17 +568,20 @@ def chart_interpolator(system: GluedSystem, v: np.ndarray) -> hypfem.P1Interpola
 class ExtendedSolution:
     """An eigenfunction transported over a glued surface.
 
-    base is what the charts copy; base_vector holds the eigenvector on the
-    base mesh; vector its transported copy on the glued dofs; residual the
-    eigen-row residual of the unreduced glued pencil.
+    base_vector holds the eigenvector on the base mesh; vector its
+    transported copy on the glued dofs; residual the eigen-row residual of
+    the unreduced glued pencil.  base, what the charts copy, is the system's.
     """
 
-    base: Base
     system: GluedSystem
     lam: float
     base_vector: np.ndarray
     vector: np.ndarray
     residual: float
+
+    @property
+    def base(self) -> Base:
+        return self.system.base
 
     @property
     def surface(self) -> Surface:
@@ -556,7 +593,6 @@ def _extended(surface: Surface, base: Base, lam: float, u: np.ndarray) -> Extend
     system = assemble_glued(surface, base)
     v = transport(system, u)
     return ExtendedSolution(
-        base=base,
         system=system,
         lam=lam,
         base_vector=u,
@@ -892,13 +928,17 @@ def build_genus3(boundary_length: float = 2.0, h_target: float = 0.08) -> Extend
     and is solved on the mirror orbits of the free dofs, about half of them
     (solve_glued with even_under: one hypfem.solve_character call, whose
     orbit matrix also holds the Dirichlet circle at zero).  The mesh is
-    assembled once, for the pants system; the genus 3 charts copy that
-    system's pencil, its dofs being the base dofs.
+    assembled once and the pants pencil scattered once: the solve folds
+    it, and the genus 3 charts copy it, its dofs being the base dofs.  The
+    closed genus 3 pencil is scattered only if system.K or system.M is read.
     """
     pants = pants_decagon_surface(boundary_length, boundary_length, boundary_length)
     base_mesh = mesh_polygon(pants.base, h_target)
     psys = assemble_glued(pants, base_mesh)
+    base = Base(base_mesh, psys.K, psys.M, psys.glue_index)
+    # glued again over its own pencil, the pants has the base's K and M, and
+    # the mesh pencil is freed before the factorisation
+    psys = assemble_glued(pants, base)
     vals, vecs = solve_glued(psys, k=1, even_under=reflect_in(REAL_MIRROR))
     u = vecs[:, 0][psys.glue_index]  # back to base-mesh nodes (seam twins equal)
-    base = Base(base_mesh, psys.K, psys.M, psys.glue_index)
     return _extended(genus3_surface(boundary_length), base, float(vals[0]), u)

@@ -661,6 +661,7 @@ class TestSharedPattern:
         tracemalloc.start()
         try:
             system = surfglue.assemble_glued(g3.surface, g3.base)
+            system.K  # the gluing scatters on this first read
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -679,24 +680,120 @@ class TestSharedPattern:
             surfglue.assemble_glued(surface, base)
 
     def test_one_debug_record_per_gluing(self, caplog):
+        # one record at glue time, one more on the first read of K or M, none after
         pants = surfglue.pants_decagon_surface()
         mesh = mesh_polygon(pants.base, 0.24)
         with caplog.at_level(logging.DEBUG, logger="hypnodal.surfglue"):
             system = surfglue.assemble_glued(pants, mesh)
-        (rec,) = [r for r in caplog.records if r.name == "hypnodal.surfglue"]
-        assert rec.levelno == logging.DEBUG
+            (glue,) = [r for r in caplog.records if r.name == "hypnodal.surfglue"]
+            K, M = system.K, system.M
+            (_, scatter) = [r for r in caplog.records if r.name == "hypnodal.surfglue"]
+            system.M, system.K
+            assert len([r for r in caplog.records if r.name == "hypnodal.surfglue"]) == 2
+        assert glue.levelno == scatter.levelno == logging.DEBUG
         worst = 0.0
         for p in pants.pairings:
             nb = mesh.side_nodes[p.side_b]
             nb = nb if surfglue._pairing_start_to_start(pants, p) else nb[::-1]
             worst = max(worst, np.abs(apply(p.mu, mesh.nodes[mesh.side_nodes[p.side_a]]) - mesh.nodes[nb]).max())
         assert 0.0 < worst <= MATCH_TOL
-        head = (f"assemble_glued: 1 charts, {system.n_dofs} glued dofs, {hypfem.assemble(mesh)[0].nnz} "
-                f"scattered entries, pattern nnz {system.K.nnz}, worst side match {worst:.3e}, ")
-        msg = rec.getMessage()
-        assert msg.startswith(head) and msg.endswith(" s")
-        assert float(msg[len(head):-2]) > 0.0
-        assert system.K.nnz < hypfem.assemble(mesh)[0].nnz  # the seams sum entries
+        heads = (f"assemble_glued: 1 charts, {system.n_dofs} glued dofs, worst side match {worst:.3e}, ",
+                 f"scatter: {hypfem.assemble(mesh)[0].nnz} scattered entries, pattern nnz {K.nnz}, ")
+        seconds = []
+        for rec, head in zip((glue, scatter), heads):
+            msg = rec.getMessage()
+            assert msg.startswith(head) and msg.endswith(" s")
+            seconds.append(float(msg[len(head):-2]))
+        assert seconds[0] > 0.0 and seconds[1] >= 0.0  # a small scatter may round to 0.000 s
+        assert K.nnz < hypfem.assemble(mesh)[0].nnz  # the seams sum entries
+
+
+class TestLazyPencil:
+    """A glued system scatters its pencil on the first read of K or M, and
+    nothing else it is used for scatters."""
+
+    @pytest.fixture
+    def scatters(self, monkeypatch):
+        calls = []
+        scatter = surfglue._scatter
+
+        def counted(base, chart_dof, G):
+            calls.append(G)
+            return scatter(base, chart_dof, G)
+
+        monkeypatch.setattr(surfglue, "_scatter", counted)
+        return calls
+
+    @pytest.mark.parametrize("first", ["K", "M"])
+    def test_build_genus3_scatters_the_pants_pencil_only(self, scatters, first):
+        ext = surfglue.build_genus3(2.0, h_target=0.24)
+        system = ext.system
+        assert scatters == [ext.base.K.shape[0]]  # the pants pencil, whose dofs are the base dofs
+        assert ext.base is system.base
+        system.n_dofs, system.dof_points, system.eigen_rows
+        surfglue.transport(system, ext.base_vector)
+        surfglue.chart_interpolator(system, ext.vector)
+        surfglue.glued_residual(system, ext.lam, ext.vector)
+        assert len(scatters) == 1
+        read = getattr(system, first)
+        assert scatters[1:] == [system.n_dofs]
+        K, M = system.K, system.M
+        assert len(scatters) == 2 and (K if first == "K" else M) is read
+        for got, want in zip((K, M), reference_glue(ext.base, system.glue_index, ext.surface.n_charts)):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+    def test_one_chart_on_its_glued_dofs_has_the_base_pencil(self, scatters):
+        # the pants glued over its own glued pencil: nothing to sum, nothing scattered
+        pants = surfglue.pants_decagon_surface()
+        psys = surfglue.assemble_glued(pants, mesh_polygon(pants.base, 0.24))
+        base = surfglue.Base(psys.base_mesh, psys.K, psys.M, psys.glue_index)
+        again = surfglue.assemble_glued(pants, base)
+        assert again.K is base.K and again.M is base.M
+        assert np.array_equal(again.glue_index, psys.glue_index)
+        assert np.array_equal(again.constrained, psys.constrained)
+        assert scatters == [psys.n_dofs]
+
+
+@pytest.fixture(scope="module")
+def product_cases(tiling_ext):
+    """(system, vector, lambda) of the genus-2 surface, the four-chart
+    quarter extension and genus 3 at h = 0.24."""
+    modes = hypfem.solve_polygon(surfglue.octagon_polygon(), 0.16, k=6, essential_labels=())
+    lam, v = surfglue.mirror_odd_eigenvector(modes, 3.8390)
+    g2 = surfglue.assemble_glued(surfglue.genus2_surface(), modes.mesh)
+    g3 = surfglue.build_genus3(2.0, h_target=0.24)
+    return {
+        "genus2": (g2, surfglue.transport(g2, v, consistency_tol=1e-8), lam),
+        "extension": (tiling_ext.system, tiling_ext.vector, tiling_ext.lam),
+        "genus3": (g3.system, g3.vector, g3.lam),
+    }
+
+
+class TestBaseProductResidual:
+    """glued_residual takes K v and M v from base products, which equal the
+    scattered pencil's up to the order of summation."""
+
+    @pytest.mark.parametrize("case", ["genus2", "extension", "genus3"])
+    def test_base_products_equal_the_scattered_pencil(self, product_cases, case):
+        system, v, _ = product_cases[case]
+        rng = np.random.default_rng(7)
+        for x in (v, rng.standard_normal(system.n_dofs)):
+            for name in ("K", "M"):
+                want = getattr(system, name) @ x
+                got = surfglue._glued_product(system, getattr(system.base, name), x)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("case", ["genus2", "extension", "genus3"])
+    def test_residual_detects_a_wrong_eigenvalue(self, product_cases, case):
+        system, v, lam = product_cases[case]
+        rows = system.eigen_rows
+        kv, mv = (system.K @ v)[rows], (system.M @ v)[rows]
+        scattered = np.linalg.norm(kv - lam * mv) / (np.linalg.norm(kv) + lam * np.linalg.norm(mv))
+        assert abs(surfglue.glued_residual(system, lam, v) - scattered) <= 1e-13
+        assert surfglue.glued_residual(system, lam, v) < 1e-8
+        assert surfglue.glued_residual(system, lam * (1 + 1e-6), v) > 1e-8
 
 
 class TestBasePattern:
@@ -1306,9 +1403,11 @@ class TestMirrorFold:
         gi = pants_system.glue_index
         moved = gi[mirror_nodes(pants_system.base_mesh)] != gi
         d = gi[np.flatnonzero(moved & ~pants_system.constrained[gi])[0]]
-        A = getattr(pants_system, matrix).copy()
-        A[d, d] *= 1.01  # same pattern, one diagonal entry without its mirror
-        system = dataclasses.replace(pants_system, **{matrix: A})
+        base = pants_system.base
+        A = getattr(base, matrix).copy()
+        node = np.flatnonzero(gi == d)[0]  # the base dof is the mesh node: a Mesh base
+        A[node, node] *= 1.01  # same pattern, one diagonal entry without its mirror
+        system = dataclasses.replace(pants_system, base=dataclasses.replace(base, **{matrix: A}))
         with pytest.raises(surfglue.GlueError, match=f"the {name} matrix does not commute"):
             surfglue.solve_glued(system, k=1, even_under=MIRROR)
 
