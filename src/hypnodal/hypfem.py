@@ -337,14 +337,16 @@ def dof_symmetry(nodes, node_dof, iso, what: str) -> np.ndarray:
     for a polygon, a glue index for a glued system); every dof has a copy,
     so r has node_dof.max() + 1 entries.  SymmetryError naming what unless
     iso maps the nodes onto nodes within MATCH_TOL and the copies of one
-    dof to one dof.  The map is geometry only, the same for every
-    constrained mask; solve_character checks it against a pencil and a
-    mask.  One DEBUG record gives the worst node match.
+    dof to one dof; the node match stops at MATCH_TOL (match_nodes' bound),
+    so the error names a lower bound on the worst distance.  The map is
+    geometry only, the same for every constrained mask; solve_character
+    checks it against a pencil and a mask.  One DEBUG record gives the
+    worst node match.
     """
-    image, worst = match_nodes(nodes, apply(iso, nodes))
+    image, worst = match_nodes(nodes, apply(iso, nodes), bound=MATCH_TOL)
     fail = f"the mesh is not symmetric under {what}"
     if worst > MATCH_TOL:
-        raise SymmetryError(f"{fail}: nodes not mapped onto mesh nodes (worst match distance {worst:.3e})")
+        raise SymmetryError(f"{fail}: nodes not mapped onto mesh nodes (worst match distance at least {worst:.3e})")
     mapped = node_dof.reshape(-1, len(nodes))[:, image].ravel()  # dof of the image of every copy
     r = np.empty(node_dof.max() + 1, dtype=np.int64)
     r[node_dof] = mapped

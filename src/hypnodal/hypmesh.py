@@ -11,14 +11,17 @@ and refinement numbers its midpoints through the inverse.  A Mesh is
 frozen, with read-only triangles, and derives its edges and
 triangle_edges, the pattern of hypfem.assemble, from them on first use;
 mesh_polygon hands over the final level's pattern instead, and a Mesh
-made by dataclasses.replace derives its own.  A smoothing sweep is one
-sparse product and one retraction: the neighbour sums are the product of a
-CSR matrix of ones, whose rows list each node's neighbours in np.add.at
-order, with the real view of the nodes, and every non-corner boundary node
-is retracted at once with the map coefficients of its side
-(hypgeo.side_maps, axis_foot, axis_point).  mesh_polygon logs one DEBUG
-record: nodes, triangles, refinement level, smoothing rounds and the
-seconds they took.
+made by dataclasses.replace derives its own.  Edge lengths are measured
+once per level and once per smoothing round; a round that misses the
+target refines at once.  A smoothing sweep runs on the split real
+coordinates x and y of the nodes: the neighbour sums are two 1-D products
+of a CSR matrix of ones, whose rows list each node's neighbours in
+np.add.at order, with x and with y; the means scale them in place by the
+reciprocal neighbour counts, bit for bit numpy's complex sums divided by
+the counts (see smooth); and every non-corner boundary node is retracted
+at once with the map coefficients of its side (hypgeo.side_maps,
+axis_foot, axis_point).  mesh_polygon logs one DEBUG record: nodes,
+triangles, refinement level, smoothing rounds and the seconds they took.
 
 Boundary placement and projection are intrinsic, but the hub (the
 Euclidean mean of the vertices), the Euclidean interior midpoints and the
@@ -30,8 +33,10 @@ isometries at tolerance MATCH_TOL, and hypfem.dof_symmetry matches nodes
 for the symmetry reductions with match_nodes, an exact nearest-point search
 that sorts the nodes along one projection and widens each target's window
 of neighbours along it until no point outside can be nearer; a target on a
-node takes one round.  A mesh that cannot meet its target or has an
-inverted triangle raises MeshError.
+node takes one round.  Given a bound (dof_symmetry passes MATCH_TOL), a
+target also stops once no point outside its window is within the bound,
+so an isometry that is no symmetry fails in a round or two.  A mesh that
+cannot meet its target or has an inverted triangle raises MeshError.
 """
 
 from __future__ import annotations
@@ -164,7 +169,7 @@ def _neighbour_matrix(e: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
 
 
-def match_nodes(points: np.ndarray, targets: np.ndarray) -> tuple:
+def match_nodes(points: np.ndarray, targets: np.ndarray, bound: float = math.inf) -> tuple:
     """(index of the point nearest to each target, worst nearest distance).
 
     Exact search along one sorted projection (Friedman, Baskett and Shustek
@@ -176,6 +181,13 @@ def match_nodes(points: np.ndarray, targets: np.ndarray) -> tuple:
     distance is the true one, 0.0 with no targets.  ValueError for
     non-finite input and for targets without points.  One DEBUG record
     gives the sizes, the widening rounds and the worst distance.
+
+    With a bound, a target also stops once no point outside its window can
+    be within bound: its index is then the nearest point in the window, and
+    its distance the smaller of that point's and the gap along u to the
+    window's edge, a lower bound on its true one that exceeds bound.  So
+    the worst distance is the true one when it is at most bound, and a lower
+    bound above bound when some target has no point within bound.
     """
     n, m = len(points), len(targets)
     bad = int(np.count_nonzero(~np.isfinite(points)) + np.count_nonzero(~np.isfinite(targets)))
@@ -202,9 +214,12 @@ def match_nodes(points: np.ndarray, targets: np.ndarray) -> tuple:
             idx = np.where(d == near[:, None], order[k.clip(0, n - 1)], n).min(axis=1)
             better = (near < best[t]) | ((near == best[t]) & (idx < j[t]))
             best[t[better]], j[t[better]] = near[better], idx[better]
-        lo, hi, reach = pos[todo] - w, pos[todo] + w, best[todo] + slack
-        done = (lo <= 0) | (ut[todo] - u[np.maximum(lo - 1, 0)] > reach)
-        done &= (hi >= n) | (u[np.minimum(hi, n - 1)] - ut[todo] > reach)
+        lo, hi = pos[todo] - w, pos[todo] + w
+        below = np.where(lo <= 0, np.inf, ut[todo] - u[np.maximum(lo - 1, 0)])
+        above = np.where(hi >= n, np.inf, u[np.minimum(hi, n - 1)] - ut[todo])
+        gap = np.minimum(below, above)  # every point outside the window is this far along u
+        done = gap > np.minimum(best[todo], bound) + slack
+        best[todo[done]] = np.minimum(best[todo[done]], gap[done])  # changes only a target beyond bound
         todo, w = todo[~done], 2 * w
     worst = float(best.max(initial=0.0))
     _log.debug("match_nodes: %d targets on %d points, %d widening rounds, worst distance %.3e", m, n, rounds, worst)
@@ -303,44 +318,59 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
     def smooth(z, e):
         """Jacobi sweeps over the level's unique edges e: interior nodes to
         the neighbour mean, the other boundary nodes to the orthogonal
-        projection of the mean onto their side, corners pinned.  A sweep is
-        one product with the neighbour matrix on the real view of z and one
-        retraction of every boundary node, each with its side's map
-        coefficients and length."""
-        n = len(z)
-        adj = _neighbour_matrix(e, n)
-        cnt = np.maximum(np.diff(adj.indptr), 1.0)
-        interior = side_of < 0
-        interior[: poly.n] = False
+        projection of the mean onto their side, corners pinned.  A sweep
+        runs on the split coordinates x, y of z: two 1-D products with the
+        neighbour matrix scaled in place by the reciprocal neighbour counts,
+        then the boundary nodes retracted with their sides' map coefficients
+        and lengths and the corners restored, both by index.  The means are
+        bit for bit the complex sums s / counts c: numpy divides by c + 0j
+        by Smith's method, ((s.re + s.im * 0) * scl, (s.im - s.re * 0) * scl)
+        with scl = 1 / c, and adding a zero changes only a -0.0, which sums
+        that start from +0.0 never are.  z is rebuilt by assigning its parts,
+        which keeps the sign of a zero (x + 1j * y would not)."""
+        adj = _neighbour_matrix(e, len(z))
+        inv_cnt = 1.0 / np.maximum(np.diff(adj.indptr), 1.0)
         bnd = np.flatnonzero(side_of >= 0)
         sb = side_of[bnd]
         to_sb, from_sb, len_sb = to_axis[:, sb], from_axis[:, sb], lengths[sb]
+        x, y = z.real.copy(), z.imag.copy()
+        corners = z[: poly.n].copy()
+        mean_b = np.empty(len(bnd), dtype=np.complex128)
         for _ in range(SMOOTH_SWEEPS):
-            mean = (adj @ z.view(np.float64).reshape(n, 2)).view(np.complex128)[:, 0] / cnt
-            znew = np.where(interior, mean, z)
-            par[bnd] = np.clip(axis_foot(*to_sb, mean[bnd]), 0.0, len_sb)
-            znew[bnd] = axis_point(*from_sb, par[bnd])
-            z = znew
+            x, y = adj @ x, adj @ y
+            x *= inv_cnt
+            y *= inv_cnt
+            mean_b.real, mean_b.imag = x[bnd], y[bnd]
+            par[bnd] = np.clip(axis_foot(*to_sb, mean_b), 0.0, len_sb)
+            zb = axis_point(*from_sb, par[bnd])
+            x[bnd], y[bnd] = zb.real, zb.imag
+            x[: poly.n], y[: poly.n] = corners.real, corners.imag
+        z = np.empty(len(x), dtype=np.complex128)
+        z.real, z.imag = x, y
         return z
 
-    def max_edge(z, e):
-        """Longest hyperbolic edge; e is the level's unique edge list, computed once per level."""
-        return hyp_distance(z[e[:, 0]], z[e[:, 1]]).max()
+    def too_long(z, e):
+        """Whether some edge of the level's unique edges e is longer than h_target."""
+        return hyp_distance(z[e[:, 0]], z[e[:, 1]]).max() > h_target
 
     # refine + smooth until the smoothed mesh meets the edge criterion
-    # (smoothing can stretch edges, so the check runs on the final positions)
+    # (smoothing can stretch edges, so the check runs on the final positions;
+    # a round that misses it refines at once, without measuring them again)
     e, tri_e = _edge_pattern(tris)
     level, rounds, smooth_s = 0, 0, 0.0
+    miss = too_long(z, e)
     for _ in range(MAX_REFINEMENTS):
-        while max_edge(z, e) > h_target:
+        while miss:
             if level == MAX_REFINEMENTS:
                 raise MeshError(f"{level} refinement levels leave an edge longer than h_target = {h_target}")
             z, tris = refine(z, tris, e, tri_e)
             (e, tri_e), level = _edge_pattern(tris), level + 1
+            miss = too_long(z, e)
         t0 = time.perf_counter()
         z = smooth(z, e)
         rounds, smooth_s = rounds + 1, smooth_s + time.perf_counter() - t0
-        if max_edge(z, e) <= h_target:
+        miss = too_long(z, e)
+        if not miss:
             break
     else:
         raise MeshError(f"{MAX_REFINEMENTS} refine + smooth rounds end with an edge above h_target = {h_target}")

@@ -178,6 +178,11 @@ class TestSymmetry:
         assert np.max(np.abs(zs - ws)) < 1e-11
 
 
+def bits(z):
+    """The bit patterns of a float or complex array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(z).view(np.int64)
+
+
 def tree_match(points, targets):
     """Reference nearest points: a kd-tree's (index, distance) for every target."""
     dist, j = cKDTree(np.column_stack([points.real, points.imag])).query(np.column_stack([targets.real, targets.imag]))
@@ -229,6 +234,34 @@ class TestMatchNodes:
             j, worst = hm.match_nodes(nodes, nodes[::-1])
         assert j.tolist() == list(range(len(nodes)))[::-1] and worst == 0.0
         assert match_rounds(caplog) == [1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_bound_stops_targets_beyond_it(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        near = points[rng.permutation(500)] + 1e-10 * rng.standard_normal(500)  # each within 1e-9 of its point
+        far = 3.0 * (rng.standard_normal(50) + 1j * rng.standard_normal(50))
+        (j, worst), (want, true_worst) = hm.match_nodes(points, near, bound=1e-9), hm.match_nodes(points, near)
+        assert np.array_equal(j, want) and worst == true_worst <= 1e-9  # every target within the bound: no change
+        targets = np.concatenate([near, far])
+        j, worst = hm.match_nodes(points, targets, bound=1e-9)
+        want, true_worst = hm.match_nodes(points, targets)
+        assert np.array_equal(j[:500], want[:500])  # a target within the bound gets its nearest point
+        assert 1e-9 < worst <= true_worst  # a lower bound on the worst distance, above the bound
+
+    def test_a_wrong_symmetry_fails_fast(self, caplog):
+        # a rotation by 0.3 maps most pants nodes far from every node: the node match stops at MATCH_TOL
+        mesh = hm.mesh_polygon(*POLYGON_CASES["pants-decagon"])
+        iso = hg.rotation(0.3)
+        _, true_worst = hm.match_nodes(mesh.nodes, hg.apply(iso, mesh.nodes))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypmesh"):
+            with pytest.raises(hf.SymmetryError, match="not mapped onto mesh nodes .worst match distance at least") as err:
+                hf.dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), iso, "a rotation by 0.3")
+        (rounds,) = match_rounds(caplog)
+        assert rounds <= 2
+        lower = float(re.search(r"at least ([0-9.e+-]+)\)", str(err.value)).group(1))
+        assert hm.MATCH_TOL < lower <= true_worst
 
     def test_no_targets(self):
         j, worst = hm.match_nodes(np.array([0j, 0.5 + 0j]), np.zeros(0, dtype=complex))
@@ -537,6 +570,22 @@ class TestArrayKernels:
         assert mesh.edges is mesh.edges and len(mesh.triangle_edges) == mesh.n_triangles
         assert len(calls) == mesh.level + 1
 
+    @pytest.mark.parametrize("case", sorted(POLYGON_CASES))
+    def test_one_edge_length_pass_per_level_and_round(self, case, monkeypatch, caplog):
+        # the macro fan, every refined level and every smoothed round are measured once each
+        hyp_distance, calls = hm.hyp_distance, []
+
+        def counted(a, b):
+            calls.append(len(a))
+            return hyp_distance(a, b)
+
+        monkeypatch.setattr(hm, "hyp_distance", counted)
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypmesh"):
+            mesh = hm.mesh_polygon(*POLYGON_CASES[case])
+        found = (re.search(r"(\d+) smoothing rounds", r.getMessage()) for r in caplog.records if r.name == "hypnodal.hypmesh")
+        (rounds,) = [int(m.group(1)) for m in found if m]
+        assert len(calls) == mesh.level + rounds + 1
+
     def test_mesh_is_frozen(self, pent_mesh):
         with pytest.raises(ValueError, match="read-only"):
             pent_mesh.triangles[0, 0] = 1
@@ -549,28 +598,47 @@ class TestArrayKernels:
 
     @staticmethod
     def neighbour_sums(e, z):
-        """Both add.at passes and the neighbour-matrix product on the real view of z."""
+        """Both add.at passes, and the smoother's two 1-D neighbour-matrix
+        products on the split coordinates of z, as one complex array."""
         acc = np.zeros(len(z), dtype=np.complex128)
         np.add.at(acc, e[:, 0], z[e[:, 1]])
         np.add.at(acc, e[:, 1], z[e[:, 0]])
         adj = hm._neighbour_matrix(e, len(z))
-        return acc, (adj @ z.view(np.float64).reshape(-1, 2)).view(np.complex128)[:, 0], adj
+        got = np.empty_like(acc)
+        got.real, got.imag = adj @ z.real.copy(), adj @ z.imag.copy()
+        return acc, got, adj
 
     @pytest.mark.parametrize("seed", range(5))
     def test_neighbour_sums_match_add_at(self, seed):
-        # any edge list, repeated and unsorted edges and isolated nodes included
+        # any edge list, repeated and unsorted edges, isolated nodes and -0.0 coordinates included
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 200))
         e = rng.integers(0, n - 1, size=(int(rng.integers(1, 600)), 2))  # node n - 1 is isolated
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z.real[::3], z.imag[::4] = -0.0, -0.0
         acc, got, adj = self.neighbour_sums(e, z)
-        assert np.array_equal(got, acc)
+        assert np.array_equal(bits(got), bits(acc))
+        assert not np.signbit(got.view(np.float64)[got.view(np.float64) == 0.0]).any()  # sums start from +0.0
         assert np.array_equal(np.diff(adj.indptr), np.bincount(e.ravel(), minlength=n))
 
     def test_neighbour_sums_of_a_mesh(self):
         mesh = hm.mesh_polygon(*POLYGON_CASES["pants-decagon"])
         acc, got, _ = self.neighbour_sums(mesh.edges, mesh.nodes)
-        assert np.array_equal(got, acc)
+        assert np.array_equal(bits(got), bits(acc))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reciprocal_counts_match_complex_division(self, seed):
+        # smooth scales the split sums by 1 / count; the complex sums / count it replaces round the same
+        rng = np.random.default_rng(seed)
+        sums = np.empty(20_000, dtype=np.complex128)
+        sums.real, sums.imag = rng.standard_normal((2, len(sums))) * 10.0 ** rng.uniform(-300, 300, (2, len(sums)))
+        sums.real[::5], sums.imag[::7] = 0.0, 0.0  # zero sums, +0.0 as the products give them
+        sums[::11] = 0.0
+        cnt = rng.integers(1, 13, len(sums)).astype(np.float64)
+        inv_cnt = 1.0 / cnt
+        split = np.empty_like(sums)
+        split.real, split.imag = sums.real * inv_cnt, sums.imag * inv_cnt
+        assert np.array_equal(bits(split), bits(sums / cnt))
 
     @pytest.mark.parametrize("case", sorted(POLYGON_CASES))
     def test_side_maps_match_per_side_calls(self, case):
