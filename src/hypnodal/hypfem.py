@@ -32,7 +32,9 @@ forces to zero alike get no column.  solve_polygon folds ground states
 (k == 1) by the polygon's mirror through 0 with chi = +1: the mesh, labels
 and pencil are symmetric (hypgeo.polygon_mirror), and the ground state is
 simple and positive, hence even; k > 1 uses no generator.  surfglue uses
-both for glued pencils and the octagon mode odd under both axis mirrors.
+both for glued pencils and the octagon mode odd under both axis mirrors,
+and solve_polygon for the genus 3 pants: its seams are glued by the pants
+decagon's mirror, so the decagon's folded ground state is the pants'.
 """
 
 from __future__ import annotations

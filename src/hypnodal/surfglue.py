@@ -20,13 +20,13 @@ differ only in where the copies are placed.  The module also stages the
 closed genus 2 and genus 3 surfaces and glues finite element systems
 across charts, pairing the nodes of two paired sides in arclength order.
 
-The charts of a glued surface copy a base: a finite element pencil on base
-dofs plus the map from base mesh node to base dof.  Each base mesh is
-assembled once, and gluing only numbers the glued dofs: residuals come
-from base products, and the glued K and M are scattered onto one shared
-CSR pattern by one sort when first read.  A reflection extension reuses
-the base of the solution it extends, and the genus 3 surface is glued
-from the pants pencil, whose seam pairings every genus 3 chart contains.
+The charts of a glued surface copy a base: a mesh and its finite element
+pencil.  Each base mesh is assembled once, and gluing only numbers the
+glued dofs: residuals come from base products, and the glued K and M are
+scattered onto one shared CSR pattern by one sort when first read.  A
+reflection extension reuses the base of the solution it extends, and the
+genus 3 surface copies the pants decagon's mesh pencil, whose ground state
+hypfem.solve_polygon folds by the decagon's real-axis mirror.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ from .hypgeo import (
     regular_right_polygon,
     right_angled_hexagon,
 )
-from .hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
+from .hypmesh import MATCH_TOL, Mesh
+from .hypmesh import mesh_polygon as mesh_polygon  # re-exported: perfbench/selftest.py reads surfglue.mesh_polygon
 
 _log = logging.getLogger(__name__)
 
@@ -277,21 +278,19 @@ class GluedSystem:
     """Finite element pencil on a glued surface.
 
     Chart c's copy of base mesh node n is global slot c*N + n; glue_index
-    maps slots to glued dof ids, and chart_dof[c, d] is the glued dof of
-    chart c's copy of base dof d.  The pencil is held as the base and this
-    map: K and M, CSR on all n_dofs glued dofs and sharing one pattern's
-    arrays (copy one before changing its pattern in place), are scattered
-    on the first read of either, which logs one DEBUG record of the
-    scattered entries, pattern nnz and seconds; a single chart whose base
-    dofs are the glued dofs, in order, has the base's K and M.
-    constrained marks the dofs on dirichlet sides of every chart, glued
-    (odd interfaces) or not, held at zero by constrained solves.
+    maps slots to glued dof ids, and chart_dof[c, n] is the glued dof of
+    slot c*N + n.  The pencil is held as the base and this map: K and M,
+    CSR on all n_dofs glued dofs and sharing one pattern's arrays (copy one
+    before changing its pattern in place), are scattered on the first read
+    of either, which logs one DEBUG record of the scattered entries,
+    pattern nnz and seconds.  constrained marks the dofs on dirichlet sides
+    of every chart, glued (odd interfaces) or not, held at zero by
+    constrained solves.
     """
 
     surface: Surface
     base: Base
     glue_index: np.ndarray
-    chart_dof: np.ndarray
     n_dofs: int
     constrained: np.ndarray
     dirichlet_boundary: np.ndarray  # dofs on unglued dirichlet sides only
@@ -300,10 +299,12 @@ class GluedSystem:
     def base_mesh(self) -> Mesh:
         return self.base.mesh
 
+    @property
+    def chart_dof(self) -> np.ndarray:
+        return self.glue_index.reshape(self.surface.n_charts, self.base_mesh.n_nodes)
+
     @functools.cached_property
     def _pencil(self) -> tuple:
-        if len(self.chart_dof) == 1 and np.array_equal(self.chart_dof[0], np.arange(self.n_dofs)):
-            return self.base.K, self.base.M  # one chart on the glued dofs: nothing to sum
         t0 = time.perf_counter()
         K, M = _scatter(self.base, self.chart_dof, self.n_dofs)
         _log.debug("scatter: %d scattered entries, pattern nnz %d, %.3f s",
@@ -338,17 +339,16 @@ class GluedSystem:
 
 @dataclass(frozen=True)
 class Base:
-    """What every chart of a glued surface copies: a mesh, the pencil K, M
-    on base dofs, and dof[node], the base dof of each mesh node (every base
-    dof has a node).  K and M are square CSR matrices of one shape and one
-    pattern (indptr and indices), or GlueError names the mismatch.  They may
-    share the pattern's arrays: copy one before changing its pattern in place.
+    """What every chart of a glued surface copies: a mesh and its pencil K,
+    M, one row and column per mesh node.  K and M are square CSR matrices of
+    one shape and one pattern (indptr and indices), or GlueError names the
+    mismatch.  They may share the pattern's arrays: copy one before changing
+    its pattern in place.
     """
 
     mesh: Mesh
     K: sp.csr_matrix
     M: sp.csr_matrix
-    dof: np.ndarray
 
     def __post_init__(self):
         K, M = self.K, self.M
@@ -368,11 +368,11 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     placements overlap everywhere).  Paired side nodes pair in arclength
     order (see Pairing); each image under mu must lie within MATCH_TOL of
     its partner, which holds when the base mesh is symmetric under the
-    composite side maps, or GlueError with the worst distance.  All nodes
-    of one base dof must land on one glued dof in every chart, and the
-    glued dofs and the entries a scatter of the base pencil over the charts
-    would make must fit int32, or GlueError.  Nothing is scattered here:
-    the system keeps the base and its chart dofs, and scatters K and M when
+    composite side maps, or GlueError with the worst distance; paired sides
+    of unequal node counts raise GlueError with both counts.  The glued
+    dofs and the entries a scatter of the base pencil over the charts would
+    make must fit int32, or GlueError.  Nothing is scattered here: the
+    system keeps the base and its glue index, and scatters K and M when
     they are first read (see GluedSystem).  Every dof on a dirichlet side
     of any chart is constrained.  One DEBUG record gives the charts, glued
     dofs, worst side match and seconds taken.
@@ -380,7 +380,7 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     t0 = time.perf_counter()
     if isinstance(base, Mesh):
         K0, M0 = hypfem.assemble(base)
-        base = Base(base, K0, M0, np.arange(base.n_nodes))
+        base = Base(base, K0, M0)
     base_mesh = base.mesh
     if base_mesh.polygon != surface.base:
         raise GlueError("the base mesh is not a mesh of the surface's base polygon (vertices and labels)")
@@ -393,17 +393,13 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
         nb = base_mesh.side_nodes[p.side_b]
         if not _pairing_start_to_start(surface, p):
             nb = nb[::-1]
-        za, zb = apply(p.mu, base_mesh.nodes[na]), base_mesh.nodes[nb]
-        if len(na) == len(nb):
-            worst = float(np.max(np.abs(za - zb)))
-        else:  # no partners: the farthest node of either side from the other side
-            worst = max(match_nodes(zb, za)[1], match_nodes(za, zb)[1])
-        if len(na) != len(nb) or worst > MATCH_TOL:
-            raise GlueError(
-                f"pairing ({p.chart_a},{p.side_a})-({p.chart_b},{p.side_b}): side nodes do not match "
-                f"(mesh not symmetric under the gluing; {len(na)} and {len(nb)} nodes, "
-                f"worst match distance {worst:.3e})"
-            )
+        fail = (f"pairing ({p.chart_a},{p.side_a})-({p.chart_b},{p.side_b}): side nodes do not match "
+                f"(mesh not symmetric under the gluing; {len(na)} and {len(nb)} nodes")
+        if len(na) != len(nb):
+            raise GlueError(f"{fail})")
+        worst = float(np.max(np.abs(apply(p.mu, base_mesh.nodes[na]) - base_mesh.nodes[nb])))
+        if worst > MATCH_TOL:
+            raise GlueError(f"{fail}, worst match distance {worst:.3e})")
         worst_match = max(worst_match, worst)
         slots_a.append(p.chart_a * N + na)
         slots_b.append(p.chart_b * N + nb)
@@ -421,19 +417,12 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
         raise GlueError(f"{n_scattered} scattered entries do not fit the int32 entry index of the scatter")
     glue_index = labels.astype(np.int64)
 
-    # chart_dof[c, d]: the glued dof of chart c's copy of base dof d
-    slot_dof = glue_index.reshape(C, N)
-    chart_dof = np.zeros((C, base.K.shape[0]), dtype=np.int64)
-    chart_dof[:, base.dof] = slot_dof
-    if not np.array_equal(chart_dof[:, base.dof], slot_dof):
-        raise GlueError("the nodes of one base dof land on two glued dofs (surface lacks a base pairing)")
-
     dirichlet_boundary = np.zeros(G, dtype=bool)
     for c, s in surface.unglued_sides():
         if surface.base.labels[s] == "dirichlet":
             dirichlet_boundary[glue_index[c * N + base_mesh.side_nodes[s]]] = True
     constrained = np.zeros(G, dtype=bool)
-    constrained[slot_dof[:, base_mesh.nodes_on_label("dirichlet")]] = True
+    constrained[glue_index.reshape(C, N)[:, base_mesh.nodes_on_label("dirichlet")]] = True
 
     _log.debug("assemble_glued: %d charts, %d glued dofs, worst side match %.3e, %.3f s",
                C, G, worst_match, time.perf_counter() - t0)
@@ -441,7 +430,6 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
         surface=surface,
         base=base,
         glue_index=glue_index,
-        chart_dof=chart_dof,
         n_dofs=G,
         constrained=constrained,
         dirichlet_boundary=dirichlet_boundary,
@@ -605,8 +593,7 @@ def as_extended(modes: hypfem.PolygonModes) -> ExtendedSolution:
     """Wrap the lowest polygon eigenmode as a single-chart extended solution
     whose base is the polygon's own pencil."""
     surface = Surface(base=modes.mesh.polygon, charts=[Chart()], pairings=[])
-    base = Base(modes.mesh, modes.K, modes.M, np.arange(modes.mesh.n_nodes))
-    return _extended(surface, base, float(modes.values[0]), modes.vectors[:, 0])
+    return _extended(surface, Base(modes.mesh, modes.K, modes.M), float(modes.values[0]), modes.vectors[:, 0])
 
 
 def _mirror_copies(surface: Surface, place, twins) -> Surface:
@@ -921,24 +908,16 @@ def build_genus3(boundary_length: float = 2.0, h_target: float = 0.08) -> Extend
     Neumann on the other two, seams glued) and transport its ground state
     to the closed genus 3 surface of four pants charts.
 
-    The pants decagon, its labels and its seam pairings are symmetric under
-    the reflection in the real axis, the map the seams are glued by, and so
-    is the pencil.  The ground state is simple, so the reflection maps it
-    to plus or minus itself, and positive, so the sign is plus: it is even,
-    and is solved on the mirror orbits of the free dofs, about half of them
-    (solve_glued with even_under: one hypfem.solve_character call, whose
-    orbit matrix also holds the Dirichlet circle at zero).  The mesh is
-    assembled once and the pants pencil scattered once: the solve folds
-    it, and the genus 3 charts copy it, its dofs being the base dofs.  The
+    The pants is the decagon with each seam glued to its mirror image by
+    the reflection in the real axis, which is the decagon's mirror
+    (hypgeo.polygon_mirror) and keeps its labels.  A mirror-even function
+    takes equal values on the two sides of each seam, so the even modes of
+    the glued pants are the even modes of the decagon: the ground state,
+    simple and positive, hence even, is hypfem.solve_polygon's folded
+    ground state (k = 1), solved on the mirror orbits of the free dofs.
+    The genus 3 charts copy the decagon's mesh pencil, assembled once; the
     closed genus 3 pencil is scattered only if system.K or system.M is read.
     """
-    pants = pants_decagon_surface(boundary_length, boundary_length, boundary_length)
-    base_mesh = mesh_polygon(pants.base, h_target)
-    psys = assemble_glued(pants, base_mesh)
-    base = Base(base_mesh, psys.K, psys.M, psys.glue_index)
-    # glued again over its own pencil, the pants has the base's K and M, and
-    # the mesh pencil is freed before the factorisation
-    psys = assemble_glued(pants, base)
-    vals, vecs = solve_glued(psys, k=1, even_under=reflect_in(REAL_MIRROR))
-    u = vecs[:, 0][psys.glue_index]  # back to base-mesh nodes (seam twins equal)
-    return _extended(genus3_surface(boundary_length), base, float(vals[0]), u)
+    modes = hypfem.solve_polygon(pants_decagon(boundary_length, boundary_length, boundary_length), h_target, k=1)
+    base = Base(modes.mesh, modes.K, modes.M)
+    return _extended(genus3_surface(boundary_length), base, float(modes.values[0]), modes.vectors[:, 0])

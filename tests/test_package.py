@@ -1,8 +1,9 @@
 """The package docstring names only submodules that exist, every dotted
 name of a hypnodal module or class in the sources resolves, every
-declared console script resolves to a callable, and no module imports
-scipy.spatial."""
+declared console script resolves to a callable, no module imports
+scipy.spatial, and no module imports a name it never uses."""
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -42,6 +43,45 @@ def test_no_module_imports_scipy_spatial():
     env = {**os.environ, "PYTHONPATH": str(SOURCES.parent)}  # the package under test
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def unused_imports(source: str) -> list:
+    """Names that the import statements of a module bind and that the module
+    never reads, in import order.  A name counts as read when it is loaded
+    anywhere in the module (annotations included) or listed in __all__; an
+    explicit re-export, import x as x, counts as read."""
+    tree = ast.parse(source)
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if alias.asname != alias.name.rpartition(".")[2]
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {e.value for e in node.value.elts}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    sources = sorted(SOURCES.glob("*.py"))
+    assert len(sources) == 7
+    assert {path.name: unused_imports(path.read_text()) for path in sources} == {path.name: [] for path in sources}
+
+
+def test_unused_import_check_finds_an_orphaned_name():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "import numpy as np\n"
+        "from .hypmesh import Mesh, match_nodes, mesh_polygon as mesh_polygon\n"
+        "def f(m: Mesh) -> float:\n"
+        "    return np.pi\n"
+    )
+    assert unused_imports(source) == ["math", "os", "match_nodes"]
+    assert unused_imports(source + "__all__ = ['math']\nos.sep\n") == ["match_nodes"]
 
 
 def test_every_console_script_target_is_callable():

@@ -22,7 +22,18 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from hypnodal import hypfem, surfglue
-from hypnodal.hypgeo import Geodesic, apply, axis_map, compose, hyp_distance, inverse, reflect_in, rotation
+from hypnodal.hypgeo import (
+    CONJUGATION,
+    Geodesic,
+    apply,
+    axis_map,
+    compose,
+    hyp_distance,
+    inverse,
+    polygon_mirror,
+    reflect_in,
+    rotation,
+)
 from hypnodal.hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
 
 from test_hypfem import free_numbering_fold, symmetry_records
@@ -469,7 +480,7 @@ def reference_glued(surface, base, odd=()):
     (glue_index, constrained, dirichlet_boundary, K, M).
     """
     if isinstance(base, Mesh):
-        base = surfglue.Base(base, *hypfem.assemble(base), np.arange(base.n_nodes))
+        base = surfglue.Base(base, *hypfem.assemble(base))
     mesh, C = base.mesh, surface.n_charts
     N = mesh.n_nodes
     parent = list(range(C * N))
@@ -509,11 +520,10 @@ def reference_glued(surface, base, odd=()):
 def reference_glue(base, glue_index, n_charts):
     """The glued (K, M) by the COO scatter that assemble_glued replaced:
     the base entries chart by chart in storage order, rows and columns
-    through chart_dof, and one COO -> CSR conversion per matrix, which sums
-    the duplicates."""
+    through the glue index, and one COO -> CSR conversion per matrix, which
+    sums the duplicates."""
     G = int(glue_index.max()) + 1
-    chart_dof = np.zeros((n_charts, base.K.shape[0]), dtype=np.int32)
-    chart_dof[:, base.dof] = glue_index.reshape(n_charts, base.mesh.n_nodes)
+    chart_dof = glue_index.reshape(n_charts, base.mesh.n_nodes).astype(np.int32)
     rows = np.repeat(np.arange(base.K.shape[0]), np.diff(base.K.indptr))
     rc = (chart_dof[:, rows].ravel(), chart_dof[:, base.K.indices].ravel())
     K = sp.coo_matrix((np.tile(base.K.data, n_charts), rc), shape=(G, G)).tocsr()
@@ -525,7 +535,7 @@ def reference_glue(base, glue_index, n_charts):
 def reference_cases():
     """(surface, base, indices of its odd pairings) for every surface the
     code glues: the quarter tiling at 1, 2 and 4 charts, the pants at two
-    levels, the genus-3 stages over the pants system, genus 2 and the
+    levels, the genus-3 stages over the pants mesh base, genus 2 and the
     canonical pants."""
     one = surfglue.as_extended(hypfem.solve_polygon(surfglue.quarter_octagon(), 0.16, k=1))
     two = surfglue.schwarz_extend(one, surfglue.REAL_MIRROR)
@@ -536,8 +546,8 @@ def reference_cases():
     pants = surfglue.pants_decagon_surface()
     for h in (0.24, 0.16):
         cases[f"pants-{h}"] = (pants, mesh_polygon(pants.base, h), ())
-    psys = surfglue.assemble_glued(pants, cases["pants-0.16"][1])
-    base = surfglue.Base(psys.base_mesh, psys.K, psys.M, psys.glue_index)
+    mesh = cases["pants-0.16"][1]
+    base = surfglue.Base(mesh, *hypfem.assemble(mesh))
     circles = surfglue.audit_topology(pants).boundary_circles
     neumann = [i for i, c in enumerate(circles) if pants.base.labels[c[0][1]] == "neumann"]
     stage_a = surfglue.double_surface(pants, neumann)
@@ -583,21 +593,17 @@ class TestGlueIndexReference:
                 a, b = a.data, b.data
             assert np.array_equal(a, b)
 
-    def test_side_with_fewer_nodes_raises(self):
-        # side_b loses a node: its partner's image is as far from side_b as
-        # the nearest remaining node, the worst distance of either side to the other
+    def test_side_with_fewer_nodes_raises(self, caplog):
+        # side_b loses a node: the counts differ, and no node search measures a distance
         pants = surfglue.pants_decagon_surface()
         mesh = mesh_polygon(pants.base, 0.24)
         p = pants.pairings[0]
         na, nb = mesh.side_nodes[p.side_a], np.delete(mesh.side_nodes[p.side_b], 2)
         side_nodes = [nb if i == p.side_b else sn for i, sn in enumerate(mesh.side_nodes)]
-        d = np.abs(apply(p.mu, mesh.nodes[na])[:, None] - mesh.nodes[nb][None, :])
-        worst = max(d.min(axis=0).max(), d.min(axis=1).max())
-        assert worst > 1e-3
-        msg = rf"\(0,1\)-\(0,8\): side nodes do not match .*; {len(na)} and {len(nb)} nodes, "
-        msg += rf"worst match distance {worst:.3e}\)$"
-        with pytest.raises(surfglue.GlueError, match=msg):
+        msg = rf"\(0,1\)-\(0,8\): side nodes do not match .*; {len(na)} and {len(nb)} nodes\)$"
+        with caplog.at_level(logging.DEBUG, logger="hypnodal"), pytest.raises(surfglue.GlueError, match=msg):
             surfglue.assemble_glued(pants, dataclasses.replace(mesh, side_nodes=side_nodes))
+        assert not [r for r in caplog.records if r.getMessage().startswith("match_nodes:")]
 
     def test_moved_side_node_raises(self):
         pants = surfglue.pants_decagon_surface()
@@ -614,15 +620,15 @@ class TestGlueIndexReference:
 @pytest.fixture(scope="module")
 def shared_pattern_cases(tiling_ext, g3):
     """(surface, base) of every benchmark gluing: the quarter extension,
-    genus 2, the pants, and genus 3 at h = 0.24 (over the pants system, as
-    build_genus3 glues it) and 0.12."""
+    genus 2, the pants, and genus 3 at h = 0.24 (over the pants mesh base,
+    as build_genus3 glues it) and 0.12."""
     pants = surfglue.pants_decagon_surface()
-    psys = surfglue.assemble_glued(pants, mesh_polygon(pants.base, 0.24))
+    mesh = mesh_polygon(pants.base, 0.24)
     return {
         "extension": (tiling_ext.surface, tiling_ext.base),
         "genus2": (surfglue.genus2_surface(), mesh_polygon(surfglue.octagon_polygon(), 0.16)),
         "pants": (pants, mesh_polygon(pants.base, 0.12)),
-        "genus3-0.24": (surfglue.genus3_surface(), surfglue.Base(psys.base_mesh, psys.K, psys.M, psys.glue_index)),
+        "genus3-0.24": (surfglue.genus3_surface(), surfglue.Base(mesh, *hypfem.assemble(mesh))),
         "genus3-0.12": (g3.surface, g3.base),
     }
 
@@ -638,7 +644,7 @@ class TestSharedPattern:
         surface, base = shared_pattern_cases[case]
         system = surfglue.assemble_glued(surface, base)
         if isinstance(base, Mesh):
-            base = surfglue.Base(base, *hypfem.assemble(base), np.arange(base.n_nodes))
+            base = surfglue.Base(base, *hypfem.assemble(base))
         for got, want in zip((system.K, system.M), reference_glue(base, system.glue_index, surface.n_charts)):
             assert got.shape == want.shape == (system.n_dofs, system.n_dofs)
             assert np.array_equal(got.indptr, want.indptr)
@@ -725,35 +731,23 @@ class TestLazyPencil:
         return calls
 
     @pytest.mark.parametrize("first", ["K", "M"])
-    def test_build_genus3_scatters_the_pants_pencil_only(self, scatters, first):
+    def test_build_genus3_scatters_nothing_until_read(self, scatters, first):
         ext = surfglue.build_genus3(2.0, h_target=0.24)
         system = ext.system
-        assert scatters == [ext.base.K.shape[0]]  # the pants pencil, whose dofs are the base dofs
         assert ext.base is system.base
         system.n_dofs, system.dof_points, system.eigen_rows
         surfglue.transport(system, ext.base_vector)
         surfglue.chart_interpolator(system, ext.vector)
         surfglue.glued_residual(system, ext.lam, ext.vector)
-        assert len(scatters) == 1
+        assert scatters == []
         read = getattr(system, first)
-        assert scatters[1:] == [system.n_dofs]
+        assert scatters == [system.n_dofs]
         K, M = system.K, system.M
-        assert len(scatters) == 2 and (K if first == "K" else M) is read
+        assert len(scatters) == 1 and (K if first == "K" else M) is read
         for got, want in zip((K, M), reference_glue(ext.base, system.glue_index, ext.surface.n_charts)):
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.data, want.data)
-
-    def test_one_chart_on_its_glued_dofs_has_the_base_pencil(self, scatters):
-        # the pants glued over its own glued pencil: nothing to sum, nothing scattered
-        pants = surfglue.pants_decagon_surface()
-        psys = surfglue.assemble_glued(pants, mesh_polygon(pants.base, 0.24))
-        base = surfglue.Base(psys.base_mesh, psys.K, psys.M, psys.glue_index)
-        again = surfglue.assemble_glued(pants, base)
-        assert again.K is base.K and again.M is base.M
-        assert np.array_equal(again.glue_index, psys.glue_index)
-        assert np.array_equal(again.constrained, psys.constrained)
-        assert scatters == [psys.n_dofs]
 
 
 @pytest.fixture(scope="module")
@@ -777,13 +771,15 @@ class TestBaseProductResidual:
 
     @pytest.mark.parametrize("case", ["genus2", "extension", "genus3"])
     def test_base_products_equal_the_scattered_pencil(self, product_cases, case):
+        # componentwise summation-order bound: cancellation in K v = lambda M v
+        # inflates a normwise one, the terms |A| |x| do not cancel
         system, v, _ = product_cases[case]
         rng = np.random.default_rng(7)
         for x in (v, rng.standard_normal(system.n_dofs)):
             for name in ("K", "M"):
-                want = getattr(system, name) @ x
+                A = getattr(system, name)
                 got = surfglue._glued_product(system, getattr(system.base, name), x)
-                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                assert np.all(np.abs(got - A @ x) <= 8 * np.finfo(float).eps * (abs(A) @ np.abs(x)))
 
     @pytest.mark.parametrize("case", ["genus2", "extension", "genus3"])
     def test_residual_detects_a_wrong_eigenvalue(self, product_cases, case):
@@ -809,18 +805,18 @@ class TestBasePattern:
         reversed_m = M[rev][:, rev].tocsr()
         assert reversed_m.nnz == K.nnz
         with pytest.raises(surfglue.GlueError, match="must share one pattern"):
-            surfglue.Base(mesh, K, reversed_m, np.arange(mesh.n_nodes))
+            surfglue.Base(mesh, K, reversed_m)
 
     def test_rejects_a_lumped_mass(self):
         mesh, K, M = self.quarter_pencil()
         lumped = sp.diags(np.asarray(M.sum(axis=1)).ravel()).tocsr()
         with pytest.raises(surfglue.GlueError, match="the base M's indptr array differs from K's"):
-            surfglue.Base(mesh, K, lumped, np.arange(mesh.n_nodes))
+            surfglue.Base(mesh, K, lumped)
 
     def test_rejects_pencils_of_two_shapes(self):
         mesh, K, M = self.quarter_pencil()
         with pytest.raises(surfglue.GlueError, match=r"square and of one shape: K is \((\d+), \1\), M is"):
-            surfglue.Base(mesh, K, M[:-1, :-1].tocsr(), np.arange(mesh.n_nodes))
+            surfglue.Base(mesh, K, M[:-1, :-1].tocsr())
 
 
 class TestSchwarzExtend:
@@ -1319,9 +1315,13 @@ class TestOneAssemblyPerBase:
         monkeypatch.setattr(hypfem, "assemble", counted)
         return calls
 
-    def test_build_genus3_assembles_once(self, assemble_calls):
+    def test_build_genus3_assembles_once(self, assemble_calls, monkeypatch):
+        glued = []
+        assemble_glued = surfglue.assemble_glued
+        monkeypatch.setattr(surfglue, "assemble_glued", lambda *args: glued.append(args[0]) or assemble_glued(*args))
         ext = surfglue.build_genus3(2.0, h_target=0.24)
         assert assemble_calls == [ext.system.base_mesh.n_nodes]
+        assert glued == [ext.surface]  # the closed surface only: the pants is solved on its decagon
 
     def test_extend_quarter_mode_assembles_once(self, assemble_calls):
         ext = surfglue.extend_quarter_mode(0.16)
@@ -1333,17 +1333,6 @@ class TestOneAssemblyPerBase:
         assert np.array_equal(direct.glue_index, ext.system.glue_index)
         for a, b in ((direct.K, ext.system.K), (direct.M, ext.system.M)):
             assert abs(a - b).max() <= 1e-13 * abs(b).max()
-
-    def test_base_dof_split_raises(self):
-        # the pants system merges seam twins into one dof; a chart without
-        # the seam pairings would put them on two glued dofs
-        pants = surfglue.pants_decagon_surface()
-        mesh = mesh_polygon(pants.base, 0.25)
-        psys = surfglue.assemble_glued(pants, mesh)
-        base = surfglue.Base(mesh, psys.K, psys.M, psys.glue_index)
-        bare = surfglue.Surface(base=pants.base, charts=[surfglue.Chart()], pairings=[])
-        with pytest.raises(surfglue.GlueError, match="base dof"):
-            surfglue.assemble_glued(bare, base)
 
 
 MIRROR = reflect_in(surfglue.REAL_MIRROR)
@@ -1444,7 +1433,7 @@ class TestMirrorFold:
 
         monkeypatch.setattr(hypfem, "solve_lowest", recorded)
         surfglue.build_genus3(2.0, h_target=0.16)
-        assert sizes == [3696]  # orbits of the 7,199 free pants dofs, 193 of them on the mirror
+        assert sizes == [3696]  # orbits of the 7,328 free decagon nodes, 64 on the mirror: the glued pants' 3,696
 
     def test_one_debug_record_per_fold(self, pants_system, caplog):
         with caplog.at_level(logging.DEBUG, logger="hypnodal"):
@@ -1511,13 +1500,38 @@ class TestOneOrbitMatrixGlued:
         assert np.array_equal(pants_system.constrained[r], pants_system.constrained)
 
     def test_build_genus3_is_the_free_numbering_build(self):
-        ext = surfglue.build_genus3(2.0, h_target=0.16)
+        # the decagon pencil, reduced to its free nodes and folded by the mirror in free numbering
+        for h in (0.24, 0.16, 0.12):
+            ext = surfglue.build_genus3(2.0, h_target=h)
+            mesh = ext.base.mesh
+            K, M = hypfem.assemble(mesh)
+            r = hypfem.dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), MIRROR, "the mirror")
+            constrained = np.zeros(mesh.n_nodes, dtype=bool)
+            constrained[mesh.nodes_on_label("dirichlet")] = True
+            (lam,), vecs = free_numbering_fold(K, M, [r], [1], 1, mesh.nodes, constrained)
+            assert ext.lam == lam and np.array_equal(ext.base_vector, vecs[:, 0])
+            assert np.array_equal(ext.vector, surfglue.transport(ext.system, vecs[:, 0]))
+
+
+class TestPantsOnItsDecagon:
+    """build_genus3 solves the glued pants on the decagon: the seams are
+    glued by the decagon's own mirror, so a mirror-even mode of the decagon
+    is one of the glued pants and the two folded pencils are one."""
+
+    @pytest.mark.parametrize("lengths", [(l, l, l) for l in np.arange(1, 13) / 2] + [(1.4, 2.0, 2.6)])
+    def test_the_decagon_mirror_is_the_seam_map(self, lengths):
+        assert polygon_mirror(surfglue.pants_decagon(*lengths)) == CONJUGATION == MIRROR
+
+    @pytest.mark.parametrize("h", [0.24, 0.16, 0.12])
+    def test_build_genus3_is_the_glued_pants_solve(self, h):
+        ext = surfglue.build_genus3(2.0, h_target=h)
         psys = surfglue.assemble_glued(surfglue.pants_decagon_surface(), ext.base.mesh)
-        r = self.mirror_map(psys)
-        (lam,), vecs = free_numbering_fold(psys.K, psys.M, [r], [1], 1, psys.dof_points, psys.constrained)
+        (lam,), vecs = surfglue.solve_glued(psys, k=1, even_under=MIRROR)
         u = vecs[:, 0][psys.glue_index]
-        assert ext.lam == lam and np.array_equal(ext.base_vector, u)
-        assert np.array_equal(ext.vector, surfglue.transport(ext.system, u))
+        assert ext.lam == lam
+        # the folded pencils are equal entry by entry; their storage order, and so the rounding of
+        # the Lanczos products, may differ
+        assert np.abs(ext.base_vector - u).max() <= 2.3e-16 * np.abs(u).max()
 
 
 class TestSurfaceInputChecks:
