@@ -287,7 +287,7 @@ def solve_character(K, M, gens, chi, k: int, points, constrained=None) -> tuple:
     its largest entry at a column's d positive.  One DEBUG record gives the
     free dofs, the columns and the free dofs fixed by every generator.
 
-    Returns (values, vectors), vectors on all dofs of K.
+    Returns (values, vectors), vectors on all dofs of K; K and M are not changed.
     """
     n = K.shape[0]
     dofs = np.arange(n)
@@ -302,7 +302,8 @@ def solve_character(K, M, gens, chi, k: int, points, constrained=None) -> tuple:
         for name, A in (("stiffness", K), ("mass", M)):
             RAR = A[r][:, r]  # compared entry by entry on the pattern of A
             RAR.sort_indices()
-            A.sort_indices()
+            if not A.has_sorted_indices:  # sort a copy: A may share its pattern arrays with the other matrix
+                A = A.sorted_indices()
             same = np.array_equal(RAR.indptr, A.indptr) and np.array_equal(RAR.indices, A.indices)
             if not same or np.abs(RAR.data - A.data).max() > PENCIL_SYMMETRY_TOL * np.abs(A.data).max():
                 raise SymmetryError(f"the {name} matrix does not commute with the symmetry (mesh not symmetric)")

@@ -23,7 +23,7 @@ across charts, pairing the nodes of two paired sides in arclength order.
 The charts of a glued surface copy a base: a mesh and its finite element
 pencil.  Each base mesh is assembled once, and gluing only numbers the
 glued dofs: residuals come from base products, and the glued K and M are
-scattered onto one shared CSR pattern by one sort when first read.  A
+summed from every chart's copy of the base entries when first read.  A
 reflection extension reuses the base of the solution it extends, and the
 genus 3 surface copies the pants decagon's mesh pencil, whose ground state
 hypfem.solve_polygon folds by the decagon's real-axis mirror.
@@ -280,10 +280,9 @@ class GluedSystem:
     Chart c's copy of base mesh node n is global slot c*N + n; glue_index
     maps slots to glued dof ids, and chart_dof[c, n] is the glued dof of
     slot c*N + n.  The pencil is held as the base and this map: K and M,
-    CSR on all n_dofs glued dofs and sharing one pattern's arrays (copy one
-    before changing its pattern in place), are scattered on the first read
-    of either, which logs one DEBUG record of the scattered entries,
-    pattern nnz and seconds.  constrained marks the dofs on dirichlet sides
+    CSR on all n_dofs glued dofs, are scattered on the first read of
+    either, which logs one DEBUG record of the charts, each matrix's base
+    and glued nnz and seconds.  constrained marks the dofs on dirichlet sides
     of every chart, glued (odd interfaces) or not, held at zero by
     constrained solves.
     """
@@ -307,8 +306,8 @@ class GluedSystem:
     def _pencil(self) -> tuple:
         t0 = time.perf_counter()
         K, M = _scatter(self.base, self.chart_dof, self.n_dofs)
-        _log.debug("scatter: %d scattered entries, pattern nnz %d, %.3f s",
-                   len(self.chart_dof) * self.base.K.nnz, K.nnz, time.perf_counter() - t0)
+        _log.debug("scatter: %d charts, nnz %d -> %d (K) and %d -> %d (M), %.3f s", len(self.chart_dof),
+                   self.base.K.nnz, K.nnz, self.base.M.nnz, M.nnz, time.perf_counter() - t0)
         return K, M
 
     @property
@@ -341,9 +340,7 @@ class GluedSystem:
 class Base:
     """What every chart of a glued surface copies: a mesh and its pencil K,
     M, one row and column per mesh node.  K and M are square CSR matrices of
-    one shape and one pattern (indptr and indices), or GlueError names the
-    mismatch.  They may share the pattern's arrays: copy one before changing
-    its pattern in place.
+    one shape, or GlueError names both shapes; each glues on its own pattern.
     """
 
     mesh: Mesh
@@ -354,9 +351,6 @@ class Base:
         K, M = self.K, self.M
         if K.shape[0] != K.shape[1] or M.shape != K.shape:
             raise GlueError(f"the base pencil must be square and of one shape: K is {K.shape}, M is {M.shape}")
-        for name in ("indptr", "indices"):
-            if not np.array_equal(getattr(K, name), getattr(M, name)):
-                raise GlueError(f"the base M's {name} array differs from K's: K and M must share one pattern")
 
 
 def assemble_glued(surface: Surface, base) -> GluedSystem:
@@ -369,13 +363,11 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     order (see Pairing); each image under mu must lie within MATCH_TOL of
     its partner, which holds when the base mesh is symmetric under the
     composite side maps, or GlueError with the worst distance; paired sides
-    of unequal node counts raise GlueError with both counts.  The glued
-    dofs and the entries a scatter of the base pencil over the charts would
-    make must fit int32, or GlueError.  Nothing is scattered here: the
-    system keeps the base and its glue index, and scatters K and M when
-    they are first read (see GluedSystem).  Every dof on a dirichlet side
-    of any chart is constrained.  One DEBUG record gives the charts, glued
-    dofs, worst side match and seconds taken.
+    of unequal node counts raise GlueError with both counts.  Nothing is
+    scattered here: the system keeps the base and its glue index, and
+    scatters K and M when they are first read (see GluedSystem).  Every dof
+    on a dirichlet side of any chart is constrained.  One DEBUG record gives
+    the charts, glued dofs, worst side match and seconds taken.
     """
     t0 = time.perf_counter()
     if isinstance(base, Mesh):
@@ -410,11 +402,6 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     b = np.concatenate([np.zeros(0, dtype=np.int64), *slots_b])
     pairs = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(C * N, C * N))
     G, labels = connected_components(pairs, directed=False)
-    n_scattered = C * base.K.nnz
-    if G > np.iinfo(np.int32).max:
-        raise GlueError(f"{G} glued dofs do not fit the int32 dof index of the scatter")
-    if n_scattered > np.iinfo(np.int32).max:
-        raise GlueError(f"{n_scattered} scattered entries do not fit the int32 entry index of the scatter")
     glue_index = labels.astype(np.int64)
 
     dirichlet_boundary = np.zeros(G, dtype=bool)
@@ -437,36 +424,16 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
 
 
 def _scatter(base: Base, chart_dof: np.ndarray, G: int) -> tuple:
-    """The glued (K, M) on one sorted CSR pattern: chart c's copy of base
-    entry k is coded row * G + col, pos[c, k] is the rank of its code among
-    the unique ones, and copies add in chart order, then storage order.
-    Temporaries go early: this sets the memory peak of a large gluing."""
-    codes = np.repeat(chart_dof * G, np.diff(base.K.indptr), axis=1)
-    cols = base.K.indices.astype(np.intp)  # intp: take would cast int32 indices on every call
-    for c in range(len(chart_dof)):  # (a loop variable holding a row would keep codes alive)
-        codes[c] += chart_dof[c].take(cols)
-    del cols
-    order = np.argsort(codes, axis=None, kind="stable")  # the chart-major codes are a few sorted runs
-    codes = codes.ravel()[order]
-    new = np.concatenate([[True], codes[1:] != codes[:-1]])
-    codes = codes[new]
-    new[0] = False  # so that the running count of new codes is each sorted entry's rank
-    rank = np.cumsum(new, dtype=np.int32)
-    del new
-    pos = np.empty(len(order), dtype=np.int32)
-    pos[order] = rank
-    del order, rank
-    indptr = np.searchsorted(codes, np.arange(G + 1) * G).astype(np.int32)
-    indices = np.remainder(codes, G, out=codes).astype(np.int32)
-    del codes
+    """The glued (K, M): each matrix's entries, copied chart by chart in
+    storage order with rows and columns mapped through chart_dof, summed
+    by one COO -> CSR conversion over that matrix's own pattern."""
 
-    def fill(base_data):
-        data = np.zeros(len(indices))
-        for p in pos.reshape(len(chart_dof), -1):
-            np.add.at(data, p, base_data)
-        return sp.csr_matrix((data, indices, indptr), shape=(G, G))
+    def glue(A):
+        rows = np.repeat(chart_dof, np.diff(A.indptr), axis=1).ravel()
+        cols = chart_dof[:, A.indices].ravel()
+        return sp.coo_matrix((np.tile(A.data, len(chart_dof)), (rows, cols)), shape=(G, G)).tocsr()
 
-    return fill(base.K.data), fill(base.M.data)
+    return glue(base.K), glue(base.M)
 
 
 def transport(system: GluedSystem, u: np.ndarray, consistency_tol: float = 1e-10) -> np.ndarray:

@@ -524,6 +524,30 @@ class TestSolveCharacter:
         with pytest.raises(hf.SymmetryError, match=f"^{match}$"):
             hf.solve_character(K, M, [r], [1], 1, mesh.nodes, constrained)
 
+    @pytest.mark.parametrize("k00", [2.0, 3.0], ids=["symmetric", "not-symmetric"])
+    def test_leaves_a_shared_unsorted_pattern_unchanged(self, k00):
+        # sorting K in place would permute the shared indices under M's data
+        indptr, indices = np.array([0, 2, 5, 7], dtype=np.int32), np.array([1, 0, 2, 1, 0, 2, 1], dtype=np.int32)
+        K = sp.csr_matrix((np.array([-1.0, k00, -1.0, 2.0, -1.0, 2.0, -1.0]), indices, indptr), shape=(3, 3))
+        M = sp.csr_matrix((np.array([1.0, 4.0, 1.0, 6.0, 1.0, 4.0, 1.0]), indices, indptr), shape=(3, 3))
+        assert np.shares_memory(K.indices, M.indices) and not K.has_sorted_indices
+        Kc, Mc = K.copy(), M.copy()
+        assert not np.shares_memory(Kc.indices, Mc.indices)
+        before = [(A.data.copy(), A.indices.copy(), A.indptr.copy()) for A in (K, M)]
+
+        def verdict(K, M):
+            try:
+                return hf.solve_character(K, M, [np.array([2, 1, 0])], [1], 1, np.array([0.0, 0.1, 0.2]) + 0j)[0]
+            except hf.SymmetryError as e:
+                return str(e)
+
+        got = verdict(K, M)
+        for A, arrays in zip((K, M), before):
+            assert all(np.array_equal(a, b) for a, b in zip((A.data, A.indices, A.indptr), arrays))
+        want = verdict(Kc, Mc)
+        assert type(got) is type(want) and np.array_equal(got, want)
+        assert isinstance(got, str) == (k00 != 2.0)
+
     def test_deterministic_with_positive_representative(self, octagon_pencil):
         mesh, K, M, (real, imag, _) = octagon_pencil
         a = hf.solve_character(K, M, [real, imag], [-1, -1], 1, mesh.nodes)
