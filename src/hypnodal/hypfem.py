@@ -51,7 +51,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .hypgeo import LABELS, apply, polygon_mirror
-from .hypmesh import MATCH_TOL, Mesh, match_nodes, mesh_polygon
+from .hypmesh import Mesh, match_nodes, mesh_polygon
 
 INSIDE_TOL = 1e-9  # P1Interpolator: a point lies in a triangle when no barycentric weight is below -INSIDE_TOL
 SIGMA = -1.0  # shift for shift-invert; negative keeps K - SIGMA M positive definite
@@ -328,6 +328,8 @@ def solve_character(K, M, gens, chi, k: int, points, constrained=None) -> tuple:
     _log.debug("solve_character: %d free dofs -> %d columns, %d fixed by every generator",
                free.sum(), len(cols), fixed.sum())
     Kq, Mq = Qt @ K @ Q, Qt @ M @ Q
+    for A in (Kq, Mq):  # sorted: eigsh's products round by the folded values, not by the dof numbering
+        A.sort_indices()
     del group, rep, sign, dead, live, col, Qt, fixed  # the orbit work goes before the solve
     vals, vecs = solve_lowest(Kq, Mq, k, points[cols])
     return vals, Q @ vecs
@@ -339,17 +341,17 @@ def dof_symmetry(nodes, node_dof, iso, what: str) -> np.ndarray:
     node_dof[c * N + n] is the dof of copy c of mesh node n (np.arange(N)
     for a polygon, a glue index for a glued system); every dof has a copy,
     so r has node_dof.max() + 1 entries.  SymmetryError naming what unless
-    iso maps the nodes onto nodes within MATCH_TOL and the copies of one
-    dof to one dof; the node match stops at MATCH_TOL (match_nodes' bound),
-    so the error names a lower bound on the worst distance.  The map is
-    geometry only, the same for every constrained mask; solve_character
-    checks it against a pencil and a mask.  One DEBUG record gives the
-    worst node match.
+    iso maps every node to a node within MATCH_TOL (match_nodes; the error
+    counts the nodes without one) and the copies of one dof to one dof.
+    The map is geometry only, the same for every constrained mask;
+    solve_character checks it against a pencil and a mask.  One DEBUG
+    record gives the worst node match.
     """
-    image, worst = match_nodes(nodes, apply(iso, nodes), bound=MATCH_TOL)
+    image, worst = match_nodes(nodes, apply(iso, nodes))
     fail = f"the mesh is not symmetric under {what}"
-    if worst > MATCH_TOL:
-        raise SymmetryError(f"{fail}: nodes not mapped onto mesh nodes (worst match distance at least {worst:.3e})")
+    unmatched = int(np.count_nonzero(image < 0))
+    if unmatched:
+        raise SymmetryError(f"{fail}: {unmatched} of {len(nodes)} nodes not mapped onto mesh nodes within MATCH_TOL")
     mapped = node_dof.reshape(-1, len(nodes))[:, image].ravel()  # dof of the image of every copy
     r = np.empty(node_dof.max() + 1, dtype=np.int64)
     r[node_dof] = mapped
@@ -487,9 +489,11 @@ class P1Interpolator:
         Each point takes the candidate that contains it whose centroid is
         nearest (squared distance, lower index on ties), so where one of
         its 8 or 64 nearest centroids has a triangle that contains it, the
-        first such one.  ValueError for non-finite points, and naming the
-        misses and their worst barycentric violation, each measured in its
-        nearest-centroid triangle (match_nodes), when a point is in none.
+        first such one.  ValueError for non-finite points, and when a point
+        is in no triangle, naming the misses, their worst barycentric
+        violation, each measured in the triangles its grid cell lists, and
+        how many lie outside every triangle's box: their cells list no
+        triangle, and their violation is inf.
         """
         q = np.asarray(x, dtype=np.complex128)
         pts = q.reshape(-1)
@@ -504,11 +508,12 @@ class P1Interpolator:
         out = np.empty(len(pts))
         out[pt[pick]] = np.vecdot(lam[pick], self.values[self.triangles[tri[pick]]])
         if len(pick) < len(pts):
-            miss = pts[np.setdiff1d(np.arange(len(pts)), pt[pick])]
-            worst = -self._bary(match_nodes(self._cent, miss)[0], miss).min()
+            violation = np.full(len(pts), np.inf)  # in the best triangle of each point's cell, inf if it lists none
+            np.minimum.at(violation, pt, -lam.min(axis=1))
+            miss = np.delete(violation, pt[pick])
             raise ValueError(
-                f"P1Interpolator: {len(miss)} of {len(pts)} points lie in no triangle "
-                f"(worst barycentric violation {worst:.3g})"
+                f"P1Interpolator: {len(miss)} of {len(pts)} points lie in no triangle (worst barycentric "
+                f"violation {miss.max():.3g}; {np.count_nonzero(np.isinf(miss))} outside every triangle's box)"
             )
         return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 

@@ -30,13 +30,9 @@ and reflections about 0 that map the polygon to itself.  Polygons with
 such symmetries get symmetric meshes.  That exactness is load-bearing
 downstream: reflection extension and chart gluing pair side nodes across
 isometries at tolerance MATCH_TOL, and hypfem.dof_symmetry matches nodes
-for the symmetry reductions with match_nodes, an exact nearest-point search
-that sorts the nodes along one projection and widens each target's window
-of neighbours along it until no point outside can be nearer; a target on a
-node takes one round.  Given a bound (dof_symmetry passes MATCH_TOL), a
-target also stops once no point outside its window is within the bound,
-so an isometry that is no symmetry fails in a round or two.  A mesh that
-cannot meet its target or has an inverted triangle raises MeshError.
+for the symmetry reductions with match_nodes, one range search within
+MATCH_TOL along a sorted projection.  A mesh that cannot meet its target
+or has an inverted triangle raises MeshError.
 """
 
 from __future__ import annotations
@@ -169,62 +165,40 @@ def _neighbour_matrix(e: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
 
 
-def match_nodes(points: np.ndarray, targets: np.ndarray, bound: float = math.inf) -> tuple:
-    """(index of the point nearest to each target, worst nearest distance).
+def match_nodes(points: np.ndarray, targets: np.ndarray) -> tuple:
+    """(index of the point nearest to each target within MATCH_TOL, or -1;
+    worst matched distance, 0.0 with none).
 
-    Exact search along one sorted projection (Friedman, Baskett and Shustek
-    1975): points and targets are sorted by u = Re(z e^-i), off every mesh
-    symmetry axis, and each target's window of u-neighbours doubles on both
-    sides until the next point outside it on either side is farther along u
-    than the best distance found, with room for rounding.  A target on a
-    node stops after one round.  Ties go to the lower index; the worst
-    distance is the true one, 0.0 with no targets.  ValueError for
-    non-finite input and for targets without points.  One DEBUG record
-    gives the sizes, the widening rounds and the worst distance.
-
-    With a bound, a target also stops once no point outside its window can
-    be within bound: its index is then the nearest point in the window, and
-    its distance the smaller of that point's and the gap along u to the
-    window's edge, a lower bound on its true one that exceeds bound.  So
-    the worst distance is the true one when it is at most bound, and a lower
-    bound above bound when some target has no point within bound.
+    One range search along a sorted projection: points and targets are
+    sorted by u = Re(z e^-i), off every mesh symmetry axis, and two
+    searchsorted calls give each target the points within MATCH_TOL of it
+    along u, with room for rounding.  A point within MATCH_TOL of a target
+    is that close along u, so the match is exact.  Ties go to the lower
+    index.  ValueError for non-finite input.  One DEBUG record gives the
+    sizes, the unmatched targets and the worst distance.
     """
     n, m = len(points), len(targets)
     bad = int(np.count_nonzero(~np.isfinite(points)) + np.count_nonzero(~np.isfinite(targets)))
     if bad:
         raise ValueError(f"match_nodes needs finite points and targets: {bad} of {n + m} are not")
-    if m and not n:
-        raise ValueError(f"match_nodes has no points to match {m} targets to")
     u, ut = (z.real * _SORT_AXIS.real + z.imag * _SORT_AXIS.imag for z in (points, targets))
-    order, by_u = np.argsort(u), np.argsort(ut)  # sorted targets: searchsorted and the gathers run ahead
-    u, z, ut, targets = u[order], points[order], ut[by_u], targets[by_u]
-    pos = np.searchsorted(u, ut)
-    slack = 64 * np.finfo(float).eps * np.abs(np.concatenate([points, targets])).max(initial=0.0)
-    best, j = np.full(m, np.inf), np.zeros(m, dtype=np.intp)
-    todo, w, rounds = np.arange(m), 1, 0
-    while len(todo):
-        rounds += 1
-        off = np.r_[-w : -(w // 2), w // 2 : w]  # the window [pos - w, pos + w) less what earlier rounds saw
-        step = max(1, (1 << 20) // len(off))  # at most 2^20 candidate distances at once
-        for a in range(0, len(todo), step):
-            t = todo[a : a + step]
-            k = pos[t, None] + off
-            d = np.where((k >= 0) & (k < n), np.abs(z[k.clip(0, n - 1)] - targets[t, None]), np.inf)
-            near = d.min(axis=1)
-            idx = np.where(d == near[:, None], order[k.clip(0, n - 1)], n).min(axis=1)
-            better = (near < best[t]) | ((near == best[t]) & (idx < j[t]))
-            best[t[better]], j[t[better]] = near[better], idx[better]
-        lo, hi = pos[todo] - w, pos[todo] + w
-        below = np.where(lo <= 0, np.inf, ut[todo] - u[np.maximum(lo - 1, 0)])
-        above = np.where(hi >= n, np.inf, u[np.minimum(hi, n - 1)] - ut[todo])
-        gap = np.minimum(below, above)  # every point outside the window is this far along u
-        done = gap > np.minimum(best[todo], bound) + slack
-        best[todo[done]] = np.minimum(best[todo[done]], gap[done])  # changes only a target beyond bound
-        todo, w = todo[~done], 2 * w
-    worst = float(best.max(initial=0.0))
-    _log.debug("match_nodes: %d targets on %d points, %d widening rounds, worst distance %.3e", m, n, rounds, worst)
-    nearest = np.empty(m, dtype=np.intp)
-    nearest[by_u] = j
+    order, by_u = np.argsort(u), np.argsort(ut)  # sorted targets: the gathers below run ahead
+    u, z, ut, zt = u[order], points[order], ut[by_u], targets[by_u]
+    reach = MATCH_TOL + 64 * np.finfo(float).eps * np.abs(np.concatenate([points, targets])).max(initial=0.0)
+    lo = np.searchsorted(u, ut - reach)
+    count = np.searchsorted(u, ut + reach, side="right") - lo
+    t = np.repeat(np.arange(m), count)  # (sorted target, sorted point) candidate pairs
+    k = np.arange(len(t)) + np.repeat(lo - np.cumsum(count) + count, count)
+    d = np.abs(z[k] - zt[t])
+    best, j = np.full(m, np.inf), np.full(m, n)
+    np.minimum.at(best, t, d)
+    np.minimum.at(j, t, np.where(d == best[t], order[k], n))
+    matched = best <= MATCH_TOL
+    worst = float(best[matched].max(initial=0.0))
+    _log.debug("match_nodes: %d targets on %d points, %d unmatched, worst distance %.3e",
+               m, n, m - np.count_nonzero(matched), worst)
+    nearest = np.full(m, -1, dtype=np.intp)
+    nearest[by_u[matched]] = j[matched]
     return nearest, worst
 
 

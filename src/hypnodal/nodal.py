@@ -50,10 +50,8 @@ class NodalSet:
 
 def euclidean_mesh_size(mesh) -> float:
     """Longest Euclidean edge of the mesh in disk coordinates."""
-    tris = np.asarray(mesh.triangles, dtype=np.int64)
-    z = np.asarray(mesh.nodes, dtype=np.complex128)[tris]
-    d = np.abs(np.stack([z[:, 1] - z[:, 0], z[:, 2] - z[:, 1], z[:, 0] - z[:, 2]]))
-    return float(d.max())
+    e = mesh.edges
+    return float(np.abs(mesh.nodes[e[:, 1]] - mesh.nodes[e[:, 0]]).max())
 
 
 def _fold_line_angle(delta: float) -> float:

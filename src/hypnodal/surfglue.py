@@ -278,13 +278,13 @@ class GluedSystem:
     """Finite element pencil on a glued surface.
 
     Chart c's copy of base mesh node n is global slot c*N + n; glue_index
-    maps slots to glued dof ids, and chart_dof[c, n] is the glued dof of
-    slot c*N + n.  The pencil is held as the base and this map: K and M,
-    CSR on all n_dofs glued dofs, are scattered on the first read of
-    either, which logs one DEBUG record of the charts, each matrix's base
-    and glued nnz and seconds.  constrained marks the dofs on dirichlet sides
-    of every chart, glued (odd interfaces) or not, held at zero by
-    constrained solves.
+    maps slots to glued dof ids (int32, as connected_components numbers
+    them), and chart_dof[c, n] is the glued dof of slot c*N + n.  The
+    pencil is held as the base and this map: K and M, CSR on all n_dofs
+    glued dofs, are scattered on the first read of either, which logs one
+    DEBUG record of the charts, each matrix's base and glued nnz and
+    seconds.  constrained marks the dofs on dirichlet sides of every chart,
+    glued (odd interfaces) or not, held at zero by constrained solves.
     """
 
     surface: Surface
@@ -401,8 +401,7 @@ def assemble_glued(surface: Surface, base) -> GluedSystem:
     a = np.concatenate([np.zeros(0, dtype=np.int64), *slots_a])
     b = np.concatenate([np.zeros(0, dtype=np.int64), *slots_b])
     pairs = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(C * N, C * N))
-    G, labels = connected_components(pairs, directed=False)
-    glue_index = labels.astype(np.int64)
+    G, glue_index = connected_components(pairs, directed=False)
 
     dirichlet_boundary = np.zeros(G, dtype=bool)
     for c, s in surface.unglued_sides():

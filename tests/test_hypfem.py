@@ -12,6 +12,7 @@ import gc
 import logging
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -426,7 +427,7 @@ class TestPolygonFold:
         monkeypatch.setattr(hf, "mesh_polygon", broken)
         # the node match is dof_symmetry's check, the constrained dofs solve_character's
         match = {
-            "moved node": "not symmetric under the polygon's mirror: nodes not mapped",
+            "moved node": "not symmetric under the polygon's mirror: 2 of 1089 nodes not mapped onto mesh nodes",
             "free node on a dirichlet side": "the symmetry does not preserve the constrained dofs",
         }[defect]
         with pytest.raises(hf.SymmetryError, match=match):
@@ -795,14 +796,18 @@ class TestInterpolator:
         outside = np.array([0.95 + 0j, -0.9j, 0.05 + 0.02j])
         tree = centroid_tree(soup)
         assert [path for _, path in (reference_interp(soup, complex(p), tree) for p in outside)] == [0, 0, 8]
-        msg = r"2 of 3 points lie in no triangle \(worst barycentric violation ([0-9.e+-]+)\)"
-        with pytest.raises(ValueError, match=msg) as err:
+        # the grid cells of the two misses list no triangle
+        msg = "2 of 3 points lie in no triangle (worst barycentric violation inf; 2 outside every triangle's box)"
+        with pytest.raises(ValueError, match=re.escape(msg)):
             soup(outside)
-        assert float(re.search(msg, str(err.value)).group(1)) > 1e-9
-        # a point just outside a corner is not clipped in either
-        corner = surfglue.octagon_polygon().vertices[0]
-        with pytest.raises(ValueError, match=r"1 of 1 points lie in no triangle"):
-            soup(corner * (1.0 + 1e-6))
+        # a point just outside a corner is not clipped in either; it is measured in the best of the
+        # triangles its grid cell lists
+        corner = surfglue.octagon_polygon().vertices[0] * (1.0 + 1e-6)
+        worst = (-soup._bary(soup._candidates(np.array([corner]))[1], corner).min(axis=1)).min()
+        assert 1e-9 < worst < 1e-3
+        msg = f"1 of 1 points lie in no triangle (worst barycentric violation {worst:.3g}; 0 outside every triangle's box)"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            soup(corner)
 
     @pytest.mark.parametrize(
         "triangles, values, what",
@@ -882,13 +887,21 @@ class TestInterpolator:
         assert len(f._cell_tri) <= 3 * len(tris)
         assert np.abs(f(0.5 * (rng.uniform(0, 1, 100) + 1j * rng.uniform(0, 1, 100))) - 1.0).max() <= 1e-15
 
-    def test_a_point_in_no_cell_is_measured_in_its_nearest_centroid_triangle(self, soup):
-        far = 3.0 + 4.0j
-        cent = soup._z.mean(axis=1)
-        t = np.argmin(np.abs(cent - far))
-        worst = -soup._bary(t, far).min()
-        with pytest.raises(ValueError, match=re.escape(f"1 of 1 points lie in no triangle (worst barycentric violation {worst:.3g})")):
-            soup(far)
+    def test_a_far_miss_fails_fast_without_a_node_search(self, monkeypatch):
+        # 2,000 points near the circle at infinity against the genus-3 pants mesh: most grid cells they
+        # clip to list no triangle, and the miss message measures the others in their cells' triangles
+        def no_search(*args):
+            raise AssertionError("P1Interpolator called match_nodes")
+
+        monkeypatch.setattr(hf, "match_nodes", no_search)
+        mesh = hm.mesh_polygon(surfglue.pants_decagon(2.0, 2.0, 2.0), 0.06)
+        f = hf.P1Interpolator(mesh.nodes, mesh.triangles, np.ones(mesh.n_nodes))
+        far = 0.999 * np.exp(2j * np.pi * np.arange(2000) / 2000)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^P1Interpolator: 2000 of 2000 points lie in no triangle \(worst barycentric "
+                           r"violation inf; [1-9]\d* outside every triangle's box\)$"):
+            f(far)
+        assert time.perf_counter() - t0 < 0.05
 
 
 class TestRichardson:

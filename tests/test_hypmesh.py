@@ -189,10 +189,9 @@ def tree_match(points, targets):
     return j, dist
 
 
-def match_rounds(caplog) -> list:
-    """Widening rounds of the match_nodes DEBUG records caught so far."""
-    found = (re.search(r"(\d+) widening rounds", r.getMessage()) for r in caplog.records if r.name == "hypnodal.hypmesh")
-    return [int(m.group(1)) for m in found if m]
+def match_records(caplog) -> list:
+    """The match_nodes DEBUG records caught so far."""
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("match_nodes:")]
 
 
 class TestMatchNodes:
@@ -203,73 +202,79 @@ class TestMatchNodes:
         points = np.concatenate([cloud, cloud[:80], cloud[:20]])  # points listed two and three times
         targets = np.concatenate([
             cloud[rng.permutation(400)],  # on a point
+            cloud[:100] + 5e-10 * np.exp(2j * np.pi * rng.uniform(0, 1, 100)),  # within MATCH_TOL of one
             3.0 * (rng.standard_normal(200) + 1j * rng.standard_normal(200)),  # scattered
             [40 + 30j, -1e3j],  # far from every point
         ])
+        # the tree's nearest point where it lies within MATCH_TOL, and -1 for the scattered and far targets
         j, worst = hm.match_nodes(points, targets)
         ref, dist = tree_match(points, targets)
-        got = np.abs(points[j] - targets)
+        within = dist <= hm.MATCH_TOL
+        assert within[:500].all() and not within[500:].any()
+        assert np.all(j[~within] == -1)
+        got = np.abs(points[j[within]] - targets[within])
         # np.abs (hypot) against the tree's square root of a rounded sum of squares: two ulps apart at most
-        assert np.all(np.abs(got - dist) <= 2 * np.spacing(dist))
-        assert np.array_equal(points[j], points[ref])
-        assert worst == got.max() and worst > 990.0  # the far target -1000j sets it
+        assert np.all(np.abs(got - dist[within]) <= 2 * np.spacing(dist[within]))
+        assert np.array_equal(points[j[within]], points[ref[within]])
+        assert worst == got.max() and 0.0 < worst <= hm.MATCH_TOL
         assert j[:400].tolist() == np.argmax(points[None, :] == targets[:400, None], axis=1).tolist()  # lowest index
 
+    def test_the_tolerance_is_the_match_radius(self):
+        points = np.array([0.1 + 0.2j, -0.3j, 0.5 + 0j])
+        step = np.exp(0.7j)
+        targets = np.concatenate([points + 0.9 * hm.MATCH_TOL * step, points + 1.1 * hm.MATCH_TOL * step])
+        j, worst = hm.match_nodes(points, targets)
+        assert j.tolist() == [0, 1, 2, -1, -1, -1]
+        assert worst == np.abs(targets[:3] - points).max() <= hm.MATCH_TOL
+
     def test_one_line_of_equal_projections(self, caplog):
-        # 200 points on a line across the sort axis all have the same u: the window doubles until it holds them
+        # 200 points on a line across the sort axis all have the same u: every one is a candidate of each target
         along = 1j * hm._SORT_AXIS
         points = np.linspace(-1.0, 1.0, 200) * along
-        targets = np.array([0.3 * along, 0.3 * along + 0.01 * hm._SORT_AXIS, points[0], points[-1], 5 * along])
+        targets = np.array([
+            0.3 * along, 0.3 * along + 0.01 * hm._SORT_AXIS, points[0], points[-1], 5 * along,
+            points[57] + 4e-10 * along,
+        ])
         with caplog.at_level(logging.DEBUG, logger="hypnodal.hypmesh"):
             j, worst = hm.match_nodes(points, targets)
         brute = np.abs(points[None, :] - targets[:, None])
-        assert j.tolist() == brute.argmin(axis=1).tolist()
-        assert worst == brute.min(axis=1).max()
-        (rounds,) = match_rounds(caplog)
-        assert rounds <= math.ceil(math.log2(200)) + 1
+        near = brute.min(axis=1) <= hm.MATCH_TOL
+        assert j.tolist() == np.where(near, brute.argmin(axis=1), -1).tolist() == [-1, -1, 0, 199, -1, 57]
+        assert worst == brute.min(axis=1)[near].max()
+        assert match_records(caplog) == [f"match_nodes: 6 targets on 200 points, 3 unmatched, worst distance {worst:.3e}"]
 
     def test_a_target_on_a_node_takes_one_round(self, caplog):
+        # each target's candidates are the nodes within reach along u, searched in one pass
         nodes = hm.mesh_polygon(quarter_octagon(), 0.08).nodes
         with caplog.at_level(logging.DEBUG, logger="hypnodal.hypmesh"):
             j, worst = hm.match_nodes(nodes, nodes[::-1])
         assert j.tolist() == list(range(len(nodes)))[::-1] and worst == 0.0
-        assert match_rounds(caplog) == [1]
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_a_bound_stops_targets_beyond_it(self, seed):
-        rng = np.random.default_rng(seed)
-        points = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        near = points[rng.permutation(500)] + 1e-10 * rng.standard_normal(500)  # each within 1e-9 of its point
-        far = 3.0 * (rng.standard_normal(50) + 1j * rng.standard_normal(50))
-        (j, worst), (want, true_worst) = hm.match_nodes(points, near, bound=1e-9), hm.match_nodes(points, near)
-        assert np.array_equal(j, want) and worst == true_worst <= 1e-9  # every target within the bound: no change
-        targets = np.concatenate([near, far])
-        j, worst = hm.match_nodes(points, targets, bound=1e-9)
-        want, true_worst = hm.match_nodes(points, targets)
-        assert np.array_equal(j[:500], want[:500])  # a target within the bound gets its nearest point
-        assert 1e-9 < worst <= true_worst  # a lower bound on the worst distance, above the bound
+        assert match_records(caplog) == ["match_nodes: 4225 targets on 4225 points, 0 unmatched, worst distance 0.000e+00"]
 
     def test_a_wrong_symmetry_fails_fast(self, caplog):
-        # a rotation by 0.3 maps most pants nodes far from every node: the node match stops at MATCH_TOL
+        # a rotation by 0.3 about 0 keeps the pants node at 0 and maps every other node far from every node
         mesh = hm.mesh_polygon(*POLYGON_CASES["pants-decagon"])
         iso = hg.rotation(0.3)
-        _, true_worst = hm.match_nodes(mesh.nodes, hg.apply(iso, mesh.nodes))
-        caplog.clear()
+        _, dist = tree_match(mesh.nodes, hg.apply(iso, mesh.nodes))
+        unmatched = int(np.count_nonzero(dist > hm.MATCH_TOL))
+        assert unmatched == mesh.n_nodes - 1 == 7392
         with caplog.at_level(logging.DEBUG, logger="hypnodal.hypmesh"):
-            with pytest.raises(hf.SymmetryError, match="not mapped onto mesh nodes .worst match distance at least") as err:
+            with pytest.raises(
+                hf.SymmetryError,
+                match=rf"^the mesh is not symmetric under a rotation by 0.3: {unmatched} of {mesh.n_nodes} nodes "
+                "not mapped onto mesh nodes within MATCH_TOL$",
+            ):
                 hf.dof_symmetry(mesh.nodes, np.arange(mesh.n_nodes), iso, "a rotation by 0.3")
-        (rounds,) = match_rounds(caplog)
-        assert rounds <= 2
-        lower = float(re.search(r"at least ([0-9.e+-]+)\)", str(err.value)).group(1))
-        assert hm.MATCH_TOL < lower <= true_worst
+        (record,) = match_records(caplog)
+        assert record.startswith(f"match_nodes: {mesh.n_nodes} targets on {mesh.n_nodes} points, {unmatched} unmatched, ")
 
     def test_no_targets(self):
         j, worst = hm.match_nodes(np.array([0j, 0.5 + 0j]), np.zeros(0, dtype=complex))
         assert j.shape == (0,) and worst == 0.0
 
-    def test_targets_need_points(self):
-        with pytest.raises(ValueError, match="match_nodes has no points to match 2 targets to"):
-            hm.match_nodes(np.zeros(0, dtype=complex), np.array([0j, 0.5 + 0j]))
+    def test_no_points_leaves_every_target_unmatched(self):
+        j, worst = hm.match_nodes(np.zeros(0, dtype=complex), np.array([0j, 0.5 + 0j]))
+        assert j.tolist() == [-1, -1] and worst == 0.0
 
     @pytest.mark.parametrize("where", ["points", "targets"])
     def test_rejects_non_finite_input(self, where):

@@ -58,8 +58,9 @@ def picture_symmetry_error(system, v, mapping, sign: float) -> float:
     set (tiling placements only)."""
     pts = system.picture_nodes().ravel()
     vals = v[system.glue_index]
-    j, worst = match_nodes(pts, mapping(pts))
-    assert worst <= MATCH_TOL, f"picture nodes are not invariant under the mapping (worst {worst:.3e})"
+    j, _ = match_nodes(pts, mapping(pts))
+    unmatched = int(np.count_nonzero(j < 0))
+    assert not unmatched, f"picture nodes are not invariant under the mapping ({unmatched} of {len(pts)} unmatched)"
     return float(np.max(np.abs(vals[j] - sign * vals)) / np.max(np.abs(vals)))
 
 
@@ -423,13 +424,6 @@ class TestGluedAssembly:
         with pytest.raises(surfglue.GlueError, match="not a mesh of the surface's base polygon"):
             surfglue.assemble_glued(surfglue.Surface(free, [surfglue.Chart()], []), mesh_polygon(quarter, 0.24))
 
-    def test_match_failure_reports_the_true_worst_distance(self):
-        # no point is near 0.2; the worst distance is still its own
-        points, targets = np.array([0j, 0.5 + 0j]), np.array([1e-12 + 0j, 0.2 + 0j])
-        j, worst = match_nodes(points, targets)
-        assert j.tolist() == [0, 0]
-        assert worst == 0.2
-
     def test_symmetry_error_rejects_non_symmetry(self, tiling_ext):
         with pytest.raises(AssertionError, match="not invariant"):
             picture_symmetry_error(tiling_ext.system, tiling_ext.vector, lambda z: np.exp(0.1j) * z, 1.0)
@@ -641,6 +635,14 @@ class TestSharedPattern:
             assert got.shape == want.shape == (system.n_dofs, system.n_dofs)
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+    def test_the_glue_index_is_connected_components_int32(self, g3):
+        # the closed genus-3 pencil scatters from the int32 labels as they come, bit for bit the reference
+        system = g3.system
+        assert system.glue_index.dtype == system.chart_dof.dtype == np.int32
+        for got, want in zip((system.K, system.M), reference_glue(g3.base, system.glue_index, g3.surface.n_charts)):
+            assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.data, want.data)
 
     @pytest.mark.parametrize("case", SHARED_PATTERN_CASES)
@@ -1364,7 +1366,8 @@ class TestMirrorFold:
         assert np.max(np.abs(u)) > 0.0
 
     def test_rejects_map_that_moves_the_mesh(self, pants_system):
-        with pytest.raises(surfglue.GlueError, match="not mapped onto mesh nodes"):
+        n = pants_system.base_mesh.n_nodes
+        with pytest.raises(surfglue.GlueError, match=rf"[1-9]\d* of {n} nodes not mapped onto mesh nodes within MATCH_TOL"):
             surfglue.solve_glued(pants_system, k=1, even_under=rotation(0.1))
 
     def test_rejects_mesh_whose_triangles_are_not_symmetric(self):
@@ -1516,10 +1519,8 @@ class TestPantsOnItsDecagon:
         psys = surfglue.assemble_glued(surfglue.pants_decagon_surface(), ext.base.mesh)
         (lam,), vecs = surfglue.solve_glued(psys, k=1, even_under=MIRROR)
         u = vecs[:, 0][psys.glue_index]
-        assert ext.lam == lam
-        # the folded pencils are equal entry by entry; their storage order, and so the rounding of
-        # the Lanczos products, may differ
-        assert np.abs(ext.base_vector - u).max() <= 2.3e-16 * np.abs(u).max()
+        # the folded pencils are equal entry by entry, and sorted, so the solves are one solve
+        assert ext.lam == lam and np.array_equal(ext.base_vector, u)
 
 
 class TestSurfaceInputChecks:
