@@ -72,7 +72,7 @@ class Isometry:
 
     def __post_init__(self):
         n = abs(self.a) ** 2 - abs(self.b) ** 2
-        if abs(n - 1.0) > 1e-6:
+        if not abs(n - 1.0) <= 1e-6:  # also rejects non-finite coefficients, whose n is nan
             raise GeometryError(f"isometry coefficients not normalized: |a|^2-|b|^2 = {n}")
 
     def normalized(self) -> "Isometry":

@@ -4,24 +4,26 @@ The mesh is built in three stages: a macro fan from an interior hub to
 arclength-uniform boundary subdivisions, uniform 1:4 refinement until every
 edge is hyperbolically shorter than the target, and Jacobi smoothing with
 boundary nodes retracted onto their geodesic side by orthogonal projection.
-All stages are array operations.  One argsort per refinement level gives
-the unique edges and the inverse map from triangle sides to edges
+All stages are array operations, and from the fan on they keep the boundary
+as the Mesh does, in its side chains.  One argsort per refinement level
+gives the unique edges and the inverse map from triangle sides to edges
 (_edge_pattern): the edge-length check and the smoother share the edges,
 and refinement numbers its midpoints through the inverse.  A Mesh is
-frozen, with read-only triangles, and derives its edges and
-triangle_edges, the pattern of hypfem.assemble, from them on first use;
-mesh_polygon hands over the final level's pattern instead, and a Mesh
-made by dataclasses.replace derives its own.  Edge lengths are measured
-once per level and once per smoothing round; a round that misses the
-target refines at once.  A smoothing sweep runs on the split real
-coordinates x and y of the nodes: the neighbour sums are two 1-D products
-of a CSR matrix of ones, whose rows list each node's neighbours in
-np.add.at order, with x and with y; the means scale them in place by the
-reciprocal neighbour counts, bit for bit numpy's complex sums divided by
-the counts (see smooth); and every non-corner boundary node is retracted
-at once with the map coefficients of its side (hypgeo.side_maps,
-axis_foot, axis_point).  mesh_polygon logs one DEBUG record: nodes,
-triangles, refinement level, smoothing rounds and the seconds they took.
+frozen, with read-only triangles, and derives its edges and triangle_edges,
+the pattern of hypfem.assemble, from them on first use; mesh_polygon hands
+over the final level's pattern instead, and a Mesh made by
+dataclasses.replace derives its own.  Edge lengths are measured once per
+level and once per smoothing round; a round that misses the target refines
+at once, so rounds <= level + 1 and MAX_REFINEMENTS bounds both.  A
+smoothing sweep runs on the split real coordinates x and y of the nodes:
+the neighbour sums are two 1-D products of a CSR matrix of ones, whose rows
+list each node's neighbours in np.add.at order, with x and with y; the
+means scale them in place by the reciprocal neighbour counts, bit for bit
+numpy's complex sums divided by the counts (see smooth); and every chain
+interior is retracted at once with the map coefficients of its side
+(hypgeo.side_maps, axis_foot, axis_point).  mesh_polygon logs one DEBUG
+record: nodes, triangles, refinement level, smoothing rounds and the
+seconds they took.
 
 Boundary placement and projection are intrinsic, but the hub (the
 Euclidean mean of the vertices), the Euclidean interior midpoints and the
@@ -52,7 +54,7 @@ from .hypgeo import HyperbolicPolygon, axis_foot, axis_point, hyp_distance, side
 MATCH_TOL = 1e-9  # a node matches the image of a node under a mesh symmetry when this close
 _SORT_AXIS = complex(math.cos(1.0), math.sin(1.0))  # match_nodes sorts along u = Re(z e^-i) = z . _SORT_AXIS
 SMOOTH_SWEEPS = 40  # Jacobi relaxation passes (interior and tangential-boundary)
-MAX_REFINEMENTS = 14  # at most this many 1:4 refinement levels, and refine + smooth rounds
+MAX_REFINEMENTS = 14  # at most this many 1:4 refinement levels
 
 _log = logging.getLogger(__name__)
 
@@ -66,10 +68,11 @@ class Mesh:
     """Triangle mesh of one geodesic polygon.
 
     nodes are complex disk coordinates, and node k is polygon vertex k;
-    triangles index into nodes, CCW, and are read-only.  side_nodes[i]
-    lists the nodes on side i ordered by arclength from the side's start
-    corner (both corners included); side_params[i] are the matching
-    arclengths.  level is the number of 1:4 refinements of the macro fan.
+    triangles index into nodes, CCW, and are read-only.  side_nodes[i] is
+    the chain of nodes on side i from corner i to corner i + 1, in
+    arclength order by construction, so consecutive entries span a
+    boundary edge; side_params[i] are their arclengths, 0 to the side's
+    length.  level is the number of 1:4 refinements of the macro fan.
 
     edges are the unique edges (lo, hi) in lexicographic order, and
     triangle_edges[t, j] indexes the edge joining corners j and j + 1 of
@@ -225,69 +228,41 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
     to_axis, from_axis = side_maps(sides)
     lmin = float(lengths.min())
 
-    # macro boundary subdivision, arclength-uniform per side.  Boundary
-    # state: side_of[node] is the side of a non-corner boundary node (-1 for
-    # interior nodes and corners), par[node] its arclength along that side,
-    # bedges the (a, b, side) boundary edges in arclength order per side.
+    # macro fan: side i's chain runs from corner i to corner i + 1 through
+    # arclength-uniform nodes, and each chain edge spans a triangle with the hub
     nodes = list(poly.vertices)
-    side_of, par, bedges = [-1] * poly.n, [0.0] * poly.n, []
+    side_nodes, side_params = [], []
     for i, (sd, L) in enumerate(zip(sides, lengths.tolist())):
         cnt = max(1, round(L / lmin))
-        chain = [i, *range(len(nodes), len(nodes) + cnt - 1), (i + 1) % poly.n]
-        for j in range(1, cnt):
-            s = L * j / cnt
-            nodes.append(sd.point_at(s))
-            side_of.append(i)
-            par.append(s)
-        bedges += [(a, b, i) for a, b in zip(chain, chain[1:])]
-
+        s = [L * j / cnt for j in range(1, cnt)]
+        side_nodes.append(np.array([i, *range(len(nodes), len(nodes) + cnt - 1), (i + 1) % poly.n]))
+        side_params.append(np.array([0.0, *s, L]))
+        nodes += [sd.point_at(t) for t in s]
     hub = len(nodes)
     nodes.append(sum(poly.vertices) / poly.n)
-    side_of.append(-1)
-    par.append(0.0)
-
     z = np.array(nodes, dtype=np.complex128)
-    side_of = np.array(side_of, dtype=np.int64)
-    par = np.array(par, dtype=np.float64)
-    bedges = np.array(bedges, dtype=np.int64)
-    tris = np.column_stack([bedges[:, :2], np.full(len(bedges), hub)])
-
-    def arclength(x, side):
-        """Arclength of boundary node x along side (corners are nodes 0..n-1)."""
-        return np.where(x == side, 0.0, np.where(x == (side + 1) % poly.n, lengths[side], par[x]))
+    tris = np.concatenate([np.column_stack([c[:-1], c[1:], np.full(len(c) - 1, hub)]) for c in side_nodes])
 
     def refine(z, tris, e, tri_e):
         """One uniform 1:4 split; e is the level's unique edges, whose k-th
         midpoint becomes node n + k, and tri_e the edges of each triangle.
-        Boundary midpoints are placed at the arclength midpoint of their
-        side segment, interior midpoints Euclidean."""
-        nonlocal side_of, par, bedges
+        Boundary midpoints sit at the arclength midpoints of consecutive
+        chain entries, interleaved into the chains; interior ones Euclidean."""
         n = len(z)
         codes = e[:, 0].astype(np.int64) * n + e[:, 1]
         mids = 0.5 * (z[e[:, 0]] + z[e[:, 1]])
-
-        a, b, side = bedges.T
-        k = np.searchsorted(codes, np.minimum(a, b) * n + np.maximum(a, b))
-        sm = 0.5 * (arclength(a, side) + arclength(b, side))
-        mids[k] = axis_point(*from_axis[:, side], sm)
-        m = n + k
-        side_of = np.concatenate([side_of, np.full(len(e), -1)])
-        par = np.concatenate([par, np.zeros(len(e))])
-        side_of[m], par[m] = side, sm
-        bedges = np.column_stack([a, m, side, m, b, side]).reshape(-1, 3)
+        for i, (c, s) in enumerate(zip(side_nodes, side_params)):
+            k = np.searchsorted(codes, np.minimum(c[:-1], c[1:]) * n + np.maximum(c[:-1], c[1:]))
+            sm = 0.5 * (s[:-1] + s[1:])
+            mids[k] = axis_point(*from_axis[:, i], sm)
+            side_nodes[i] = np.insert(c, np.arange(1, len(c)), n + k)
+            side_params[i] = np.insert(s, np.arange(1, len(s)), sm)
 
         z = np.concatenate([z, mids])
         m01, m12, m20 = (n + tri_e.astype(np.int64)).T
-        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-        tris = np.concatenate(
-            [
-                np.stack([a, m01, m20], axis=1),
-                np.stack([b, m12, m01], axis=1),
-                np.stack([c, m20, m12], axis=1),
-                np.stack([m01, m12, m20], axis=1),
-            ]
-        )
-        return z, tris
+        a, b, c = tris.T
+        children = ((a, m01, m20), (b, m12, m01), (c, m20, m12), (m01, m12, m20))
+        return z, np.concatenate([np.stack(t, axis=1) for t in children])
 
     def smooth(z, e):
         """Jacobi sweeps over the level's unique edges e: interior nodes to
@@ -301,11 +276,14 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
         by Smith's method, ((s.re + s.im * 0) * scl, (s.im - s.re * 0) * scl)
         with scl = 1 / c, and adding a zero changes only a -0.0, which sums
         that start from +0.0 never are.  z is rebuilt by assigning its parts,
-        which keeps the sign of a zero (x + 1j * y would not)."""
+        which keeps the sign of a zero (x + 1j * y would not).  The last
+        sweep's arclengths are written back to the chain interiors."""
         adj = _neighbour_matrix(e, len(z))
         inv_cnt = 1.0 / np.maximum(np.diff(adj.indptr), 1.0)
-        bnd = np.flatnonzero(side_of >= 0)
-        sb = side_of[bnd]
+        inner = [len(c) - 2 for c in side_nodes]
+        bnd = np.concatenate([c[1:-1] for c in side_nodes])
+        par = np.concatenate([s[1:-1] for s in side_params])
+        sb = np.repeat(np.arange(poly.n), inner)
         to_sb, from_sb, len_sb = to_axis[:, sb], from_axis[:, sb], lengths[sb]
         x, y = z.real.copy(), z.imag.copy()
         corners = z[: poly.n].copy()
@@ -315,10 +293,12 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
             x *= inv_cnt
             y *= inv_cnt
             mean_b.real, mean_b.imag = x[bnd], y[bnd]
-            par[bnd] = np.clip(axis_foot(*to_sb, mean_b), 0.0, len_sb)
-            zb = axis_point(*from_sb, par[bnd])
+            par = np.clip(axis_foot(*to_sb, mean_b), 0.0, len_sb)
+            zb = axis_point(*from_sb, par)
             x[bnd], y[bnd] = zb.real, zb.imag
             x[: poly.n], y[: poly.n] = corners.real, corners.imag
+        for s, p in zip(side_params, np.split(par, np.cumsum(inner)[:-1])):
+            s[1:-1] = p
         z = np.empty(len(x), dtype=np.complex128)
         z.real, z.imag = x, y
         return z
@@ -327,38 +307,28 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
         """Whether some edge of the level's unique edges e is longer than h_target."""
         return hyp_distance(z[e[:, 0]], z[e[:, 1]]).max() > h_target
 
-    # refine + smooth until the smoothed mesh meets the edge criterion
-    # (smoothing can stretch edges, so the check runs on the final positions;
-    # a round that misses it refines at once, without measuring them again)
+    # refine while an edge is too long, else smooth, until a smoothing leaves
+    # every edge within h_target (smoothing can stretch edges, so the check
+    # runs on the final positions); the level cap also bounds the rounds
     e, tri_e = _edge_pattern(tris)
     level, rounds, smooth_s = 0, 0, 0.0
-    miss = too_long(z, e)
-    for _ in range(MAX_REFINEMENTS):
-        while miss:
-            if level == MAX_REFINEMENTS:
-                raise MeshError(f"{level} refinement levels leave an edge longer than h_target = {h_target}")
+    miss, smoothed = too_long(z, e), False
+    while miss or not smoothed:
+        if not miss:
+            t0 = time.perf_counter()
+            z = smooth(z, e)
+            rounds, smooth_s = rounds + 1, smooth_s + time.perf_counter() - t0
+        elif level == MAX_REFINEMENTS:
+            raise MeshError(f"{level} refinement levels leave an edge longer than h_target = {h_target}")
+        else:
             z, tris = refine(z, tris, e, tri_e)
             (e, tri_e), level = _edge_pattern(tris), level + 1
-            miss = too_long(z, e)
-        t0 = time.perf_counter()
-        z = smooth(z, e)
-        rounds, smooth_s = rounds + 1, smooth_s + time.perf_counter() - t0
+        smoothed = not miss
         miss = too_long(z, e)
-        if not miss:
-            break
-    else:
-        raise MeshError(f"{MAX_REFINEMENTS} refine + smooth rounds end with an edge above h_target = {h_target}")
     d1, d2 = z[tris[:, 1]] - z[tris[:, 0]], z[tris[:, 2]] - z[tris[:, 0]]
     inverted = int(np.count_nonzero(d1.real * d2.imag - d2.real * d1.imag <= 0.0))
     if inverted:
         raise MeshError(f"{inverted} of {len(tris)} triangles have det <= 0 (inverted or degenerate)")
-
-    side_nodes, side_params = [], []
-    for i in range(poly.n):
-        own = np.flatnonzero(side_of == i)
-        own = own[np.argsort(par[own], kind="stable")]
-        side_nodes.append(np.concatenate([[i], own, [(i + 1) % poly.n]]))
-        side_params.append(np.concatenate([[0.0], par[own], [lengths[i]]]))
 
     _log.debug(
         "mesh_polygon: %d nodes, %d triangles, level %d, %d smoothing rounds in %.3f s",

@@ -442,8 +442,11 @@ def transport(system: GluedSystem, u: np.ndarray, consistency_tol: float = 1e-10
     members (across charts and within one chart, for self-paired sides)
     must agree within consistency_tol * max|u| or the extension is not well
     defined (wrong symmetry class of u).  The dof value is the member mean.
-    A u with a non-finite value raises GlueError.
+    A u that is not one finite value per base-mesh node raises GlueError.
     """
+    if np.shape(u) != (system.base_mesh.n_nodes,):
+        raise GlueError(f"transport needs one value per base-mesh node: {system.base_mesh.n_nodes} nodes, "
+                        f"u of shape {np.shape(u)}")
     if not np.isfinite(u).all():
         raise GlueError(f"transport needs a finite vector: {int((~np.isfinite(u)).sum())} of {len(u)} values are not")
     gi, n = system.glue_index, system.n_dofs
@@ -472,7 +475,10 @@ def glued_residual(system: GluedSystem, lam: float, v: np.ndarray) -> float:
     """Relative eigen-residual of (lam, v) on the unreduced glued pencil,
     restricted to the eigen rows (leaving out only the unglued Dirichlet
     boundary, where the boundary condition rather than the equation holds),
-    with K v and M v from base products (_glued_product)."""
+    with K v and M v from base products (_glued_product).  A v that is not
+    one value per glued dof raises GlueError."""
+    if np.shape(v) != (system.n_dofs,):
+        raise GlueError(f"glued_residual needs one value per glued dof: {system.n_dofs} dofs, v of shape {np.shape(v)}")
     rows = system.eigen_rows
     kv = _glued_product(system, system.base.K, v)[rows]
     mv = _glued_product(system, system.base.M, v)[rows]

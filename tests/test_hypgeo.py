@@ -335,6 +335,12 @@ class TestIsometry:
         with pytest.raises(hg.GeometryError):
             hg.Isometry(2.0 + 0j, 0j, False)
 
+    @pytest.mark.parametrize("make", [lambda: hg.Isometry(math.nan, 0j), lambda: hg.rotation(math.nan),
+                                      lambda: hg.translation(math.inf)], ids=["nan", "rotation-nan", "translation-inf"])
+    def test_rejects_non_finite_coefficients(self, make):
+        with pytest.raises(hg.GeometryError, match="= nan"):
+            make()
+
     @given(disk_points(), disk_points())
     @settings(max_examples=80, deadline=None)
     def test_translation_preserves_distance(self, p, q):

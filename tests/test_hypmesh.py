@@ -142,6 +142,77 @@ class TestBoundary:
         assert len(np.intersect1d(d, n)) > 0
 
 
+# the side chains and the loop bound are checked on these meshes: levels 4 to 6, every side-count in use
+CHAIN_CASES = {
+    "quarter-0.16": (quarter_octagon(), 0.16),
+    "quarter-0.08": (quarter_octagon(), 0.08),
+    "quarter-0.04": (quarter_octagon(), 0.04),
+    "octagon-0.16": (surfglue.octagon_polygon(), 0.16),
+    "decagon-0.24": (surfglue.pants_decagon(2.0, 2.0, 2.0), 0.24),
+    "decagon-0.12": (surfglue.pants_decagon(2.0, 2.0, 2.0), 0.12),
+    "hexagon-0.1": (hg.right_angled_hexagon(1.0, 1.3, 0.8), 0.1),
+}
+
+
+def smoothing_rounds(caplog) -> int:
+    """The smoothing rounds that the one mesh_polygon record in caplog gives."""
+    found = (re.search(r"(\d+) smoothing rounds", r.getMessage()) for r in caplog.records if r.name == "hypnodal.hypmesh")
+    (rounds,) = [int(m.group(1)) for m in found if m]
+    return rounds
+
+
+@pytest.fixture(scope="module")
+def chain_meshes():
+    return {case: hm.mesh_polygon(*CHAIN_CASES[case]) for case in CHAIN_CASES}
+
+
+class TestSideChains:
+    """side_nodes and side_params are the boundary: side i's chain runs from
+    corner i to corner i + 1, and consecutive entries span its boundary edges."""
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_chains_run_corner_to_corner(self, chain_meshes, case):
+        mesh = chain_meshes[case]
+        n = mesh.polygon.n
+        assert len(mesh.side_nodes) == len(mesh.side_params) == n
+        for i, chain in enumerate(mesh.side_nodes):
+            assert (chain[0], chain[-1]) == (i, (i + 1) % n)
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_params_increase_from_zero_to_the_side_length(self, chain_meshes, case):
+        mesh = chain_meshes[case]
+        for chain, par, sd in zip(mesh.side_nodes, mesh.side_params, mesh.polygon.sides):
+            assert len(par) == len(chain)
+            assert par[0] == 0.0 and par[-1] == sd.length
+            assert np.all(np.diff(par) > 0.0)
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_nodes_lie_on_their_side_at_their_arclength(self, chain_meshes, case):
+        mesh = chain_meshes[case]
+        for chain, par, sd in zip(mesh.side_nodes, mesh.side_params, mesh.polygon.sides):
+            assert np.max(np.abs(sd.point_at(par) - mesh.nodes[chain])) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_boundary_edges_are_the_chain_pairs(self, chain_meshes, case):
+        # the sides of exactly one triangle, in its CCW direction, are the consecutive chain pairs
+        mesh = chain_meshes[case]
+        tris, n = mesh.triangles.astype(np.int64), mesh.n_nodes
+        a, b = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+        _, inverse, count = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True, return_counts=True)
+        once = count[inverse] == 1
+        boundary = np.sort(a[once] * n + b[once])
+        chains = np.sort(np.concatenate([c[:-1] * n + c[1:] for c in mesh.side_nodes]))
+        assert np.array_equal(boundary, chains)
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_smoothing_rounds_within_level_plus_one(self, case, caplog):
+        # every round after the first follows a refinement, so the level cap bounds the rounds
+        with caplog.at_level(logging.DEBUG, logger="hypnodal.hypmesh"):
+            mesh = hm.mesh_polygon(*CHAIN_CASES[case])
+        rounds = smoothing_rounds(caplog)
+        assert 1 <= rounds <= mesh.level + 1
+
+
 class TestSymmetry:
     def test_pentagon_diagonal_mirror(self, pent_mesh):
         # the quarter octagon is symmetric under reflection across the
@@ -384,11 +455,6 @@ class TestMeshError:
         with pytest.raises(hm.MeshError, match="1 refinement levels"):
             hm.mesh_polygon(quarter_octagon(), 0.1)
 
-    def test_rounds_that_miss_the_target(self, monkeypatch):
-        monkeypatch.setattr(hm, "MAX_REFINEMENTS", 0)
-        with pytest.raises(hm.MeshError, match="0 refine \\+ smooth rounds"):
-            hm.mesh_polygon(quarter_octagon(), 0.2)
-
     def test_rejects_more_edges_than_int32_indexes(self, monkeypatch):
         unique_edges = hm._unique_edges
         mesh = hm.mesh_polygon(quarter_octagon(), 0.2)
@@ -587,8 +653,7 @@ class TestArrayKernels:
         monkeypatch.setattr(hm, "hyp_distance", counted)
         with caplog.at_level(logging.DEBUG, logger="hypnodal.hypmesh"):
             mesh = hm.mesh_polygon(*POLYGON_CASES[case])
-        found = (re.search(r"(\d+) smoothing rounds", r.getMessage()) for r in caplog.records if r.name == "hypnodal.hypmesh")
-        (rounds,) = [int(m.group(1)) for m in found if m]
+        rounds = smoothing_rounds(caplog)
         assert len(calls) == mesh.level + rounds + 1
 
     def test_mesh_is_frozen(self, pent_mesh):

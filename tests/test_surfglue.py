@@ -11,6 +11,7 @@ import functools
 import itertools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -439,6 +440,13 @@ class TestGluedAssembly:
         with pytest.raises(surfglue.GlueError, match=f"finite vector: 1 of {len(u)} values are not"):
             surfglue.transport(tiling_ext.system, u)
 
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
+    def test_transport_rejects_a_vector_of_the_wrong_length(self, tiling_ext, extra):
+        n = tiling_ext.system.base_mesh.n_nodes
+        u = np.resize(tiling_ext.base_vector, n + extra)
+        with pytest.raises(surfglue.GlueError, match=re.escape(f"{n} nodes, u of shape ({n + extra},)")):
+            surfglue.transport(tiling_ext.system, u)
+
     def test_transport_matches_per_chart_accumulation(self, tiling_ext, g3):
         # reference: chart by chart np.add.at of the signed values, then the member mean
         for ext in (tiling_ext, g3):
@@ -775,6 +783,13 @@ class TestBaseProductResidual:
         assert abs(surfglue.glued_residual(system, lam, v) - scattered) <= 1e-13
         assert surfglue.glued_residual(system, lam, v) < 1e-8
         assert surfglue.glued_residual(system, lam * (1 + 1e-6), v) > 1e-8
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
+    def test_residual_rejects_a_vector_of_the_wrong_length(self, product_cases, extra):
+        system, v, lam = product_cases["extension"]
+        n = system.n_dofs
+        with pytest.raises(surfglue.GlueError, match=re.escape(f"{n} dofs, v of shape ({n + extra},)")):
+            surfglue.glued_residual(system, lam, np.resize(v, n + extra))
 
 
 class TestBasePattern:
