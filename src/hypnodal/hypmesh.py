@@ -9,18 +9,19 @@ as the Mesh does, in its side chains.  One argsort per refinement level
 gives the unique edges and the inverse map from triangle sides to edges
 (_edge_pattern): the edge-length check and the smoother share the edges,
 and refinement numbers its midpoints through the inverse.  A Mesh is
-frozen, with read-only triangles, and derives its edges and triangle_edges,
-the pattern of hypfem.assemble, from them on first use; mesh_polygon hands
-over the final level's pattern instead, and a Mesh made by
-dataclasses.replace derives its own.  Edge lengths are measured once per
-level and once per smoothing round; a round that misses the target refines
-at once, so rounds <= level + 1 and MAX_REFINEMENTS bounds both.  A
-smoothing sweep runs on the split real coordinates x and y of the nodes:
-the neighbour sums are two 1-D products of a CSR matrix of ones, whose rows
-list each node's neighbours in np.add.at order, with x and with y; the
-means scale them in place by the reciprocal neighbour counts, bit for bit
-numpy's complex sums divided by the counts (see smooth); and every chain
-interior is retracted at once with the map coefficients of its side
+frozen, with read-only arrays (its side chains are tuples of them), and
+derives its edges and triangle_edges, the pattern of hypfem.assemble, from
+its triangles on first use; mesh_polygon hands over the final level's
+pattern instead, and a Mesh made by dataclasses.replace derives its own.
+Edge lengths are measured once per level and once per smoothing round; a
+round that misses the target refines at once, so rounds <= level + 1, and
+the triangle budget MAX_TRIANGLES, checked before each refinement, bounds
+both.  A smoothing sweep runs on the split real coordinates x and y of the
+nodes: the neighbour sums are two 1-D products of a CSR matrix of ones,
+whose rows list each node's neighbours in np.add.at order, with x and with
+y; the means scale them in place by the reciprocal neighbour counts, bit
+for bit numpy's complex sums divided by the counts (see smooth); and every
+chain interior is retracted at once with the map coefficients of its side
 (hypgeo.side_maps, axis_foot, axis_point).  mesh_polygon logs one DEBUG
 record: nodes, triangles, refinement level, smoothing rounds and the
 seconds they took.
@@ -34,7 +35,7 @@ downstream: reflection extension and chart gluing pair side nodes across
 isometries at tolerance MATCH_TOL, and hypfem.dof_symmetry matches nodes
 for the symmetry reductions with match_nodes, one range search within
 MATCH_TOL along a sorted projection.  A mesh that cannot meet its target
-or has an inverted triangle raises MeshError.
+within the triangle budget or has an inverted triangle raises MeshError.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .hypgeo import HyperbolicPolygon, axis_foot, axis_point, hyp_distance, side
 MATCH_TOL = 1e-9  # a node matches the image of a node under a mesh symmetry when this close
 _SORT_AXIS = complex(math.cos(1.0), math.sin(1.0))  # match_nodes sorts along u = Re(z e^-i) = z . _SORT_AXIS
 SMOOTH_SWEEPS = 40  # Jacobi relaxation passes (interior and tangential-boundary)
-MAX_REFINEMENTS = 14  # at most this many 1:4 refinement levels
+MAX_TRIANGLES = 2**21  # mesh_polygon refines no level into more triangles than this
 
 _log = logging.getLogger(__name__)
 
@@ -68,11 +69,12 @@ class Mesh:
     """Triangle mesh of one geodesic polygon.
 
     nodes are complex disk coordinates, and node k is polygon vertex k;
-    triangles index into nodes, CCW, and are read-only.  side_nodes[i] is
-    the chain of nodes on side i from corner i to corner i + 1, in
-    arclength order by construction, so consecutive entries span a
-    boundary edge; side_params[i] are their arclengths, 0 to the side's
-    length.  level is the number of 1:4 refinements of the macro fan.
+    triangles index into nodes, CCW.  side_nodes[i] is the chain of nodes
+    on side i from corner i to corner i + 1, in arclength order by
+    construction, so consecutive entries span a boundary edge;
+    side_params[i] are their arclengths, 0 to the side's length.  All four
+    are read-only arrays, views of the arrays given, and the chains are
+    held in tuples.  level is the number of 1:4 refinements of the macro fan.
 
     edges are the unique edges (lo, hi) in lexicographic order, and
     triangle_edges[t, j] indexes the edge joining corners j and j + 1 of
@@ -82,14 +84,21 @@ class Mesh:
 
     nodes: np.ndarray
     triangles: np.ndarray
-    side_nodes: list
-    side_params: list
+    side_nodes: tuple
+    side_params: tuple
     polygon: HyperbolicPolygon
     level: int
 
     def __post_init__(self):
-        object.__setattr__(self, "triangles", np.asarray(self.triangles).view())
-        self.triangles.flags.writeable = False
+        def read_only(a):
+            a = np.asarray(a).view()
+            a.flags.writeable = False
+            return a
+
+        object.__setattr__(self, "nodes", read_only(self.nodes))
+        object.__setattr__(self, "triangles", read_only(self.triangles))
+        object.__setattr__(self, "side_nodes", tuple(map(read_only, self.side_nodes)))
+        object.__setattr__(self, "side_params", tuple(map(read_only, self.side_params)))
 
     @functools.cached_property
     def _pattern(self) -> tuple:
@@ -309,7 +318,8 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
 
     # refine while an edge is too long, else smooth, until a smoothing leaves
     # every edge within h_target (smoothing can stretch edges, so the check
-    # runs on the final positions); the level cap also bounds the rounds
+    # runs on the final positions); the triangle budget bounds the levels,
+    # and so the rounds, and is checked before a level is built
     e, tri_e = _edge_pattern(tris)
     level, rounds, smooth_s = 0, 0, 0.0
     miss, smoothed = too_long(z, e), False
@@ -318,8 +328,9 @@ def mesh_polygon(poly: HyperbolicPolygon, h_target: float) -> Mesh:
             t0 = time.perf_counter()
             z = smooth(z, e)
             rounds, smooth_s = rounds + 1, smooth_s + time.perf_counter() - t0
-        elif level == MAX_REFINEMENTS:
-            raise MeshError(f"{level} refinement levels leave an edge longer than h_target = {h_target}")
+        elif 4 * len(tris) > MAX_TRIANGLES:
+            raise MeshError(f"h_target = {h_target} needs a level after {level}, "
+                            f"whose {4 * len(tris)} triangles exceed MAX_TRIANGLES = {MAX_TRIANGLES}")
         else:
             z, tris = refine(z, tris, e, tri_e)
             (e, tri_e), level = _edge_pattern(tris), level + 1

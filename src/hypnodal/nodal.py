@@ -1,21 +1,23 @@
 """Zero level sets of piecewise linear functions on disk meshes.
 
-extract_nodal walks the triangles of a mesh that the zero set meets (an
-array mask picks those with a zero vertex or a sign change), collects the
-zero segments of the linear interpolant, and chains them into polylines in
-one walk over the segment graph.  A key where two segments meet passes the
-walk through.  A key where more than two meet is a crossing point, reported
-with a transversality angle; there the walk goes straight on when exactly
-two segments share one direction (modulo pi), and stops otherwise.  Every
-zero segment lies on exactly one component, so a nodal line that runs
-straight through crossings is one component.  geodesic_deviation measures
-the hyperbolic distance from a polyline to a target geodesic, and
-self_intersections scans a nodal set for the points where it crosses
-itself.
+extract_nodal collects, in array code, the zero segments of the linear
+interpolant on the triangles that the zero set meets, and chains them into
+polylines in one walk over the segment graph.  Segment ends are keyed by the
+mesh's own numbers: the crossing on edge k of mesh.edges is key k, and zero
+node i is key E + i for E edges, so glue_index takes a zero key's node to
+its glued dof.  A key where two segments meet passes the walk through.  A
+key where more than two meet is a crossing point, reported with a
+transversality angle; there the walk goes straight on when exactly two
+segments share one direction (modulo pi), and stops otherwise.  Every zero
+segment lies on exactly one component, so a nodal line that runs straight
+through crossings is one component.  geodesic_deviation measures the
+hyperbolic distance from a polyline to a target geodesic, and
+self_intersections scans a nodal set for the points where it crosses itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,14 +90,7 @@ def _cluster_lines(angles, tol: float = 1e-2):
 def _crossing_angle(lines) -> float:
     """Smallest angle between the lines (clusters of _cluster_lines) through a crossing."""
     reps = sorted(sum(a for a, _ in c) / len(c) % math.pi for c in lines)
-    if len(reps) < 2:
-        return 0.0
-    best = min(
-        _fold_line_angle(reps[i] - reps[j])
-        for i in range(len(reps))
-        for j in range(i + 1, len(reps))
-    )
-    return best
+    return min((_fold_line_angle(a - b) for a, b in itertools.combinations(reps, 2)), default=0.0)
 
 
 def extract_nodal(mesh, u, zero_tol: float = 1e-9, chart: int = 0) -> NodalSet:
@@ -104,8 +99,9 @@ def extract_nodal(mesh, u, zero_tol: float = 1e-9, chart: int = 0) -> NodalSet:
     Nodes with |u| <= zero_tol * max|u| count as exact zeros.  Each
     triangle contributes at most one zero segment (three for the fully
     degenerate all-zero triangle); segments shared between triangles are
-    emitted once.  Raises NodalError unless u has one finite value per
-    mesh node, or when u vanishes identically.
+    emitted once.  The mesh gives nodes, triangles, edges and
+    triangle_edges (see hypmesh.Mesh).  Raises NodalError unless u has one
+    finite value per mesh node, or when u vanishes identically.
     """
     u = np.asarray(u, dtype=float)
     nodes = np.asarray(mesh.nodes, dtype=np.complex128)
@@ -113,50 +109,30 @@ def extract_nodal(mesh, u, zero_tol: float = 1e-9, chart: int = 0) -> NodalSet:
         raise NodalError(f"extract_nodal needs one value per mesh node: {len(nodes)} nodes, u of shape {u.shape}")
     if not np.isfinite(u).all():
         raise NodalError(f"extract_nodal needs finite values: {int((~np.isfinite(u)).sum())} of {len(u)} are not")
-    amax = float(np.max(np.abs(u))) if len(u) else 0.0
-    if amax == 0.0:
-        raise NodalError("nodal extraction of an identically zero vector")
-    cut = zero_tol * amax
-    zero = np.abs(u) <= cut
-    if bool(zero.all()):
+    zero = np.abs(u) <= zero_tol * np.abs(u).max(initial=0.0)
+    if zero.all():
         raise NodalError("nodal extraction of an identically zero vector")
     sgn = np.where(zero, 0.0, np.sign(u))
 
-    pts = {}
-    segs = set()
-
-    def vkey(i):
-        k = ("v", int(i))
-        if k not in pts:
-            pts[k] = complex(nodes[i])
-        return k
-
-    def ekey(i, j):
-        lo, hi = (int(i), int(j)) if i < j else (int(j), int(i))
-        k = ("e", lo, hi)
-        if k not in pts:
-            t = u[lo] / (u[lo] - u[hi])
-            pts[k] = complex(nodes[lo] + t * (nodes[hi] - nodes[lo]))
-        return k
-
-    # only triangles with a zero vertex or a sign change contribute
+    # only triangles with a zero vertex or a sign change contribute: all but
+    # those whose three signs are equal and not zero
     tris = np.asarray(mesh.triangles, dtype=np.int64)
     ts = sgn[tris]
-    live = zero[tris].any(axis=1) | ((ts.min(axis=1) < 0) & (ts.max(axis=1) > 0))
-    for tri in tris[live]:
-        a, b, c = (int(x) for x in tri)
-        ents = [vkey(i) for i in (a, b, c) if zero[i]]
-        for i, j in ((a, b), (b, c), (c, a)):
-            if sgn[i] * sgn[j] < 0:
-                ents.append(ekey(i, j))
-        if len(ents) == 2:
-            segs.add(tuple(sorted(ents)))
-        elif len(ents) == 3:
-            # fully degenerate triangle: all three vertices are zeros
-            for p in range(3):
-                for q in range(p + 1, 3):
-                    segs.add(tuple(sorted((ents[p], ents[q]))))
-    return _nodal_set(pts, segs, chart)
+    live = (ts[:, 0] != ts[:, 1]) | (ts[:, 1] != ts[:, 2]) | (ts[:, 0] == 0)
+    tris, ts, n_e = tris[live], ts[live], len(mesh.edges)
+    # each live triangle's keys, sorted with the absent ones (-1) first: its
+    # zero corners and its edges j (corners j, j + 1) whose ends change sign;
+    # at most three, and three only when all corners are zeros
+    ents = np.sort(np.concatenate([np.where(zero[tris], n_e + tris, -1),
+                                   np.where(ts * ts[:, [1, 2, 0]] < 0, mesh.triangle_edges[live], -1)], axis=1), axis=1)
+    three = ents[:, 3] >= 0
+    segs = np.concatenate([ents[~three & (ents[:, 4] >= 0), 4:], *(ents[three][:, p] for p in ([3, 4], [3, 5], [4, 5]))])
+    segs = np.unique(segs, axis=0)
+    keys = np.unique(segs)
+    lo, hi = mesh.edges[keys[keys < n_e]].T
+    t = u[lo] / (u[lo] - u[hi])
+    pts = np.concatenate([nodes[lo] + t * (nodes[hi] - nodes[lo]), nodes[keys[keys >= n_e] - n_e]])
+    return _nodal_set(dict(zip(keys.tolist(), pts.tolist())), set(map(tuple, segs.tolist())), chart)
 
 
 def _nodal_set(pts: dict, segs: set, chart: int) -> NodalSet:

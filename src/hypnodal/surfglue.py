@@ -98,11 +98,20 @@ class Pairing:
 
 @dataclass
 class Surface:
-    """Charts over one base polygon, whose side labels hold in every chart, plus side pairings."""
+    """Charts over one base polygon, whose side labels hold in every chart,
+    plus side pairings; GlueError for a pairing whose charts or sides are
+    not indices of the charts and of the base's sides."""
 
     base: HyperbolicPolygon
     charts: list
     pairings: list
+
+    def __post_init__(self):
+        for j, p in enumerate(self.pairings):
+            charts, sides = (p.chart_a, p.chart_b), (p.side_a, p.side_b)
+            if not all(0 <= c < self.n_charts for c in charts) or not all(0 <= s < self.base.n for s in sides):
+                raise GlueError(f"pairing {j} glues chart {p.chart_a} side {p.side_a} to chart {p.chart_b} "
+                                f"side {p.side_b}: charts run over [0, {self.n_charts}), sides over [0, {self.base.n})")
 
     @property
     def n_charts(self) -> int:

@@ -419,10 +419,12 @@ class TestPolygonFold:
         def broken(poly, h):
             mesh = mesh_polygon(poly, h)
             if defect == "moved node":
-                mesh.nodes[np.argmin(np.abs(mesh.nodes - 0.3 - 0.1j))] += 1e-6
-            else:  # its mirror image on side 4 stays constrained
-                mesh.side_nodes[0] = np.delete(mesh.side_nodes[0], 3)
-            return mesh
+                nodes = mesh.nodes.copy()
+                nodes[np.argmin(np.abs(nodes - 0.3 - 0.1j))] += 1e-6
+                return dataclasses.replace(mesh, nodes=nodes)
+            # its mirror image on side 4 stays constrained
+            side_nodes = (np.delete(mesh.side_nodes[0], 3), *mesh.side_nodes[1:])
+            return dataclasses.replace(mesh, side_nodes=side_nodes)
 
         monkeypatch.setattr(hf, "mesh_polygon", broken)
         # the node match is dof_symmetry's check, the constrained dofs solve_character's

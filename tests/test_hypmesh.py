@@ -450,10 +450,24 @@ class TestMeshError:
         with pytest.raises(hm.MeshError, match="9 of .*inverted"):
             hm.mesh_polygon(poly, 0.24)
 
-    def test_refinement_level_cap(self, monkeypatch):
-        monkeypatch.setattr(hm, "MAX_REFINEMENTS", 1)
-        with pytest.raises(hm.MeshError, match="1 refinement levels"):
+    def test_triangle_budget(self, monkeypatch):
+        # the quarter's fan has 8 triangles: level 1 has 32, level 2 would have 128
+        edge_pattern, built = hm._edge_pattern, []
+
+        def recorded(tris):  # called on the fan and on every level built
+            built.append(len(tris))
+            return edge_pattern(tris)
+
+        monkeypatch.setattr(hm, "_edge_pattern", recorded)
+        monkeypatch.setattr(hm, "MAX_TRIANGLES", 32)
+        message = r"h_target = 0.1 needs a level after 1, whose 128 triangles exceed MAX_TRIANGLES = 32"
+        with pytest.raises(hm.MeshError, match=message):
             hm.mesh_polygon(quarter_octagon(), 0.1)
+        assert built == [8, 32]  # the error comes before the level that would pass the budget
+
+    def test_default_budget_covers_the_finest_mesh_in_use(self):
+        # four times the quarter at h = 0.01 (524,288 triangles), the largest mesh measured
+        assert hm.MAX_TRIANGLES >= 4 * 524_288
 
     def test_rejects_more_edges_than_int32_indexes(self, monkeypatch):
         unique_edges = hm._unique_edges
@@ -583,8 +597,9 @@ def reference_mesh(poly, h_target):
             return lengths[side_i]
         return node_side[m][1]
 
-    for _ in range(hm.MAX_REFINEMENTS):
+    while True:  # every round after the first refines, so the triangle budget bounds the rounds
         while max_edge(z, tris) > h_target:
+            assert 4 * len(tris) <= hm.MAX_TRIANGLES, "the reference refines past the triangle budget"
             z, tris = refine(z, tris)
         z = smooth(z, tris)
         for key in list(bdict):
@@ -665,6 +680,25 @@ class TestArrayKernels:
         for name in ("edges", "triangle_edges"):
             with pytest.raises(AttributeError):
                 setattr(pent_mesh, name, getattr(pent_mesh, name))
+
+    def test_nodes_and_side_chains_are_read_only(self, pent_mesh):
+        with pytest.raises(ValueError, match="read-only"):
+            pent_mesh.nodes[1] = 0.0
+        for chains in (pent_mesh.side_nodes, pent_mesh.side_params):
+            with pytest.raises(ValueError, match="read-only"):
+                chains[1][1] = 0
+            with pytest.raises(AttributeError):
+                chains.append(chains[0])
+            with pytest.raises(TypeError):
+                chains[1] = chains[0]
+
+    def test_replaced_mesh_is_read_only_and_leaves_its_input_writable(self, pent_mesh):
+        nodes = pent_mesh.nodes.copy()
+        side_nodes = [c.copy() for c in pent_mesh.side_nodes]
+        mesh = dataclasses.replace(pent_mesh, nodes=nodes, side_nodes=side_nodes)
+        assert isinstance(mesh.side_nodes, tuple)
+        assert not mesh.nodes.flags.writeable and not mesh.side_nodes[0].flags.writeable
+        assert nodes.flags.writeable and side_nodes[0].flags.writeable
 
     @staticmethod
     def neighbour_sums(e, z):

@@ -21,9 +21,14 @@ from test_hypgeo import grid_or_disk_points, reference_segment_intersection
 
 
 def soup(nodes, triangles):
+    """A bare mesh: nodes, triangles, and the edge numbering that a Mesh derives from them."""
+    triangles = np.asarray(triangles, dtype=np.int64)
+    edges, triangle_edges = hypmesh._unique_edges(triangles)
     return SimpleNamespace(
         nodes=np.asarray(nodes, dtype=np.complex128),
-        triangles=np.asarray(triangles, dtype=np.int64),
+        triangles=triangles,
+        edges=edges,
+        triangle_edges=triangle_edges,
     )
 
 
@@ -156,6 +161,30 @@ class TestCrossedTrianglePrefilter:
             got = nodal.extract_nodal(mesh, u, zero_tol=tol, chart=2)
             assert got.components
             assert_same_nodal_set(got, reference_extract(mesh, u, zero_tol=tol, chart=2))
+
+    @pytest.mark.parametrize("case", ["octagon mirror-odd mode", "genus-3 pants ground state"])
+    def test_equals_full_loop_on_eigenfunctions(self, case):
+        if case == "octagon mirror-odd mode":
+            modes = hypfem.solve_polygon(surfglue.octagon_polygon(), 0.16, k=6, essential_labels=())
+            mesh, (_, u) = modes.mesh, surfglue.mirror_odd_eigenvector(modes, 3.8390)
+        else:
+            g3 = surfglue.build_genus3(2.0, h_target=0.24)
+            mesh, u = g3.system.base_mesh, g3.base_vector
+        got = nodal.extract_nodal(mesh, u, zero_tol=1e-7)
+        assert got.components
+        assert_same_nodal_set(got, reference_extract(mesh, u, zero_tol=1e-7))
+
+    def test_corner_order_does_not_matter(self):
+        # the keys are edge and node numbers, which rotating each triangle's corners does not change
+        mesh = hypmesh.mesh_polygon(surfglue.quarter_octagon(), 0.16)
+        z = mesh.nodes
+        u = np.round(8.0 * (z.real - 0.3) * (z.imag - 0.2), 1)
+        shift = np.arange(mesh.n_triangles) % 3
+        rotated = mesh.triangles[np.arange(mesh.n_triangles)[:, None], (shift[:, None] + np.arange(3)) % 3]
+        assert not np.array_equal(rotated, mesh.triangles)
+        for tol in (1e-9, 0.05):
+            got = nodal.extract_nodal(soup(z, rotated[::-1]), u, zero_tol=tol)
+            assert_same_nodal_set(got, nodal.extract_nodal(mesh, u, zero_tol=tol))
 
 
 def pinwheel():

@@ -1544,6 +1544,16 @@ class TestSurfaceInputChecks:
         with pytest.raises(surfglue.GlueError, match=rf"circle index {bad} .*\(3 boundary circles\)"):
             surfglue.double_surface(surfglue.pants_decagon_surface(), indices)
 
+    @pytest.mark.parametrize("fields", [(0, -1, 0, 1), (0, 0, 1, 2), (0, 8, 0, 2)], ids=["side -1", "chart 1", "side 8"])
+    def test_rejects_a_pairing_out_of_range(self, fields):
+        # on the one-chart octagon pants: side -1 would glue side 7, chart 1 and side 8 would index past the arrays
+        surf = surfglue.canonical_pants_surface()
+        bad = surfglue.Pairing(*fields, surfglue.IDENTITY)
+        message = (rf"pairing 2 glues chart {fields[0]} side {fields[1]} to chart {fields[2]} side {fields[3]}: "
+                   r"charts run over \[0, 1\), sides over \[0, 8\)")
+        with pytest.raises(surfglue.GlueError, match=message):
+            surfglue.Surface(surf.base, surf.charts, surf.pairings + [bad])
+
     def test_audit_rejects_a_side_in_two_pairings(self):
         surf = surfglue.genus2_surface()
         p = surf.pairings[0]
